@@ -14,9 +14,7 @@ the Experiment-2 purchase-order corpus:
 3. **fused kernel (hardened event path)** — the fused parse+validate
    loop of :mod:`repro.core.castkernel` (``validate_text``, no byte
    skips) against the retained event pipeline
-   (``validate_text_events``), first on the pure-python backend, then —
-   when the C extension builds — on the compiled backend as a separate
-   record.
+   (``validate_text_events``).
 
 Before timing anything, the pipelines are cross-checked: token streams
 must match element-for-element, the DOM and streaming cast verdicts on
@@ -35,8 +33,8 @@ Run standalone (no pytest needed)::
 ``--quick`` shrinks the corpus for CI and relaxes the floors to 1.5x
 (lexer) / 1.1x (end-to-end) / 1.5x (kernel); the full run enforces the
 acceptance thresholds: lexer >= 3.0x, end-to-end cast >= 1.5x, and
-fused kernel >= 3.0x over the event pipeline on the pure-python
-backend alone.  Exit status 1 if any check fails.
+fused kernel >= 3.0x over the event pipeline.  Exit status 1 if any
+check fails.
 """
 
 from __future__ import annotations
@@ -47,7 +45,6 @@ import sys
 import time
 from typing import Callable
 
-from repro import kernel
 from repro.bench.reporting import update_bench_json
 from repro.core.cast import CastValidator
 from repro.core.streaming import StreamingCastValidator
@@ -65,17 +62,6 @@ from repro.xmltree.serializer import serialize
 DEFAULT_JSON = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "..", "BENCH_cast.json"
 )
-
-
-def best_of(fn: Callable[[], object], reps: int, rounds: int = 3) -> float:
-    """Best-of-``rounds`` wall-clock for ``reps`` calls (noise floor)."""
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        for _ in range(reps):
-            fn()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def best_of_pair(
@@ -203,33 +189,13 @@ def main(argv=None) -> int:
     cast_speedup = old_e2e / new_e2e
 
     # -- gate 3: fused kernel vs the event pipeline -------------------------
-    # The pure-python kernel alone must clear the floor; the compiled
-    # backend, when it builds, is measured as a further gain on top.
     streaming = StreamingCastValidator(pair)
-    prior_backend = kernel.backend_name()
-    kernel.activate("py")
-    try:
-        event_kernel, fused_py = best_of_pair(
-            lambda: streaming.validate_text_events(text),
-            lambda: streaming.validate_text(text),
-            reps,
-        )
-    finally:
-        kernel.activate(prior_backend)
+    event_kernel, fused_py = best_of_pair(
+        lambda: streaming.validate_text_events(text),
+        lambda: streaming.validate_text(text),
+        reps,
+    )
     kernel_speedup = event_kernel / fused_py
-
-    fused_compiled = None
-    try:
-        kernel.activate("compiled")
-    except Exception as error:
-        print(f"compiled kernel unavailable, skipping: {error}")
-    else:
-        try:
-            fused_compiled = best_of(
-                lambda: streaming.validate_text(text), reps
-            )
-        finally:
-            kernel.activate(prior_backend)
 
     mb = len(text.encode("utf-8")) / 1e6
     print(
@@ -243,18 +209,10 @@ def main(argv=None) -> int:
         f"({mb * reps / new_e2e:6.1f} MB/s)"
     )
     print(
-        f"{'fused kernel (py)':<28} evt {event_kernel * 1e3:8.2f} ms  "
+        f"{'fused kernel':<28} evt {event_kernel * 1e3:8.2f} ms  "
         f"fus {fused_py * 1e3:8.2f} ms  {kernel_speedup:5.2f}x  "
         f"({mb * reps / fused_py:6.1f} MB/s)"
     )
-    if fused_compiled is not None:
-        print(
-            f"{'fused kernel (compiled)':<28} evt "
-            f"{event_kernel * 1e3:8.2f} ms  "
-            f"fus {fused_compiled * 1e3:8.2f} ms  "
-            f"{event_kernel / fused_compiled:5.2f}x  "
-            f"({mb * reps / fused_compiled:6.1f} MB/s)"
-        )
 
     update_bench_json(
         args.json,
@@ -289,16 +247,6 @@ def main(argv=None) -> int:
                 "speedup": kernel_speedup,
                 "event_mb_per_s": mb * reps / event_kernel,
                 "fused_py_mb_per_s": mb * reps / fused_py,
-                **(
-                    {
-                        "fused_compiled_seconds": fused_compiled,
-                        "compiled_speedup": event_kernel / fused_compiled,
-                        "fused_compiled_mb_per_s": mb * reps
-                        / fused_compiled,
-                    }
-                    if fused_compiled is not None
-                    else {"compiled_backend": "unavailable"}
-                ),
             },
         },
         source="bench_parse.py",
@@ -317,7 +265,7 @@ def main(argv=None) -> int:
     if kernel_speedup < kernel_floor:
         failures.append(
             f"fused kernel speedup {kernel_speedup:.2f}x "
-            f"< {kernel_floor}x (pure-python backend)"
+            f"< {kernel_floor}x"
         )
     if failures:
         for failure in failures:

@@ -24,9 +24,7 @@ schema pair, so the artifacts amortize over every document validated:
 
 ``rows``/``finals_mask``/``ia_mask``/``ir_mask`` remain available as
 lazily derived tuple views for construction-time code, tests and
-introspection; hot paths walk ``flat``/``flags`` directly or hand them
-to the optional compiled backend (:mod:`repro.kernel`), which performs
-the identical walk in C.
+introspection; hot paths walk ``flat``/``flags`` directly.
 
 The interning is bijective, so every compiled run recognizes exactly
 the language of the source automaton (word accepted iff its image under
@@ -39,7 +37,6 @@ from __future__ import annotations
 from array import array
 from typing import Any, Iterable, Iterator, KeysView, Optional, Sequence
 
-from repro import kernel as _kernel
 from repro.automata.dfa import DFA
 from repro.automata.immediate import ImmediateDecisionAutomaton
 
@@ -169,54 +166,26 @@ def _flatten(rows: Sequence[Sequence[int]]) -> tuple[array, int, int]:
     return flat, width, num_states
 
 
-class CompiledDFA:
-    """A complete DFA compiled to one flat integer transition table.
-
-    The successor of state ``q`` on the symbol with id ``sid`` is
-    ``flat[q * width + sid]``, or ``-1`` when that symbol is outside
-    the underlying DFA's alphabet (possible when the symbol table
-    covers a superset — e.g. the pair alphabet against one schema's
-    content model).  ``flags`` holds :data:`FLAG_FINAL` per state.
-    ``rows``/``finals_mask`` are derived tuple views for construction
-    and test code; the hot walks never materialize them.
-    """
+class _FlatMachine:
+    """The layout both compiled machines share: transitions in ``flat``
+    (state-major, ``width`` symbols per row), one ``flags`` byte per
+    state, a ``start`` state, and lazily derived tuple views for
+    construction and test code — the hot walks never materialize
+    them."""
 
     __slots__ = ("symbols", "flat", "width", "flags", "start",
                  "_rows", "_finals")
 
-    def __init__(
-        self,
-        symbols: SymbolTable,
-        rows: Sequence[Sequence[int]],
-        start: int,
-        finals_mask: Sequence[bool],
-    ):
-        self.symbols = symbols
-        self.flat, self.width, _ = _flatten(rows)
-        self.start = start
-        self.flags = bytes(
-            FLAG_FINAL if final else 0 for final in finals_mask
-        )
+    def _reset_views(self) -> None:
         self._rows: Optional[tuple[tuple[int, ...], ...]] = None
         self._finals: Optional[tuple[bool, ...]] = None
-
-    @classmethod
-    def from_dfa(cls, dfa: DFA, symbols: SymbolTable) -> "CompiledDFA":
-        rows = tuple(
-            tuple(row.get(label, -1) for label in symbols.labels)
-            for row in dfa.transitions
-        )
-        finals = dfa.finals
-        mask = tuple(q in finals for q in range(dfa.num_states))
-        return cls(symbols, rows, dfa.start, mask)
 
     def __getstate__(self):
         return (self.symbols, self.flat, self.width, self.flags, self.start)
 
     def __setstate__(self, state):
         self.symbols, self.flat, self.width, self.flags, self.start = state
-        self._rows = None
-        self._finals = None
+        self._reset_views()
 
     @property
     def num_states(self) -> int:
@@ -235,23 +204,63 @@ class CompiledDFA:
             self._rows = rows
         return rows
 
+    def _flag_view(self, bit: int) -> tuple[bool, ...]:
+        return tuple(bool(f & bit) for f in self.flags)
+
     @property
     def finals_mask(self) -> tuple[bool, ...]:
-        finals = self._finals
-        if finals is None:
-            finals = tuple(bool(f & FLAG_FINAL) for f in self.flags)
-            self._finals = finals
-        return finals
+        if self._finals is None:
+            self._finals = self._flag_view(FLAG_FINAL)
+        return self._finals
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__name__}({self.num_states} states, "
+            f"{len(self.symbols)} symbols)"
+        )
+
+
+class CompiledDFA(_FlatMachine):
+    """A complete DFA compiled to one flat integer transition table.
+
+    The successor of state ``q`` on the symbol with id ``sid`` is
+    ``flat[q * width + sid]``, or ``-1`` when that symbol is outside
+    the underlying DFA's alphabet (possible when the symbol table
+    covers a superset — e.g. the pair alphabet against one schema's
+    content model).  ``flags`` holds :data:`FLAG_FINAL` per state.
+    """
+
+    __slots__ = ()
+
+    def __init__(
+        self,
+        symbols: SymbolTable,
+        rows: Sequence[Sequence[int]],
+        start: int,
+        finals_mask: Sequence[bool],
+    ):
+        self.symbols = symbols
+        self.flat, self.width, _ = _flatten(rows)
+        self.start = start
+        self.flags = bytes(
+            FLAG_FINAL if final else 0 for final in finals_mask
+        )
+        self._reset_views()
+
+    @classmethod
+    def from_dfa(cls, dfa: DFA, symbols: SymbolTable) -> "CompiledDFA":
+        rows = tuple(
+            tuple(row.get(label, -1) for label in symbols.labels)
+            for row in dfa.transitions
+        )
+        finals = dfa.finals
+        mask = tuple(q in finals for q in range(dfa.num_states))
+        return cls(symbols, rows, dfa.start, mask)
 
     def run(self, ids: Iterable[int], start: Optional[int] = None) -> int:
         """The state reached on an interned word, or ``-1`` once any
         symbol falls outside the automaton's alphabet."""
         state = self.start if start is None else start
-        c = _kernel.C
-        if c is not None:
-            if not isinstance(ids, (list, tuple)):
-                ids = list(ids)
-            return c.dfa_run(self.flat, self.width, state, ids)
         flat = self.flat
         width = self.width
         for sid in ids:
@@ -270,14 +279,8 @@ class CompiledDFA:
         state = self.run(ids)
         return state >= 0 and bool(self.flags[state] & FLAG_FINAL)
 
-    def __repr__(self) -> str:
-        return (
-            f"CompiledDFA({self.num_states} states, "
-            f"{len(self.symbols)} symbols)"
-        )
 
-
-class CompiledImmediate:
+class CompiledImmediate(_FlatMachine):
     """An immediate decision automaton compiled to flat tables.
 
     Transitions share :class:`CompiledDFA`'s flat layout; ``flags``
@@ -290,8 +293,7 @@ class CompiledImmediate:
     representations are interchangeable verdict- and count-wise.
     """
 
-    __slots__ = ("symbols", "flat", "width", "flags", "start",
-                 "_rows", "_finals", "_ia", "_ir")
+    __slots__ = ("_ia", "_ir")
 
     def __init__(
         self,
@@ -314,8 +316,10 @@ class CompiledImmediate:
             | (FLAG_IR if ir[q] else 0)
             for q in range(num_states)
         )
-        self._rows: Optional[tuple[tuple[int, ...], ...]] = None
-        self._finals: Optional[tuple[bool, ...]] = None
+        self._reset_views()
+
+    def _reset_views(self) -> None:
+        super()._reset_views()
         self._ia: Optional[tuple[bool, ...]] = None
         self._ir: Optional[tuple[bool, ...]] = None
 
@@ -338,65 +342,21 @@ class CompiledImmediate:
             tuple(q in immed.ir for q in range(n)),
         )
 
-    def __getstate__(self):
-        return (self.symbols, self.flat, self.width, self.flags, self.start)
-
-    def __setstate__(self, state):
-        self.symbols, self.flat, self.width, self.flags, self.start = state
-        self._rows = None
-        self._finals = None
-        self._ia = None
-        self._ir = None
-
-    @property
-    def num_states(self) -> int:
-        return len(self.flags)
-
-    @property
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        """Tuple-of-tuples view of the flat table (derived lazily)."""
-        rows = self._rows
-        if rows is None:
-            flat, width = self.flat, self.width
-            rows = tuple(
-                tuple(flat[q * width:(q + 1) * width])
-                for q in range(len(self.flags))
-            )
-            self._rows = rows
-        return rows
-
-    @property
-    def finals_mask(self) -> tuple[bool, ...]:
-        finals = self._finals
-        if finals is None:
-            finals = tuple(bool(f & FLAG_FINAL) for f in self.flags)
-            self._finals = finals
-        return finals
-
     @property
     def ia_mask(self) -> tuple[bool, ...]:
-        ia = self._ia
-        if ia is None:
-            ia = tuple(bool(f & FLAG_IA) for f in self.flags)
-            self._ia = ia
-        return ia
+        if self._ia is None:
+            self._ia = self._flag_view(FLAG_IA)
+        return self._ia
 
     @property
     def ir_mask(self) -> tuple[bool, ...]:
-        ir = self._ir
-        if ir is None:
-            ir = tuple(bool(f & FLAG_IR) for f in self.flags)
-            self._ir = ir
-        return ir
+        if self._ir is None:
+            self._ir = self._flag_view(FLAG_IR)
+        return self._ir
 
     def decide(self, ids: Iterable[int], start: Optional[int] = None) -> bool:
         """The scan verdict alone — the stats-free hot path."""
         state = self.start if start is None else start
-        c = _kernel.C
-        if c is not None:
-            if not isinstance(ids, (list, tuple)):
-                ids = list(ids)
-            return c.imm_decide(self.flat, self.flags, self.width, state, ids)
         flat = self.flat
         width = self.width
         flags = self.flags
@@ -413,23 +373,12 @@ class CompiledImmediate:
                 return False
         return bool(flags[state] & 1)  # FLAG_FINAL
 
-    def step(self, state: int, sid: int) -> int:
-        """One transition; ``-1`` rejects (hot-loop helper)."""
-        if sid < 0 or state < 0:
-            return -1
-        return self.flat[state * self.width + sid]
-
     def scan(
         self, ids: Sequence[int], start: Optional[int] = None
     ) -> tuple[bool, int, bool, int]:
         """``(accepted, symbols_scanned, early, state)`` with the same
         counting semantics as the dict-based ``scan``."""
         state = self.start if start is None else start
-        c = _kernel.C
-        if c is not None:
-            if not isinstance(ids, (list, tuple)):
-                ids = list(ids)
-            return c.imm_scan(self.flat, self.flags, self.width, state, ids)
         flat = self.flat
         width = self.width
         flags = self.flags
@@ -448,9 +397,3 @@ class CompiledImmediate:
             state = next_state
             scanned += 1
         return bool(flags[state] & 1), scanned, False, state
-
-    def __repr__(self) -> str:
-        return (
-            f"CompiledImmediate({self.num_states} states, "
-            f"{len(self.symbols)} symbols)"
-        )

@@ -15,6 +15,8 @@ import os
 import tempfile
 from typing import Iterable, Mapping, Optional, Sequence
 
+from repro.kernel import backend_name
+
 
 def render_table(
     title: str,
@@ -63,16 +65,6 @@ def render_csv(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
     return "\n".join(lines)
 
 
-def _kernel_backend() -> str:
-    """The active validation-kernel backend, for record stamping."""
-    try:
-        from repro.kernel import backend_name
-
-        return backend_name()
-    except Exception:
-        return "unknown"
-
-
 def update_bench_json(
     path: str,
     entries: Mapping[str, Mapping[str, object]],
@@ -86,8 +78,8 @@ def update_bench_json(
     each record is stamped with ``source`` (the emitting script),
     ``cpu_count`` (``os.cpu_count()`` of the measuring machine, so a
     scaling number can never be read without its hardware context), and
-    ``kernel_backend`` (``py`` or ``compiled``, so a throughput number
-    can never be read without knowing which kernel produced it).
+    ``kernel_backend`` (always ``py``; older records may say
+    ``compiled``, from a since-removed C backend).
     The file layout is ``{"version": 1, "results": {name: record}}``;
     records for benchmarks not named in ``entries`` are preserved, so
     several scripts can share one file.  A missing or corrupt file is
@@ -111,7 +103,7 @@ def update_bench_json(
             **record,
             "source": source,
             "cpu_count": os.cpu_count(),
-            "kernel_backend": _kernel_backend(),
+            "kernel_backend": backend_name(),
         }
         if chain_length is not None:
             # Evolution-chain records carry the schema count, so a

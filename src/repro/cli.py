@@ -121,12 +121,18 @@ def _guard_limits(args: argparse.Namespace) -> tuple[Optional[Limits], str]:
 def _parse_with_retries(path: str, limits: Limits, retries: int,
                         symbols=None):
     """``parse_file`` with bounded retry of (possibly transient)
-    ``OSError``; other failures propagate on the first attempt."""
+    ``OSError``; other failures propagate on the first attempt.
+
+    Returns the document and the deadline its parse ran under, which
+    the validation of the same document must share."""
+    deadline = limits.deadline()
     attempt = 0
     while True:
         attempt += 1
         try:
-            return parse_file(path, limits=limits, symbols=symbols)
+            document = parse_file(path, limits=limits, deadline=deadline,
+                                  symbols=symbols)
+            return document, deadline
         except OSError:
             if attempt > retries:
                 raise
@@ -169,10 +175,11 @@ def cmd_validate(args: argparse.Namespace) -> int:
                 schema, limits=limits
             ).validate_file(args.document)
         else:
-            document = _parse_with_retries(args.document, limits,
-                                           args.retries,
-                                           symbols=schema.symbols)
-            report = validate_document(schema, document, limits=limits)
+            document, deadline = _parse_with_retries(
+                args.document, limits, args.retries, symbols=schema.symbols
+            )
+            report = validate_document(schema, document, limits=limits,
+                                       deadline=deadline)
     if report.valid:
         print(f"{args.document}: valid")
         if args.stats:
@@ -507,10 +514,11 @@ def _cast_single(
             limits=limits, memo=memo,
         )
         parse_start = time.perf_counter()
-        tree = _parse_with_retries(document, limits, args.retries,
-                                   symbols=pair.symbols)
+        tree, deadline = _parse_with_retries(
+            document, limits, args.retries, symbols=pair.symbols
+        )
         parse_end = time.perf_counter()
-        report = validator.validate(tree)
+        report = validator.validate(tree, deadline=deadline)
         report.stats.parse_seconds += parse_end - parse_start
         report.stats.validate_seconds += (
             time.perf_counter() - parse_end

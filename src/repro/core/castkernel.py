@@ -15,18 +15,17 @@ dispatch, no per-event attribute access.
 On top of the fused walk sits the *leaf fast path*: an attribute-free
 element holding only entity- and bracket-free text (the dominant node
 shape of data-oriented XML) is consumed by a single C-level match
-(:data:`~repro.xmltree.lexer.LEAF_RE`, or the compiled backend's
-``leaf_scan``) and validated in place — start tag, value and end tag
-never become separate tokens.
+(:data:`~repro.xmltree.lexer.LEAF_RE`) and validated in place — start
+tag, value and end tag never become separate tokens.
 
 Semantics are byte-identical to the event pipeline — same verdicts,
 same failure messages and Dewey paths, same
 :class:`~repro.core.result.ValidationStats` counters, same guard
 behaviour (document size, depth, entities, deadline ticks once per
-start tag) — asserted by ``tests/core/test_kernel_equivalence.py``
-across both kernel backends.  The only tolerated divergence is
-wall-clock deadline *granularity* on skipped regions (the byte skim
-ticks per skimmed tag, the leaf path once per leaf).
+start tag) — asserted by ``tests/core/test_kernel_equivalence.py``.
+The only tolerated divergence is wall-clock deadline *granularity* on
+skipped regions (the byte skim ticks per skimmed tag, the leaf path
+once per leaf).
 
 Both skip modes of the event pipeline are fused here: ``byte_skip``
 skims subsumed subtrees at the byte level via
@@ -37,7 +36,6 @@ tokens with well-formedness checks only (the event path's
 
 from __future__ import annotations
 
-from repro import kernel as _kernel
 from repro.core.result import ValidationReport, ValidationStats
 from repro.core.validator import attribute_violation_parts
 from repro.guards import check_depth, check_document_size
@@ -80,13 +78,17 @@ def run_cast(validator, text, *, byte_skip=False, trusted=False):
     from repro.errors import XMLSyntaxError
 
     try:
-        return _run(validator.pair, validator.limits, text,
-                    byte_skip, trusted)
+        return run(validator.pair, validator.limits, text,
+                   byte_skip, trusted)
     except XMLSyntaxError as error:
         return ValidationReport.failure(f"not well-formed: {error}")
 
 
-def _run(pair, limits, text, byte_skip, trusted):
+def run(pair, limits, text, byte_skip, trusted):
+    """The fused cast of ``text`` against ``pair``; unlike
+    :func:`run_cast`, a malformed document raises
+    :class:`~repro.errors.XMLSyntaxError` instead of becoming a failure
+    report (batch workers record it as a typed per-document error)."""
     kernel = pair.kernel()
     stats = ValidationStats()
     check_document_size(len(text), limits)
@@ -108,8 +110,6 @@ def _run(pair, limits, text, byte_skip, trusted):
     limits_ = scanner.limits
     next_content_match = scanner.next_content_match
     start_tag_parts = scanner.start_tag_parts
-    c = _kernel.C
-    leaf_scan = c.leaf_scan if c is not None else None
     leaf_match = LEAF_RE.match
     ws_match = XML_WS_RE.match
     end_match = END_TAG_RE.match
@@ -216,15 +216,7 @@ def _run(pair, limits, text, byte_skip, trusted):
                     if wend < n and src[wend] == "<":
                         lpos = wend
             if src[lpos] == "<":
-                if leaf_scan is not None:
-                    leaf = leaf_scan(src, lpos)
-                else:
-                    m = leaf_match(src, lpos)
-                    leaf = (
-                        None
-                        if m is None
-                        else (m.group(1), m.group(2), m.start(2), m.end())
-                    )
+                leaf = leaf_match(src, lpos)
             else:
                 leaf = None
                 lpos = pos
@@ -235,7 +227,7 @@ def _run(pair, limits, text, byte_skip, trusted):
                     if deadline is not None:
                         deadline.tick()
                     del text_parts[:]
-                    scanner.pos = leaf[3]
+                    scanner.pos = leaf.end()
                     continue
                 top = vstack[-1]
                 rec_p = top[_REC]
@@ -249,8 +241,8 @@ def _run(pair, limits, text, byte_skip, trusted):
                         check_depth(len(parse_stack) + 1, limits_)
                     if deadline is not None:
                         deadline.tick()
-                    name, value, value_start, end = leaf
-                    scanner.pos = end
+                    name, value = leaf.group(1, 2)
+                    scanner.pos = leaf.end()
                     sid = ids.get(name, -1)
                     position = top[_CHILDREN]
                     top[_CHILDREN] = position + 1
@@ -344,7 +336,9 @@ def _run(pair, limits, text, byte_skip, trusted):
                         stats.subtrees_skipped += 1
                         if byte_skip:
                             stats.subtrees_byte_skipped += 1
-                            stats.bytes_skipped += end - value_start
+                            stats.bytes_skipped += (
+                                leaf.end() - leaf.start(2)
+                            )
                         continue
                     if action == A_DISJOINT:
                         stats.disjoint_rejections += 1

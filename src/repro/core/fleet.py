@@ -353,12 +353,12 @@ def _validate_document(
             if config.fault_hook is not None:
                 config.fault_hook(path)
             if config.stream_skip:
-                # DOM-free skip-scan cast: one fused pass, timed as
-                # validation (there is no separate parse phase).  A
+                # DOM-free skip-scan cast: one fused kernel pass, timed
+                # as validation (there is no separate parse phase).  A
                 # syntax error propagates as ReproError, matching the
                 # DOM path's per-document error capture below.
+                from repro.core.castkernel import run
                 from repro.guards import check_document_size
-                from repro.xmltree.events import PullParser
 
                 check_document_size(
                     os.path.getsize(path), limits, what=f"file {path!r}"
@@ -366,15 +366,8 @@ def _validate_document(
                 with open(path, encoding="utf-8") as handle:
                     text = handle.read()
                 run_start = time.perf_counter()
-                report = validator.validate_pull(
-                    PullParser(
-                        text,
-                        limits=limits,
-                        deadline=limits.deadline(),
-                        symbols=validator.pair.symbols,
-                    ),
-                    interned=True,
-                )
+                report = run(validator.pair, limits, text,
+                             byte_skip=True, trusted=False)
                 if config.collect_stats:
                     report.stats.validate_seconds += (
                         time.perf_counter() - run_start

@@ -40,6 +40,7 @@ from typing import Optional, Sequence, Union
 from repro.automata.dfa import DFA, harmonize
 from repro.core.result import ValidationReport
 from repro.errors import UnsafeUpdateProgramError, UpdateError
+from repro.guards import remaining_limits, resolve_limits
 from repro.schema.model import ComplexType, Schema, is_complex, is_simple
 from repro.schema.registry import SchemaPair
 
@@ -614,10 +615,14 @@ def cast_text_with_program(
     from repro.core.updates import UpdateSession
     from repro.xmltree.parser import parse
 
-    document = parse(text, limits=limits, symbols=pair.symbols)
+    # One deadline covers the parse, the program replay and the walk.
+    limits = resolve_limits(limits)
+    deadline = limits.deadline()
+    document = parse(text, limits=limits, deadline=deadline,
+                     symbols=pair.symbols)
     session = UpdateSession(document)
     apply_program(session, program)
     validator = CastWithModificationsValidator(
-        pair, collect_stats=False, limits=limits
+        pair, collect_stats=False, limits=remaining_limits(limits, deadline)
     )
     return validator.validate(session), classification

@@ -49,6 +49,7 @@ __all__ = [
     "set_limits",
     "limits_scope",
     "resolve_limits",
+    "remaining_limits",
     "check_document_size",
     "check_depth",
     "state_budget",
@@ -214,6 +215,28 @@ class Deadline:
         unspent request budget to parsing and validation this way.
         """
         return max(0.0, self.expires_at - time.monotonic())
+
+
+def remaining_limits(limits: Limits, deadline: Optional[Deadline]) -> Limits:
+    """``limits`` whose ``deadline_seconds`` is what is left of
+    ``deadline``.
+
+    A request or document gets one deadline for all of its passes.  A
+    later pass whose API takes no ``deadline=`` token (a fallback
+    pass, a validator built per request) starts its own clock from
+    ``Limits.deadline_seconds``; handing it this copy keeps the whole
+    unit of work inside one budget.  Returns ``limits`` unchanged when
+    ``deadline`` is ``None``; raises :class:`DeadlineExceededError`
+    once nothing is left.
+    """
+    if deadline is None:
+        return limits
+    left = deadline.remaining()
+    if left <= 0:
+        raise DeadlineExceededError(
+            f"per-document deadline of {deadline.budget:g}s exceeded"
+        )
+    return limits.with_overrides(deadline_seconds=left)
 
 
 # -- shared guard checks ---------------------------------------------------------

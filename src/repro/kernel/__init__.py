@@ -1,135 +1,20 @@
-"""Kernel backend selection for the validation hot loops.
+"""The validation kernel's backend name.
 
-The validation kernel has two interchangeable backends:
-
-* ``py`` — pure-python walks over the flat tables (always available).
-* ``compiled`` — a small C extension (:mod:`repro.kernel.build`
-  compiles ``_kernel.c`` on demand with the platform C compiler) that
-  performs the same flat-table walks and leaf-tag lexing in C.
-
-Selection is by the ``REPRO_KERNEL`` environment variable, read once at
-import:
-
-* ``py`` (default, also ``python``/``pure``) — pure-python.
-* ``compiled`` (also ``c``) — build/load the extension; on *any*
-  failure (no compiler, no headers, bad build) fall back to pure
-  python and record the reason in :data:`BUILD_ERROR`.
-* ``auto`` — same as ``compiled``.
-
-Both backends are verdict- and stats-identical by construction; the
-equivalence fuzzer in ``tests/core/test_kernel_equivalence.py`` and the
-dual-backend CI matrix hold them to that.
-
-Hot loops read :data:`C` (the extension module, or ``None``) through
-this module on each call, so :func:`activate` can switch backends at
-runtime for tests and benchmarks.
+The kernel has one implementation: the pure-python fused loop in
+:mod:`repro.core.castkernel` over the flat tables of
+:mod:`repro.automata.compiled` and :mod:`repro.schema.pairkernel`.
 """
 
 from __future__ import annotations
 
-import importlib.util
-import os
-from importlib.machinery import ExtensionFileLoader
-from typing import Optional
-
-from repro.kernel.build import KernelBuildError, ensure_built
-
-__all__ = [
-    "BACKEND",
-    "BUILD_ERROR",
-    "C",
-    "KernelBuildError",
-    "activate",
-    "backend_name",
-    "load_compiled",
-]
-
-#: The active backend name: ``"py"`` or ``"compiled"``.
-BACKEND: str = "py"
-
-#: The loaded extension module when the compiled backend is active,
-#: else ``None``.  Hot loops branch on this.
-C = None
-
-#: Why the compiled backend was requested but not activated (or None).
-BUILD_ERROR: Optional[BaseException] = None
-
-
-def load_compiled():
-    """Build (if needed), load, and self-test the C extension.
-
-    Returns the extension module; raises :class:`KernelBuildError` when
-    it cannot be built or fails the smoke test.
-    """
-    path = ensure_built()
-    loader = ExtensionFileLoader("_kernel", path)
-    spec = importlib.util.spec_from_loader("_kernel", loader, origin=path)
-    module = importlib.util.module_from_spec(spec)
-    try:
-        loader.exec_module(module)
-    except Exception as error:
-        raise KernelBuildError(
-            f"built kernel at {path!r} failed to load: {error}"
-        ) from error
-    _self_test(module)
-    return module
-
-
-def _self_test(module) -> None:
-    """One tiny walk through each entry point guards against a stale or
-    mis-built cache object answering garbage."""
-    from array import array
-
-    # Two states over a two-symbol alphabet: 0 --a--> 1 (final).
-    table = array("i", [1, -1, -1, -1])
-    flags = bytes([0, 1])
-    ok = (
-        module.dfa_run(table, 2, 0, [0]) == 1
-        and module.dfa_run(table, 2, 0, [1]) == -1
-        and module.imm_decide(table, flags, 2, 0, [0]) is True
-        and module.imm_scan(table, flags, 2, 0, [0]) == (True, 1, False, 1)
-        and module.leaf_scan("<a>x</a>", 0) == ("a", "x", 3, 8)
-        and module.leaf_scan("<a b='c'>x</a>", 0) is None
-    )
-    if not ok:
-        raise KernelBuildError("kernel extension failed its self-test")
-
-
-def activate(name: str) -> str:
-    """Force a backend at runtime (tests and benchmarks).
-
-    ``activate("py")`` always succeeds; ``activate("compiled")`` raises
-    :class:`KernelBuildError` when the extension cannot be built.
-    Returns the now-active backend name.
-    """
-    global BACKEND, C, BUILD_ERROR
-    if name in ("py", "python", "pure"):
-        BACKEND, C = "py", None
-        return BACKEND
-    if name in ("compiled", "c", "auto"):
-        module = load_compiled()
-        BACKEND, C, BUILD_ERROR = "compiled", module, None
-        return BACKEND
-    raise ValueError(f"unknown kernel backend {name!r}")
+__all__ = ["backend_name"]
 
 
 def backend_name() -> str:
-    """The active backend, for bench records and stats stamps."""
-    return BACKEND
+    """Always ``"py"``.
 
-
-def _initialize() -> None:
-    global BACKEND, C, BUILD_ERROR
-    want = os.environ.get("REPRO_KERNEL", "py").strip().lower() or "py"
-    if want in ("compiled", "c", "auto"):
-        try:
-            C = load_compiled()
-            BACKEND = "compiled"
-        except Exception as error:
-            BUILD_ERROR = error
-            BACKEND, C = "py", None
-    else:
-        BACKEND, C = "py", None
-
-
-_initialize()
+    Bench records (:mod:`repro.bench.reporting` and the layer ledger)
+    stamp this as ``kernel_backend``, so records taken before and after
+    the kernel had a single implementation stay comparable.
+    """
+    return "py"

@@ -45,6 +45,7 @@ from typing import Optional, Sequence
 
 from repro.automata.dfa import harmonize
 from repro.errors import ChainMismatchError
+from repro.guards import remaining_limits, resolve_limits
 from repro.remodel.toregex import dfa_to_regex
 from repro.schema.model import (
     AttributeDecl,
@@ -290,13 +291,16 @@ class SchemaChain:
         composed pair runs once; on accept that is the verdict, on
         reject the sequential per-hop pipeline re-runs and its report
         (verdict, reason, error position) is returned verbatim — exact
-        parity with n−1 individual casts, by construction.
+        parity with n−1 individual casts, by construction.  One
+        deadline covers the composed pass and the fallback together.
         """
         from repro.core.cast import cast_text
         from repro.core.result import ValidationReport
 
         if self.statically_safe:
             return ValidationReport.success()
+        limits = resolve_limits(limits)
+        deadline = limits.deadline()
         report = cast_text(
             self.composed_pair(),
             text,
@@ -307,7 +311,10 @@ class SchemaChain:
         if report.valid:
             return report
         return self.sequential_cast_text(
-            text, limits=limits, stream_skip=stream_skip, trusted=trusted
+            text,
+            limits=remaining_limits(limits, deadline),
+            stream_skip=stream_skip,
+            trusted=trusted,
         )
 
     def cast_composed_text(
@@ -338,16 +345,19 @@ class SchemaChain:
         stream_skip: bool = True,
         trusted: bool = False,
     ):
-        """The n−1-pass baseline: cast hop by hop, first failure wins."""
+        """The n−1-pass baseline: cast hop by hop, first failure wins.
+        One deadline covers every hop."""
         from repro.core.cast import cast_text
         from repro.core.result import ValidationReport
 
+        limits = resolve_limits(limits)
+        deadline = limits.deadline()
         report = ValidationReport.success()
         for hop in self.hops:
             report = cast_text(
                 hop,
                 text,
-                limits=limits,
+                limits=remaining_limits(limits, deadline),
                 stream_skip=stream_skip,
                 trusted=trusted,
             )

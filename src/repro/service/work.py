@@ -29,7 +29,7 @@ from repro.core.updates import UpdateSession
 from repro.core.validator import validate_document
 from repro.dewey import Dewey
 from repro.errors import ChainMismatchError, DeadlineExceededError
-from repro.guards import Limits, limits_scope
+from repro.guards import Limits, limits_scope, remaining_limits
 from repro.schema.registry import SchemaPair
 from repro.service.diagnostics import report_payload
 from repro.service.errors import MalformedRequestError
@@ -182,11 +182,14 @@ def perform_request(
     """Execute one validation request; returns the 200 payload.
 
     ``limits`` must already carry the residual request deadline (see
-    :func:`residual_limits`).  Raises ``ReproError`` on any typed
-    failure — the caller maps it to an HTTP status.
+    :func:`residual_limits`); one deadline started from it covers every
+    pass of the request (parse, then validation).  Raises
+    ``ReproError`` on any typed failure — the caller maps it to an
+    HTTP status.
     """
     xml = require_str(request, "xml")
     started = time.perf_counter()
+    deadline = limits.deadline()
     mods_applied: Optional[int] = None
     extra: dict = {}
     with limits_scope(limits):
@@ -197,9 +200,11 @@ def perform_request(
                     "request field 'schema' must be 'source' or 'target'"
                 )
             schema = pair.source if which == "source" else pair.target
-            document = parse(xml, limits=limits, symbols=schema.symbols)
+            document = parse(xml, limits=limits, deadline=deadline,
+                             symbols=schema.symbols)
             report = validate_document(
-                schema, document, collect_stats=False, limits=limits
+                schema, document, collect_stats=False, limits=limits,
+                deadline=deadline,
             )
         elif kind == "cast":
             report = cast_text(
@@ -233,11 +238,14 @@ def perform_request(
                 mods_applied = len(program.rules)
                 extra["classification"] = classification.value
             else:
-                document = parse(xml, limits=limits, symbols=pair.symbols)
+                document = parse(xml, limits=limits, deadline=deadline,
+                                 symbols=pair.symbols)
                 session = UpdateSession(document)
                 apply_mods(session, request.get("mods", []))
                 report = CastWithModificationsValidator(
-                    pair, collect_stats=False, limits=limits
+                    pair,
+                    collect_stats=False,
+                    limits=remaining_limits(limits, deadline),
                 ).validate(session)
                 mods_applied = session.update_count
         elif kind == "cast-chain":

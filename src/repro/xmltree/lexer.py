@@ -103,9 +103,7 @@ PI_RE = re.compile(r"<\?(?P<pi>.*?)\?>", re.DOTALL)
 #: bracket-free text, and the matching close tag — one C-level match
 #: consumes a whole leaf element.  ``]`` is excluded from the text so
 #: the ``]]>``-in-character-data check stays on the general path; a
-#: declined match costs one failed anchor and falls through.  The
-#: compiled kernel backend implements the same acceptance in C
-#: (``leaf_scan``), asserted equal by the kernel self-test and fuzzer.
+#: declined match costs one failed anchor and falls through.
 LEAF_RE = re.compile(
     r"<(" + NAME_PATTERN + r")>([^<&\]]*)</\1[ \t\r\n]*>"
 )

@@ -8,18 +8,15 @@ hop by hop through the n−1 individual pairs.  This fuzzer draws
 randomized drift histories from :mod:`repro.workloads.evolution`
 (tighten/loosen/rename per hop), generates premise-valid documents —
 conforming ones and ones built to trip each specific hop — and asserts
-exact report identity under both kernel backends.  It additionally
-checks the soundness half the fallback relies on: a raw composed-pass
-accept always implies a sequential accept.
+exact report identity.  It additionally checks the soundness half the
+fallback relies on: a raw composed-pass accept always implies a
+sequential accept.
 """
 
 from __future__ import annotations
 
 import random
 
-import pytest
-
-from repro import kernel
 from repro.schema.chain import SchemaChain
 from repro.workloads.evolution import (
     DRIFT_KINDS,
@@ -27,23 +24,6 @@ from repro.workloads.evolution import (
     drift_chain,
     violating_document,
 )
-
-
-@pytest.fixture(params=["py", "compiled"])
-def backend(request):
-    """Run the decorated test under each kernel backend, restoring the
-    environment-selected backend afterwards; the compiled parametrization
-    degrades to a skip where the extension cannot be built."""
-    prior = kernel.backend_name()
-    if request.param == "compiled":
-        try:
-            kernel.activate("compiled")
-        except Exception as error:  # no toolchain: skip, don't fail
-            pytest.skip(f"compiled kernel unavailable: {error}")
-    else:
-        kernel.activate("py")
-    yield request.param
-    kernel.activate(prior)
 
 
 def assert_chain_equivalent(chain, text):
@@ -54,8 +34,7 @@ def assert_chain_equivalent(chain, text):
         sequential.reason,
         sequential.path,
     ), (
-        f"chain[{kernel.backend_name()}] diverged from the per-hop "
-        f"pipeline on {chain!r}\n"
+        f"chain diverged from the per-hop pipeline on {chain!r}\n"
         f"  fused:      {(fused.valid, fused.reason, fused.path)}\n"
         f"  sequential: "
         f"{(sequential.valid, sequential.reason, sequential.path)}\n"
@@ -78,7 +57,7 @@ def chain_corpus(schemas, kinds):
     return texts
 
 
-def test_fuzz_random_drift_histories(backend):
+def test_fuzz_random_drift_histories():
     rng = random.Random(0xC4A1)
     for _ in range(8):
         hops = rng.randint(2, 4)
@@ -89,14 +68,14 @@ def test_fuzz_random_drift_histories(backend):
             assert_chain_equivalent(chain, text)
 
 
-def test_monotone_tighten_chain(backend):
+def test_monotone_tighten_chain():
     schemas, kinds = drift_chain(3)
     chain = SchemaChain(schemas)
     for text in chain_corpus(schemas, kinds):
         assert_chain_equivalent(chain, text)
 
 
-def test_mixed_chain_with_product_target(backend):
+def test_mixed_chain_with_product_target():
     # rename → tighten leaves two incomparable residual checks, so the
     # composed pair runs against a product schema.
     schemas, kinds = drift_chain(3, ["rename", "tighten", "rename"])
@@ -106,7 +85,7 @@ def test_mixed_chain_with_product_target(backend):
         assert_chain_equivalent(chain, text)
 
 
-def test_skip_modes_agree(backend):
+def test_skip_modes_agree():
     schemas, kinds = drift_chain(3, ["tighten", "rename", "tighten"])
     chain = SchemaChain(schemas)
     for text in chain_corpus(schemas, kinds):

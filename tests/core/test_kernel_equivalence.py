@@ -1,15 +1,15 @@
 """Randomized equivalence fuzzer for the fused validation kernel.
 
-The fused loop (:mod:`repro.core.castkernel`) and its optional C
-backend are pure performance moves: on every document they must produce
-the same verdict, the same failure reason and Dewey path, the same
+The fused loop (:mod:`repro.core.castkernel`) is a pure performance
+move: on every document it must produce the same verdict, the same
+failure reason and Dewey path, the same
 :class:`~repro.core.result.ValidationStats` counters, and — when a
 guard or the well-formedness layer raises — the same exception type and
 message as the retained event pipeline
 (:meth:`StreamingCastValidator.validate_text_events`).  This fuzzer
 drives workload corpora (the paper's purchase orders, random schema
 pairs with valid, promise-violating and mutilated documents) and the
-adversarial corpus through all three pipelines and asserts exactly
+adversarial corpus through both pipelines and asserts exactly
 that, in every skip mode.
 
 The per-value specialization (:func:`repro.schema.simple
@@ -25,7 +25,6 @@ import random
 
 import pytest
 
-from repro import kernel
 from repro.core.streaming import StreamingCastValidator
 from repro.errors import ReproError, SchemaError
 from repro.guards import Limits
@@ -65,23 +64,6 @@ MODES = [
 ]
 
 
-@pytest.fixture(params=["py", "compiled"])
-def backend(request):
-    """Run the decorated test under each kernel backend, restoring the
-    environment-selected backend afterwards; the compiled parametrization
-    degrades to a skip where the extension cannot be built."""
-    prior = kernel.backend_name()
-    if request.param == "compiled":
-        try:
-            kernel.activate("compiled")
-        except Exception as error:  # no toolchain: skip, don't fail
-            pytest.skip(f"compiled kernel unavailable: {error}")
-    else:
-        kernel.activate("py")
-    yield request.param
-    kernel.activate(prior)
-
-
 def outcome(validator, text, *, byte_skip=False, trusted=False,
             events=False):
     """Everything observable about one validation run, exceptions
@@ -104,8 +86,8 @@ def assert_equivalent(pair, text, mode, *, limits=None):
     events = outcome(validator, text, byte_skip=byte_skip,
                      trusted=trusted, events=True)
     assert fused == events, (
-        f"kernel[{kernel.backend_name()}] diverged from the event "
-        f"pipeline (byte_skip={byte_skip}, trusted={trusted})\n"
+        f"kernel diverged from the event pipeline "
+        f"(byte_skip={byte_skip}, trusted={trusted})\n"
         f"  fused:  {fused}\n  events: {events}\n  doc: {text[:200]!r}"
     )
 
@@ -146,7 +128,7 @@ def po_corpus(rng):
 
 class TestPurchaseOrders:
     @pytest.mark.parametrize("mode", MODES)
-    def test_experiment_pairs(self, backend, mode):
+    def test_experiment_pairs(self, mode):
         rng = random.Random(0xE8)
         for pair in experiment_pairs():
             for text in po_corpus(rng):
@@ -155,7 +137,7 @@ class TestPurchaseOrders:
 
 class TestRandomPairs:
     @pytest.mark.parametrize("mode", MODES)
-    def test_random_schemas(self, backend, mode):
+    def test_random_schemas(self, mode):
         rng = random.Random(0x5EED)
         pairs_fuzzed = documents_fuzzed = 0
         while pairs_fuzzed < 12:
@@ -216,7 +198,7 @@ class TestAdversarial:
     )
 
     @pytest.mark.parametrize("mode", MODES)
-    def test_adversarial_corpus(self, backend, mode):
+    def test_adversarial_corpus(self, mode):
         pair = chain_pair()
         corpus = [
             deep_document(100),             # DocumentTooDeepError
@@ -236,7 +218,7 @@ class TestAdversarial:
 
 
 class TestArtifactRoundTrip:
-    def test_pickled_kernel_revalidates_identically(self, backend):
+    def test_pickled_kernel_revalidates_identically(self):
         """A pair restored from a pickle (the artifact cache's
         transport) drops its unpicklable value-checker closures; the
         kernel must rebuild them and produce identical reports."""

@@ -103,20 +103,17 @@ class TestUpdateBenchJson:
         )
         data = json.loads(path.read_text())
         assert data["version"] == 1
-        from repro.kernel import backend_name
-
         assert data["results"]["a"] == {
             "speedup": 2.0,
             "source": "s.py",
             "cpu_count": os.cpu_count(),
-            "kernel_backend": backend_name(),
+            "kernel_backend": "py",
         }
 
     def test_every_record_carries_provenance_stamps(self, tmp_path):
         # Scaling numbers are meaningless without the core count they
-        # were measured on, and throughput numbers without the kernel
-        # backend that produced them; the writer stamps both
-        # unconditionally.
+        # were measured on; the writer stamps it, and the kernel
+        # backend, unconditionally.
         path = tmp_path / "bench.json"
         update_bench_json(
             str(path), {"a": {"x": 1}, "b": {"y": 2}}, source="s.py"
@@ -124,7 +121,7 @@ class TestUpdateBenchJson:
         results = json.loads(path.read_text())["results"]
         for record in results.values():
             assert record["cpu_count"] == os.cpu_count()
-            assert record["kernel_backend"] in ("py", "compiled")
+            assert record["kernel_backend"] == "py"
 
     def test_merge_preserves_other_records(self, tmp_path):
         path = tmp_path / "bench.json"

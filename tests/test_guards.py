@@ -20,6 +20,7 @@ from repro.guards import (
     check_document_size,
     get_limits,
     limits_scope,
+    remaining_limits,
     resolve_limits,
     set_limits,
     state_budget,
@@ -162,6 +163,19 @@ class TestDeadline:
         time.sleep(0.001)
         assert deadline.expired()
         assert deadline.remaining() == 0.0
+
+    def test_remaining_limits_rebudgets_a_later_pass(self):
+        limits = Limits(max_tree_depth=9, deadline_seconds=60.0)
+        later = remaining_limits(limits, limits.deadline())
+        assert 0.0 < later.deadline_seconds <= 60.0
+        assert later.max_tree_depth == 9
+        assert remaining_limits(limits, None) is limits
+
+    def test_remaining_limits_raises_once_spent(self):
+        deadline = Deadline(1e-9)
+        time.sleep(0.001)
+        with pytest.raises(DeadlineExceededError):
+            remaining_limits(Limits(deadline_seconds=1e-9), deadline)
 
 
 class TestGuardChecks:
