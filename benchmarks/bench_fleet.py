@@ -14,9 +14,10 @@ Benchmarks the :class:`~repro.core.fleet.WorkerFleet` scheduler behind
    fleet (pool and transported pair paid for once) versus spinning up
    a fresh pool for every call.  This is the amortization the fleet
    exists for and it holds on any hardware, so it is always gated.
-3. **zero-copy transport** — a ``spawn`` fleet (the route that cannot
-   inherit the pair by fork) runs several batches; the pair must have
-   been pickled at most once for the whole fleet
+3. **zero-copy transport** — a ``spawn`` fleet (which cannot inherit
+   the pair by fork, so its workers load a pair artifact) runs several
+   batches; the pair must have been pickled at most once for the whole
+   fleet
    (:attr:`~repro.core.fleet.PairTransport.pickle_count`), regardless
    of worker count or batch count.
 4. **resume identity** — a checkpointed run interrupted halfway and
@@ -138,8 +139,8 @@ def bench_warm_vs_cold(pair, paths, jobs, rounds) -> tuple[float, float]:
 
 def bench_zero_copy(pair, paths, jobs) -> dict[str, object]:
     """Run several batches over a ``spawn`` fleet and report transport
-    accounting.  Spawn is the route with no fork copy-on-write shortcut,
-    so it exercises the shared-memory path on every platform."""
+    accounting.  Spawn has no fork copy-on-write shortcut, so it
+    exercises the artifact route on every platform."""
     with WorkerFleet(pair, jobs, start_method="spawn",
                      warm=False) as fleet:
         for _ in range(2):

@@ -665,14 +665,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             raise ValueError(
                 f"--processes must be >= 1, got {args.processes}"
             )
-        if args.fleet_workers == 0 and (
-            args.max_requests_per_worker is not None
-            or args.max_worker_rss_mb is not None
-        ):
-            raise ValueError(
-                "--max-requests-per-worker/--max-worker-rss-mb "
-                "recycle fleet workers; set --fleet-workers >= 1"
-            )
         config = ServiceConfig(
             max_concurrent=args.max_concurrent,
             max_queue=args.queue_depth,
@@ -685,9 +677,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             log_requests=args.log_requests,
             keep_alive=not args.no_keep_alive,
             max_requests_per_connection=args.max_requests_per_connection,
-            fleet_workers=args.fleet_workers,
-            max_requests_per_worker=args.max_requests_per_worker,
-            max_worker_rss_mb=args.max_worker_rss_mb,
             admin=not args.no_admin,
             reload_journal=args.reload_journal,
         )
@@ -1104,13 +1093,6 @@ def build_parser() -> argparse.ArgumentParser:
         "SO_REUSEPORT (each with its own admission slots)",
     )
     serve.add_argument(
-        "--fleet-workers",
-        type=int,
-        default=0,
-        help="resident validation worker processes per acceptor "
-        "(0: validate inline in handler threads)",
-    )
-    serve.add_argument(
         "--no-keep-alive",
         action="store_true",
         help="close every connection after one response",
@@ -1121,20 +1103,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=100,
         help="responses served on one kept-alive connection before "
         "it is closed",
-    )
-    serve.add_argument(
-        "--max-requests-per-worker",
-        type=int,
-        default=None,
-        help="recycle a fleet worker after this many requests "
-        "(needs --fleet-workers)",
-    )
-    serve.add_argument(
-        "--max-worker-rss-mb",
-        type=float,
-        default=None,
-        help="recycle a fleet worker once its RSS exceeds this "
-        "(needs --fleet-workers)",
     )
     serve.add_argument(
         "--no-admin",

@@ -170,9 +170,10 @@ def validate_batch(
             batch calls); memo counters land in ``BatchResult.stats``
             even with ``collect_stats=False``.  ``None`` disables it.
         artifact_path: a persisted pair artifact
-            (:mod:`repro.schema.artifacts`) for this pair — the
-            transport fallback on platforms without shared memory;
-            ignored where fork inheritance or shared memory is cheaper.
+            (:mod:`repro.schema.artifacts`) for this pair, loaded by
+            workers that cannot inherit the pair by fork (saves the
+            one pickle the transport would otherwise write); ignored
+            under the fork start method.
         stream_skip: validate DOM-free through the streaming cast's
             byte-level skip-scan path (see :mod:`repro.core.streaming`).
             No tree is built, so ``memo_size`` and ``use_string_cast``

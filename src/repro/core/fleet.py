@@ -21,20 +21,16 @@ bounded by pool spin-up and per-future dispatch, not by the pair-DFA.
   chunks sit on the queue at a time, so a million-document run keeps
   O(jobs · chunk) paths in IPC buffers, never the whole corpus.
 * **Zero-copy pair transport.**  The compiled pair reaches workers by
-  the cheapest route the platform offers, and the pickled pair bytes
-  materialize **at most once per fleet** — counted by
-  :attr:`PairTransport.pickle_count` and asserted by the fleet
-  benchmark:
+  one of two routes, and the pickled pair bytes materialize **at most
+  once per fleet** — counted by :attr:`PairTransport.pickle_count` and
+  asserted by the fleet benchmark:
 
   - ``fork`` start method: workers inherit the parent's tables
     copy-on-write through a module global — nothing is pickled at all;
-  - otherwise: the pair is serialized once with pickle protocol 5
-    (out-of-band buffers preserved) into one
-    ``multiprocessing.shared_memory`` segment; every worker attaches
-    and unpickles straight from the shared view, so no per-worker copy
-    of the serialized bytes ever exists;
-  - if shared memory is unavailable, a persisted artifact path (a few
-    bytes) or the single pickled blob rides the worker arguments.
+  - any other start method: each worker loads a pair artifact
+    (:mod:`repro.schema.artifacts`) on its first document — the
+    caller's ``artifact_path`` when given (nothing pickled), otherwise
+    a temp file the transport writes once and deletes at fleet close.
 
 The fault-tolerance contract of the old driver is preserved on the new
 scheduler: per-document errors never abort the batch, a dead worker
@@ -50,9 +46,8 @@ from __future__ import annotations
 import itertools
 import multiprocessing
 import os
-import pickle
 import queue as queue_module
-import struct
+import tempfile
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -146,9 +141,10 @@ class PairTransport:
     """Delivers one compiled pair to every worker of a fleet.
 
     The invariant that makes a fleet cheaper than a per-call pool:
-    ``pickle.dumps`` runs on the pair **at most once** for the whole
-    fleet (:attr:`pickle_count`), regardless of worker count or how
-    many batches the fleet validates.
+    the pair is pickled **at most once** for the whole fleet
+    (:attr:`pickle_count`), regardless of worker count or how many
+    batches the fleet validates.  :attr:`kind` is ``"fork"`` or
+    ``"artifact"``.
     """
 
     def __init__(
@@ -159,8 +155,8 @@ class PairTransport:
     ):
         self.pickle_count = 0
         self.blob_bytes = 0
-        self._shm = None
         self._fork_token: Optional[int] = None
+        self._owned_path: Optional[str] = None
         if start_method == "fork":
             token = next(_FORK_TOKENS)
             _FORK_PAIRS[token] = pair
@@ -168,171 +164,98 @@ class PairTransport:
             self.kind = "fork"
             self.route = ("fork", token)
             return
-        segments = self._dumps(pair)
-        try:
-            self._shm = _write_segments_to_shm(segments)
-            self.kind = "shm"
-            self.route = ("shm", self._shm.name)
-            return
-        except Exception:
-            self._shm = None
-        if artifact_path is not None:
-            # Disk fallback: only the path (a few bytes) travels; each
-            # worker loads the persisted artifact on its first document.
-            self.kind = "artifact"
-            self.route = ("artifact", artifact_path)
-            return
-        # Last resort: the already-produced blob rides the worker
-        # arguments.  Still one dumps() per fleet — the OS copies the
-        # bytes to each worker, but the parent never re-pickles.
-        self.kind = "inline"
-        self.route = ("inline", segments)
+        if artifact_path is None:
+            # Nothing persisted to point the workers at: write the
+            # artifact once, to a temp file this transport owns.
+            from repro.schema import artifacts
 
-    def _dumps(self, pair: SchemaPair) -> list:
-        self.pickle_count += 1
-        buffers: list = []
-        main = pickle.dumps(
-            pair, protocol=5, buffer_callback=buffers.append
-        )
-        segments = [main] + [b.raw() for b in buffers]
-        self.blob_bytes = sum(memoryview(s).nbytes for s in segments)
-        return segments
+            fd, artifact_path = tempfile.mkstemp(
+                prefix="repro-pair-", suffix=".pkl"
+            )
+            os.close(fd)
+            self._owned_path = artifact_path
+            try:
+                self.blob_bytes = artifacts.save(pair, artifact_path)
+            except BaseException:
+                self.close()
+                raise
+            self.pickle_count = 1
+        self.kind = "artifact"
+        self.route = ("artifact", artifact_path)
 
     def close(self) -> None:
         if self._fork_token is not None:
             _FORK_PAIRS.pop(self._fork_token, None)
             self._fork_token = None
-        if self._shm is not None:
+        if self._owned_path is not None:
             try:
-                self._shm.close()
-                self._shm.unlink()
+                os.unlink(self._owned_path)
             except OSError:
                 pass
-            self._shm = None
+            self._owned_path = None
 
 
-def _write_segments_to_shm(segments: list):
-    """One shared-memory block holding the protocol-5 pickle stream and
-    its out-of-band buffers: ``<count><len...><bytes...>``."""
-    from multiprocessing import shared_memory
-
-    header = struct.pack("<I", len(segments)) + b"".join(
-        struct.pack("<Q", memoryview(s).nbytes) for s in segments
-    )
-    total = len(header) + sum(memoryview(s).nbytes for s in segments)
-    shm = shared_memory.SharedMemory(create=True, size=total)
-    view = memoryview(shm.buf)
-    view[: len(header)] = header
-    offset = len(header)
-    for segment in segments:
-        raw = memoryview(segment).cast("B")
-        view[offset : offset + raw.nbytes] = raw
-        offset += raw.nbytes
-    return shm
-
-
-def _load_pair_from_shm(name: str) -> SchemaPair:
-    """Attach to the fleet's segment and unpickle from the shared view.
-
-    The serialized bytes are read in place — no per-worker copy of the
-    blob.  The reconstructed tables are ordinary owned objects, so the
-    segment can be detached immediately afterwards.
-    """
-    from multiprocessing import shared_memory
-
-    shm = shared_memory.SharedMemory(name=name)
-    view = memoryview(shm.buf)
-    segments: list = []
-    try:
-        (count,) = struct.unpack_from("<I", view, 0)
-        offset = 4
-        lengths = []
-        for _ in range(count):
-            (length,) = struct.unpack_from("<Q", view, offset)
-            offset += 8
-            lengths.append(length)
-        for length in lengths:
-            segments.append(view[offset : offset + length])
-            offset += length
-        pair = pickle.loads(segments[0], buffers=segments[1:])
-    finally:
-        for segment in segments:
-            segment.release()
-        view.release()
-        # The worker only ever attaches; the parent owns the segment's
-        # lifetime and unlinks (and unregisters) it at fleet close.
-        shm.close()
-    assert isinstance(pair, SchemaPair)
-    return pair
-
-
-def resolve_pair_route(route) -> SchemaPair:
+def _resolve_route(route) -> SchemaPair:
     """Materialize the compiled pair a :class:`PairTransport` route
-    names — the worker-side half of the transport contract.  Public so
-    other process pools (the service's ``FleetExecutor``) can ship
-    pairs over the same zero-copy routes."""
+    names — the worker-side half of the transport."""
     kind, payload = route
-    if kind == "direct":
-        assert isinstance(payload, SchemaPair)
-        return payload
     if kind == "fork":
         pair = _FORK_PAIRS.get(payload)
         assert pair is not None, "fork pair not parked by the parent"
         return pair
-    if kind == "shm":
-        return _load_pair_from_shm(payload)
-    if kind == "artifact":
-        from repro.schema import artifacts
+    from repro.schema import artifacts
 
-        # load() size-checks the file against the ambient byte budget
-        # before unpickling, so a corrupt or runaway artifact is an
-        # error report, not an OOM.
-        assert isinstance(payload, str)
-        return artifacts.load(payload)
-    assert kind == "inline"
-    main, *buffers = payload
-    return pickle.loads(main, buffers=buffers)
+    # load() size-checks the file against the ambient byte budget
+    # before unpickling, so a corrupt or runaway artifact is an
+    # error report, not an OOM.
+    return artifacts.load(payload)
 
 
 # -- worker side -------------------------------------------------------------
 
 
 class _WorkerState:
-    """One worker's lazily built validator (resident across chunks and
-    across batch calls)."""
+    """One worker's pair and lazily built validator (resident across
+    chunks and across batch calls).  Workers get a transport ``route``
+    and resolve it on their first document; the in-process serial
+    driver passes the ``pair`` itself."""
 
-    def __init__(self, route, config: FleetConfig):
-        self.route = route
+    def __init__(
+        self,
+        config: FleetConfig,
+        *,
+        pair: Optional[SchemaPair] = None,
+        route=None,
+    ):
         self.config = config.resolved()
+        self._pair = pair
+        self._route = route
         self.validator = None
 
+    def ensure_pair(self) -> SchemaPair:
+        if self._pair is None:
+            self._pair = _resolve_route(self._route)
+        return self._pair
+
     def ensure_validator(self):
+        """The DOM-path cast validator (``stream_skip`` runs the fused
+        kernel on the pair directly and builds none)."""
         if self.validator is None:
+            from repro.core.cast import CastValidator
+
             config = self.config
-            if config.stream_skip:
-                # DOM-free skip-scan mode: subtrees are never
-                # materialized, so there is nothing to hash — the memo
-                # is ignored.
-                from repro.core.streaming import StreamingCastValidator
-
-                self.validator = StreamingCastValidator(
-                    resolve_pair_route(self.route), limits=config.limits
-                )
-            else:
-                from repro.core.cast import CastValidator
-
-                memo = (
-                    ValidationMemo(config.memo_size, limits=config.limits)
-                    if config.memo_size is not None
-                    else None
-                )
-                self.validator = CastValidator(
-                    resolve_pair_route(self.route),
-                    use_string_cast=config.use_string_cast,
-                    collect_stats=config.collect_stats,
-                    limits=config.limits,
-                    memo=memo,
-                )
+            memo = (
+                ValidationMemo(config.memo_size, limits=config.limits)
+                if config.memo_size is not None
+                else None
+            )
+            self.validator = CastValidator(
+                self.ensure_pair(),
+                use_string_cast=config.use_string_cast,
+                collect_stats=config.collect_stats,
+                limits=config.limits,
+                memo=memo,
+            )
         return self.validator
 
 
@@ -346,9 +269,10 @@ def _validate_document(
     while True:
         attempt += 1
         try:
-            # Built here, not at worker startup, so a transport/artifact
-            # failure is a per-document error report, not a dead worker.
-            validator = state.ensure_validator()
+            # Resolved here, not at worker startup, so a transport or
+            # artifact failure is a per-document error report, not a
+            # dead worker.
+            pair = state.ensure_pair()
             limits = config.limits
             if config.fault_hook is not None:
                 config.fault_hook(path)
@@ -356,7 +280,8 @@ def _validate_document(
                 # DOM-free skip-scan cast: one fused kernel pass, timed
                 # as validation (there is no separate parse phase).  A
                 # syntax error propagates as ReproError, matching the
-                # DOM path's per-document error capture below.
+                # DOM path's per-document error capture below.  No tree
+                # is built, so there is nothing to memoize.
                 from repro.core.castkernel import run
                 from repro.guards import check_document_size
 
@@ -366,7 +291,7 @@ def _validate_document(
                 with open(path, encoding="utf-8") as handle:
                     text = handle.read()
                 run_start = time.perf_counter()
-                report = run(validator.pair, limits, text,
+                report = run(pair, limits, text,
                              byte_skip=True, trusted=False)
                 if config.collect_stats:
                     report.stats.validate_seconds += (
@@ -375,6 +300,7 @@ def _validate_document(
             else:
                 from repro.xmltree.parser import parse_file
 
+                validator = state.ensure_validator()
                 # One deadline token spans parse + validation.  Parsing
                 # against the pair's symbol table interns element names
                 # at lex time, so validation runs on dense ids.
@@ -384,7 +310,7 @@ def _validate_document(
                     path,
                     limits=limits,
                     deadline=deadline,
-                    symbols=validator.pair.symbols,
+                    symbols=pair.symbols,
                 )
                 parse_end = time.perf_counter()
                 report = validator.validate(document, deadline=deadline)
@@ -468,7 +394,7 @@ def _fleet_worker_main(worker_id, task_queue, result_queue, route, config):
     parent knows which chunk a dead worker held and which of its
     documents were never reported.
     """
-    state = _WorkerState(route, config)
+    state = _WorkerState(config, route=route)
     try:
         while True:
             item = task_queue.get()
@@ -495,7 +421,7 @@ def run_serial(
     """In-process sequential validation — the ``jobs=1`` baseline the
     tests compare every parallel run against (and the one mode without
     worker-crash isolation)."""
-    state = _WorkerState(("direct", pair), config)
+    state = _WorkerState(config, pair=pair)
     for path in paths:
         on_result(*_validate_document(state, path))
 

@@ -21,13 +21,10 @@ server whose core is a *robustness* layer, not a router:
   shape (message, line/column, Dewey path, machine error code) shared
   with the CLI and batch driver, plus the ``ReproError`` → HTTP status
   mapping that guarantees adversarial input never produces a bare 500.
-* :mod:`repro.service.executor` — a resident pool of validation worker
-  processes handler threads dispatch to, so CPU-bound casts from many
-  connections run truly in parallel (zero-copy pair transport, crash
-  recovery, worker recycling).
 * :mod:`repro.service.prefork` — the ``SO_REUSEPORT`` pre-fork front:
-  N acceptor processes on one port, fleet-wide SIGTERM drain with an
-  aggregated admitted == completed invariant.
+  N acceptor processes on one port (the one way to put more cores
+  behind it), fleet-wide SIGTERM drain with an aggregated
+  admitted == completed invariant.
 * :mod:`repro.service.reload` — the append-only journal that carries
   ``/admin/pairs`` hot register/retire mutations across the pre-fork
   fleet.
@@ -49,7 +46,6 @@ from repro.service.errors import (
     TruncatedBodyError,
     UnknownPairError,
 )
-from repro.service.executor import FleetExecutor
 from repro.service.prefork import PreforkServer, reuse_port_supported
 from repro.service.registry import PairSpec, ServiceRegistry, demo_specs
 from repro.service.reload import ReloadJournal
@@ -59,7 +55,6 @@ __all__ = [
     "AdmissionController",
     "AdmissionStats",
     "DrainingError",
-    "FleetExecutor",
     "MalformedRequestError",
     "NotReadyError",
     "OverloadedError",

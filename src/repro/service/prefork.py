@@ -1,12 +1,13 @@
 """Pre-fork multi-process front: N acceptors, one port, one drain.
 
 One ``repro serve`` process is pinned to roughly one core: the handler
-threads share a GIL, and even fleet-dispatched validation still funnels
-every accept, parse, and response through one interpreter.
-:class:`PreforkServer` runs N full service processes — each its own
+threads share a GIL, so every accept, parse, validation, and response
+funnels through one interpreter.  :class:`PreforkServer` is the one
+way to put more cores behind the port: it runs N full service
+processes — each its own
 :class:`~repro.service.server.ValidationService` with its own warmed
-registry, admission controller, and (optionally) fleet executor —
-all accepting on the *same* TCP port:
+registry and admission controller — all accepting on the *same* TCP
+port:
 
 * **SO_REUSEPORT** (preferred): every child binds its own listening
   socket with ``SO_REUSEPORT``; the kernel hashes incoming connections

@@ -21,11 +21,9 @@ lifecycle is the robustness contract:
 5. **Validation** — inside ``limits_scope`` of the pair's own
    ``Limits`` with ``deadline_seconds`` set to the residual request
    budget (the ``SCHEMA_CONFIG`` idiom: each pair may carry its own
-   cap, the request budget can only tighten it).  With
-   ``fleet_workers > 0`` the work runs on a resident
-   :class:`~repro.service.executor.FleetExecutor` process instead of
-   the handler thread, so CPU-bound casts from many connections stop
-   serializing behind the GIL.
+   cap, the request budget can only tighten it).  The work runs on
+   the handler thread; more cores go behind the port as pre-forked
+   acceptor processes (:mod:`repro.service.prefork`).
 6. **Response** — verdicts are 200 with lint-style diagnostics;
    every ``ReproError`` maps through
    :func:`~repro.service.diagnostics.http_status`; anything else is a
@@ -134,13 +132,6 @@ class ServiceConfig:
     #: Requests served on one connection before it is closed (bounds
     #: how long a single client can monopolize a handler thread).
     max_requests_per_connection: int = 100
-    #: Resident validation worker processes; 0 runs validation inline
-    #: in handler threads (the single-core mode).
-    fleet_workers: int = 0
-    #: Recycle a fleet worker after this many requests (``None`` never).
-    max_requests_per_worker: Optional[int] = None
-    #: Recycle a fleet worker once its RSS exceeds this (``None`` never).
-    max_worker_rss_mb: Optional[float] = None
     #: Enable ``/admin/pairs`` hot register/retire endpoints.
     admin: bool = True
     #: Shared JSON-lines journal propagating admin mutations across a
@@ -156,16 +147,10 @@ class ServiceConfig:
             raise ValueError("max_queue must be >= 0")
         if self.max_requests_per_connection < 1:
             raise ValueError("max_requests_per_connection must be >= 1")
-        if self.fleet_workers < 0:
-            raise ValueError("fleet_workers must be >= 0")
         for name in ("queue_timeout", "request_timeout", "drain_grace",
                      "header_timeout", "reload_poll"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
-        for name in ("max_requests_per_worker", "max_worker_rss_mb"):
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ValueError(f"{name} must be > 0 when set")
 
 
 class _BoundServer(ThreadingHTTPServer):
@@ -228,7 +213,6 @@ class ValidationService:
         )
         self.started_at: Optional[float] = None
         self.warm_error: Optional[BaseException] = None
-        self.executor = None
         self._reload = None
         self._httpd: Optional[ThreadingHTTPServer] = None
         self._serve_thread: Optional[threading.Thread] = None
@@ -311,25 +295,8 @@ class ValidationService:
         self._ready.set()
 
     def _after_warm(self) -> None:
-        """Executor spawn + reload watcher, both of which need a warmed
-        registry (transports want compiled pairs; journal replay wants
-        a registry that accepts register())."""
-        if self.config.fleet_workers > 0 and self.executor is None:
-            from repro.service.executor import FleetExecutor
-
-            executor = FleetExecutor(
-                self.config.fleet_workers,
-                max_requests_per_worker=(
-                    self.config.max_requests_per_worker
-                ),
-                max_worker_rss_mb=self.config.max_worker_rss_mb,
-            )
-            # Park every boot pair before the fork: workers inherit the
-            # compiled tables copy-on-write, zero pickles.
-            for entry in self.registry.entries():
-                executor.register_pair(entry)
-            executor.start()
-            self.executor = executor
+        """Reload watcher, which needs a warmed registry (journal replay
+        wants a registry that accepts register())."""
         if self.config.reload_journal is not None and self._reload is None:
             from repro.service.reload import ReloadJournal
 
@@ -395,8 +362,6 @@ class ValidationService:
         if httpd is not None:
             httpd.shutdown()
             httpd.server_close()
-        if self.executor is not None:
-            self.executor.close()
         self._stopped.set()
 
     def drain(self, timeout: Optional[float] = None) -> bool:
@@ -415,8 +380,6 @@ class ValidationService:
         if httpd is not None:
             httpd.shutdown()
             httpd.server_close()
-        if self.executor is not None:
-            self.executor.close()
         self._stopped.set()
 
     def install_signal_handlers(self) -> None:
@@ -456,11 +419,9 @@ class ValidationService:
         if op == "register":
             try:
                 spec = spec_from_wire(record.get("body") or {})
-                entry, created = self.registry.register(spec)
+                self.registry.register(spec)
             except (ReproError, OSError):
                 return
-            if created and self.executor is not None:
-                self.executor.register_pair(entry)
         elif op == "retire":
             try:
                 self.registry.retire(str(record.get("key", "")))
@@ -483,11 +444,8 @@ class ValidationService:
             raise MalformedRequestError(
                 f"schema file unreadable: {error}"
             ) from None
-        if created:
-            if self.executor is not None:
-                self.executor.register_pair(entry)
-            if self._reload is not None:
-                self._reload.append({"op": "register", "body": request})
+        if created and self._reload is not None:
+            self._reload.append({"op": "register", "body": request})
         payload = {
             "created": created,
             "name": entry.name,
@@ -526,8 +484,6 @@ class ValidationService:
                 ),
                 "admission": self.admission.stats.as_dict(),
             }
-            if self.executor is not None:
-                payload["executor"] = self.executor.describe()
             return (503 if draining else 200), payload, {}
         if route == "/readyz":
             if self.ready:
@@ -561,19 +517,6 @@ class ValidationService:
             raise UnknownRouteError(f"no endpoint at {route}")
         entry = self.registry.get(require_str(request, "pair"))
         limits = self._residual_limits(entry, deadline)
-        if self.executor is not None:
-            from repro.service.executor import WireOutcomeError
-
-            outcome = self.executor.submit(
-                kind,
-                entry,
-                request,
-                limits,
-                residual_seconds=deadline.remaining(),
-            )
-            if outcome.status == 200:
-                return outcome.payload
-            raise WireOutcomeError(outcome)
         return perform_request(
             kind,
             entry.pair,
@@ -764,14 +707,8 @@ class _RequestHandler(BaseHTTPRequestHandler):
         self._guarded(self._handle_delete)
 
     def _guarded(self, handler: Callable[[], None]) -> None:
-        from repro.service.executor import WireOutcomeError
-
         try:
             handler()
-        except WireOutcomeError as error:
-            self._try_send(
-                lambda: self._send_wire_outcome(error.outcome)
-            )
         except ReproError as error:
             self._try_send(lambda: self._send_error_response(error))
         except (BrokenPipeError, ConnectionResetError):
@@ -784,16 +721,6 @@ class _RequestHandler(BaseHTTPRequestHandler):
             send()
         except OSError:
             self.close_connection = True
-
-    def _send_wire_outcome(self, outcome) -> None:
-        headers = {}
-        if outcome.retry_after is not None:
-            headers["Retry-After"] = str(
-                max(1, round(outcome.retry_after))
-            )
-        elif outcome.status == 503:
-            headers["Retry-After"] = "1"
-        self._send_json(outcome.status, outcome.payload, headers)
 
     def _handle_get(self) -> None:
         route = self._route()

@@ -1,13 +1,10 @@
-"""Request execution shared by handler threads and fleet workers.
+"""Request execution: the work behind every validation endpoint.
 
-The service has two execution paths for a validation request: inline
-(the handler thread runs the validator under the GIL) and dispatched
-(the request is shipped to a resident worker process of the
-:class:`~repro.service.executor.FleetExecutor`, so casts from many
-connections run truly in parallel).  Both paths must produce *exactly*
-the same payloads, diagnostics, and typed errors — so the work itself
-lives here, imported by both sides, and the transport layers carry only
-plain JSON-able dicts.
+Handler threads run a validation request inline, on their own thread;
+the ledger benchmark calls the same function in process to price the
+work without HTTP.  Keeping the work here, apart from the transport,
+means both see *exactly* the same payloads, diagnostics, and typed
+errors, and the HTTP layer carries only plain JSON-able dicts.
 
 ``perform_request`` is the whole data plane: resolve the requested
 schema (validate/cast/cast-with-mods), run it under the pair's

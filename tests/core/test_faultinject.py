@@ -202,8 +202,8 @@ class TestMidChunkCrash:
 
 
 class TestSpawnRouteFaults:
-    """The artifact/shared-memory transport path (workers that cannot
-    inherit the pair by fork) under the same fault contract."""
+    """The artifact transport route (workers that cannot inherit the
+    pair by fork) under the same fault contract."""
 
     def test_spawn_fleet_validates_and_isolates_crash(
         self, exp2_fresh_pair, tmp_path

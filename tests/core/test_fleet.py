@@ -142,16 +142,52 @@ class TestZeroCopyTransport:
         with WorkerFleet(
             exp2_fresh_pair, 2, start_method="spawn"
         ) as fleet:
-            assert fleet.transport.kind in ("shm", "artifact", "inline")
+            assert fleet.transport.kind == "artifact"
             first = validate_batch(exp2_fresh_pair, paths, fleet=fleet)
             second = validate_batch(exp2_fresh_pair, paths, fleet=fleet)
             assert fleet.transport.pickle_count <= 1
         assert first.all_valid and second.all_valid
 
+    def test_given_artifact_is_never_pickled(
+        self, exp2_fresh_pair, tmp_path
+    ):
+        from repro.schema import artifacts
+
+        exp2_fresh_pair.warm()
+        artifact = str(tmp_path / "pair.pkl")
+        artifacts.save(exp2_fresh_pair, artifact)
+        paths = write_corpus(tmp_path, 4)
+        with WorkerFleet(
+            exp2_fresh_pair, 2, start_method="spawn",
+            artifact_path=artifact, warm=False,
+        ) as fleet:
+            assert fleet.transport.route == ("artifact", artifact)
+            batch = validate_batch(exp2_fresh_pair, paths, fleet=fleet)
+            assert fleet.transport.pickle_count == 0
+        assert batch.all_valid
+        # The caller's artifact is the caller's: closing leaves it.
+        assert os.path.exists(artifact)
+
+    @pytest.mark.parametrize("teardown", ["close", "kill"])
+    def test_owned_artifact_is_deleted_at_teardown(
+        self, exp2_fresh_pair, tmp_path, teardown
+    ):
+        paths = write_corpus(tmp_path, 2)
+        fleet = WorkerFleet(exp2_fresh_pair, 1, start_method="spawn")
+        kind, artifact = fleet.transport.route
+        assert kind == "artifact" and os.path.exists(artifact)
+        assert validate_batch(
+            exp2_fresh_pair, paths, fleet=fleet
+        ).all_valid
+        getattr(fleet, teardown)()
+        assert not os.path.exists(artifact)
+
     def test_transport_close_is_idempotent(self, exp2_fresh_pair):
         transport = PairTransport(exp2_fresh_pair, "spawn", None)
+        _, artifact = transport.route
         transport.close()
         transport.close()
+        assert not os.path.exists(artifact)
 
 
 class TestJobsEquivalence:
