@@ -12,10 +12,6 @@ Experiment-2 purchase-order corpora:
    memoized run must stay within a few percent of the plain fast path
    (the overhead bound).
 
-A third record times eager ``warm()`` against ``warm(eager_pairs=
-False)`` — the lazy :class:`~repro.automata.compiled.LazyPairTable`
-promotion of string-cast machines.
-
 Every record lands in ``BENCH_cast.json`` at the repo root (see
 ``docs/PERFORMANCE.md`` for the format) via
 :func:`repro.bench.reporting.update_bench_json`.
@@ -123,36 +119,6 @@ def bench_corpus(
     return plain_time, memo_time, hit_rate, document.size()
 
 
-def bench_lazy_warm() -> tuple[float, float]:
-    """Eager full-product ``warm()`` vs lazy first-touch promotion.
-
-    The lazy figure includes one validation, so it measures what a
-    single-document caller actually pays: per-target machines plus only
-    the string-cast pairs that document touches.
-    """
-    document = make_purchase_order(20)
-
-    def eager() -> None:
-        pair = SchemaPair(
-            source_schema_experiment2(), target_schema_experiment2()
-        )
-        pair.warm()
-        assert CastValidator(pair, collect_stats=False).validate(
-            document
-        ).valid
-
-    def lazy() -> None:
-        pair = SchemaPair(
-            source_schema_experiment2(), target_schema_experiment2()
-        )
-        pair.warm(eager_pairs=False)
-        assert CastValidator(pair, collect_stats=False).validate(
-            document
-        ).valid
-
-    return best_of(eager, 3), best_of(lazy, 3)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -189,7 +155,6 @@ def main(argv=None) -> int:
     zd_plain, zd_memo, zd_hit_rate, zd_nodes = bench_corpus(
         pair, zero_dup, reps
     )
-    eager_time, lazy_time = bench_lazy_warm()
 
     def ns_per_node(total: float, nodes: int) -> float:
         return total / reps / nodes * 1e9
@@ -212,11 +177,6 @@ def main(argv=None) -> int:
             f"hit rate {hit_rate:6.1%}  "
             f"({ns_per_node(memo_time, nodes):6.0f} ns/node)"
         )
-    print(
-        f"{'warm: eager vs lazy pairs':<34} eager {eager_time * 1e3:8.2f} ms"
-        f"  lazy {lazy_time * 1e3:8.2f} ms  "
-        f"{eager_time / lazy_time:5.2f}x"
-    )
 
     update_bench_json(
         args.json,
@@ -244,12 +204,6 @@ def main(argv=None) -> int:
                 "memo_hit_rate": zd_hit_rate,
                 "plain_ns_per_node": ns_per_node(zd_plain, zd_nodes),
                 "memo_ns_per_node": ns_per_node(zd_memo, zd_nodes),
-            },
-            "lazy_pair_warm": {
-                "corpus": "exp2-pair",
-                "eager_seconds": eager_time,
-                "lazy_seconds": lazy_time,
-                "speedup": eager_time / lazy_time,
             },
         },
         source="bench_memo_cast.py",

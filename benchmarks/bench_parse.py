@@ -12,9 +12,10 @@ the Experiment-2 purchase-order corpus:
    ``parse(symbols=pair.symbols)`` + the same cast, i.e. the whole
    revalidation pipeline a batch worker runs per document;
 3. **fused kernel (hardened event path)** — the fused parse+validate
-   loop of :mod:`repro.core.castkernel` (``validate_text``, no byte
-   skips) against the retained event pipeline
-   (``validate_text_events``).
+   loop of :mod:`repro.core.castkernel` (``cast_text`` with
+   ``stream_skip=False``, no byte skips) against the event pipeline it
+   replaced, kept as its reference oracle
+   (:func:`repro.core.reference.reference_cast`).
 
 Before timing anything, the pipelines are cross-checked: token streams
 must match element-for-element, the DOM and streaming cast verdicts on
@@ -46,8 +47,8 @@ import time
 from typing import Callable
 
 from repro.bench.reporting import update_bench_json
-from repro.core.cast import CastValidator
-from repro.core.streaming import StreamingCastValidator
+from repro.core.cast import CastValidator, cast_text
+from repro.core.reference import reference_cast
 from repro.schema.registry import SchemaPair
 from repro.workloads.purchase_orders import (
     make_purchase_order,
@@ -99,14 +100,13 @@ def check_equivalence(pair: SchemaPair, texts: list[str]) -> None:
     corpus document.
     """
     validator = CastValidator(pair, collect_stats=False)
-    streaming = StreamingCastValidator(pair)
     for text in texts:
         old_tokens = list(reference_tokens(text))
         new_tokens = list(iter_tokens(text))
         assert old_tokens == new_tokens, "token streams diverged"
         old_report = validator.validate(reference_parse(text))
         new_report = validator.validate(parse(text, symbols=pair.symbols))
-        stream_report = streaming.validate_text(text)
+        stream_report = cast_text(pair, text, stream_skip=False)
         assert (old_report.valid, old_report.reason) == (
             new_report.valid,
             new_report.reason,
@@ -114,7 +114,7 @@ def check_equivalence(pair: SchemaPair, texts: list[str]) -> None:
         assert old_report.valid == stream_report.valid, (
             "streaming cast verdict diverged"
         )
-        event_report = streaming.validate_text_events(text)
+        event_report = reference_cast(pair, text)
         assert (
             stream_report.valid,
             stream_report.reason,
@@ -189,10 +189,9 @@ def main(argv=None) -> int:
     cast_speedup = old_e2e / new_e2e
 
     # -- gate 3: fused kernel vs the event pipeline -------------------------
-    streaming = StreamingCastValidator(pair)
     event_kernel, fused_py = best_of_pair(
-        lambda: streaming.validate_text_events(text),
-        lambda: streaming.validate_text(text),
+        lambda: reference_cast(pair, text),
+        lambda: cast_text(pair, text, stream_skip=False),
         reps,
     )
     kernel_speedup = event_kernel / fused_py

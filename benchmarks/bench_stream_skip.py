@@ -7,9 +7,11 @@ Two corpora, both purchase orders (Section 6 of the paper):
    required): every address and the whole ``items`` subtree sit under
    subsumed ``(τ, τ')`` pairs, so byte-skimming covers almost the whole
    document.  Gate: the skip-scan streaming cast must be **≥ 3×** the
-   event-level streaming cast (``validate_text_events`` — the pipeline
-   this gate was calibrated against when skip-scan landed; the fused
-   kernel has its own gate in ``bench_parse.py``) end to end.  The
+   event-level streaming cast (:func:`repro.core.reference
+   .reference_cast` — the pipeline this gate was calibrated against
+   when skip-scan landed, now kept as the kernel's reference oracle;
+   the fused kernel has its own gate in ``bench_parse.py``) end to
+   end.  The
    fused kernel's no-skip time is measured alongside, so the *marginal*
    value of skipping stays visible: the hardened skim must still beat
    it, and the trusted byte-search variant (the paper's source-validity
@@ -18,16 +20,16 @@ Two corpora, both purchase orders (Section 6 of the paper):
    whose every leaf simple type is strictly tightened
    (:func:`target_schema_zero_subsumption`), so ``R_sub`` is empty over
    the reachable pairs and *nothing* can be skipped.  Gate: the
-   skip-scan path must stay within **10 %** of the event path (ratio
-   ≥ 0.90) — the pull-parser channel may not tax corpora it cannot
-   help.
+   skip-scan path must stay within **10 %** of the token-draining
+   kernel pass (ratio ≥ 0.90) — the skim channel may not tax corpora
+   it cannot help.
 
 Before timing anything, every benchmark document is cross-checked
 against the char-level reference pipeline
 (:mod:`repro.xmltree.reference`): token streams must match
 token-for-token, and the DOM cast on the reference parse, the
-event-level streaming cast, the skip-scan cast, and the trusted
-skip-scan cast must all agree on the verdict.  The zero-subsumption
+event-level reference cast, the kernel's token-draining, skip-scan and
+trusted skip-scan casts must all agree on the verdict.  The zero-subsumption
 run additionally asserts ``subtrees_skipped == 0`` (the corpus really
 is skip-free) and the heavy run asserts byte skips actually happened.
 
@@ -53,8 +55,8 @@ import time
 from typing import Callable
 
 from repro.bench.reporting import update_bench_json
-from repro.core.cast import CastValidator
-from repro.core.streaming import StreamingCastValidator
+from repro.core.cast import CastValidator, cast_text
+from repro.core.reference import reference_cast
 from repro.schema.registry import SchemaPair
 from repro.workloads.purchase_orders import (
     make_purchase_order,
@@ -88,23 +90,23 @@ def check_equivalence(pair: SchemaPair, texts: list[str]) -> None:
 
     Token streams must match the char-level reference lexer exactly,
     and the verdict must be identical across the DOM cast on the
-    reference parse, the event-level streaming cast, the skip-scan
-    cast, and the trusted skip-scan cast, for every corpus document.
+    reference parse, the event-level reference cast, and the kernel's
+    token-draining, skip-scan and trusted skip-scan casts, for every
+    corpus document.
     """
     dom = CastValidator(pair, collect_stats=False)
-    streaming = StreamingCastValidator(pair)
     for text in texts:
         assert list(reference_tokens(text)) == list(iter_tokens(text)), (
             "token streams diverged from the reference lexer"
         )
         reference_verdict = dom.validate(reference_parse(text))
-        event = streaming.validate_text(text)
-        skim = streaming.validate_text(text, byte_skip=True)
-        trusted = streaming.validate_text(text, byte_skip=True,
-                                          trusted=True)
+        oracle = reference_cast(pair, text)
+        event = cast_text(pair, text, stream_skip=False)
+        skim = cast_text(pair, text)
+        trusted = cast_text(pair, text, trusted=True)
         verdicts = {
             report.valid
-            for report in (reference_verdict, event, skim, trusted)
+            for report in (reference_verdict, oracle, event, skim, trusted)
         }
         assert len(verdicts) == 1, "cast verdicts diverged across modes"
         assert (skim.valid, skim.reason, skim.path) == (
@@ -155,29 +157,23 @@ def main(argv=None) -> int:
 
     # The corpora must be what they claim: the heavy pair byte-skips
     # subtrees, the zero pair skips nothing at all.
-    heavy_stats = StreamingCastValidator(heavy_pair).validate_text(
-        text, byte_skip=True
-    ).stats
+    heavy_stats = cast_text(heavy_pair, text).stats
     assert heavy_stats.subtrees_byte_skipped > 0, (
         "subsumption-heavy corpus produced no byte skips"
     )
-    zero_stats = StreamingCastValidator(zero_pair).validate_text(
-        text, byte_skip=True
-    ).stats
+    zero_stats = cast_text(zero_pair, text).stats
     assert zero_stats.subtrees_skipped == 0, (
         "zero-subsumption corpus skipped subtrees"
     )
 
     # -- gate 1: subsumption-heavy speedup ----------------------------------
-    heavy = StreamingCastValidator(heavy_pair)
-    event_s = best_of(lambda: heavy.validate_text_events(text), reps)
-    fused_s = best_of(lambda: heavy.validate_text(text), reps)
-    skim_s = best_of(
-        lambda: heavy.validate_text(text, byte_skip=True), reps
+    event_s = best_of(lambda: reference_cast(heavy_pair, text), reps)
+    fused_s = best_of(
+        lambda: cast_text(heavy_pair, text, stream_skip=False), reps
     )
+    skim_s = best_of(lambda: cast_text(heavy_pair, text), reps)
     trusted_s = best_of(
-        lambda: heavy.validate_text(text, byte_skip=True, trusted=True),
-        reps,
+        lambda: cast_text(heavy_pair, text, trusted=True), reps
     )
     heavy_speedup = event_s / skim_s
     trusted_speedup = event_s / trusted_s
@@ -188,11 +184,10 @@ def main(argv=None) -> int:
     trusted_vs_fused = fused_s / trusted_s
 
     # -- gate 2: zero-subsumption parity ------------------------------------
-    zero = StreamingCastValidator(zero_pair)
-    zero_event_s = best_of(lambda: zero.validate_text(text), reps)
-    zero_skim_s = best_of(
-        lambda: zero.validate_text(text, byte_skip=True), reps
+    zero_event_s = best_of(
+        lambda: cast_text(zero_pair, text, stream_skip=False), reps
     )
+    zero_skim_s = best_of(lambda: cast_text(zero_pair, text), reps)
     parity = zero_event_s / zero_skim_s
 
     skipped_fraction = heavy_stats.bytes_skipped / len(text)

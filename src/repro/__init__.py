@@ -28,7 +28,6 @@ from repro.automata import (
 )
 from repro.core import (
     CastValidator,
-    StreamingCastValidator,
     StreamingValidator,
     validate_stream,
     CastWithModificationsValidator,
@@ -93,7 +92,6 @@ __all__ = [
     "ValidationReport",
     "ValidationStats",
     "validate_document",
-    "StreamingCastValidator",
     "StreamingValidator",
     "validate_stream",
     "Dewey",

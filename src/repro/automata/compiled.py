@@ -35,7 +35,7 @@ label alphabets and only the execution changes representation.
 from __future__ import annotations
 
 from array import array
-from typing import Any, Iterable, Iterator, KeysView, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from repro.automata.dfa import DFA
 from repro.automata.immediate import ImmediateDecisionAutomaton
@@ -44,74 +44,6 @@ from repro.automata.immediate import ImmediateDecisionAutomaton
 FLAG_FINAL = 1
 FLAG_IA = 2
 FLAG_IR = 4
-
-
-class LazyPairTable:
-    """Promotion cache for per-type-pair compiled machines.
-
-    Eagerly compiling the full product of a schema pair builds one
-    machine per reachable complex ``(τ, τ')`` — quadratic in the type
-    count, though a typical document only ever exercises a handful of
-    pairs.  This table instead *promotes* pairs on first touch: the
-    caller probes :meth:`get`, builds the machine on a miss, and
-    :meth:`put`\\ s it back, so only hot pairs pay compilation and the
-    counters record exactly how hot each run was.
-
-    The table deliberately stores no factory callable — it lives inside
-    :class:`~repro.schema.registry.SchemaPair`, which is pickled for
-    persisted artifacts and spawn-based worker pools, and a captured
-    builder closure would break that.  Construction stays at the call
-    site.
-
-    Iteration, ``len`` and ``keys()`` mirror the dict it replaced, so
-    artifact round-trip checks and ablation sweeps can keep treating it
-    as a mapping of materialized pairs.
-    """
-
-    __slots__ = ("_entries", "touches", "materializations")
-
-    def __init__(self) -> None:
-        self._entries: dict[Any, Any] = {}
-        #: lookups served from the table (cheap probes, not builds).
-        self.touches = 0
-        #: machines built and stored — the eager/lazy savings metric.
-        self.materializations = 0
-
-    def get(self, key: Any) -> Optional[Any]:
-        """The machine promoted for ``key``, or ``None`` (build it and
-        :meth:`put` it back)."""
-        machine = self._entries.get(key)
-        if machine is not None:
-            self.touches += 1
-        return machine
-
-    def put(self, key: Any, machine: Any) -> Any:
-        """Promote ``key``: store its freshly built machine."""
-        if key not in self._entries:
-            self.materializations += 1
-        self._entries[key] = machine
-        return machine
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __iter__(self) -> Iterator[Any]:
-        return iter(self._entries)
-
-    def __contains__(self, key: Any) -> bool:
-        return key in self._entries
-
-    def __getitem__(self, key: Any) -> Any:
-        return self._entries[key]
-
-    def keys(self) -> KeysView[Any]:
-        return self._entries.keys()
-
-    def __repr__(self) -> str:
-        return (
-            f"LazyPairTable({len(self._entries)} materialized, "
-            f"{self.touches} touches)"
-        )
 
 
 class SymbolTable:

@@ -14,10 +14,11 @@ driven without writing Python:
   restores them after an interrupt; ``--cache-dir DIR`` loads/saves
   the preprocessed pair artifact; ``--memo``/``--no-memo`` and
   ``--memo-size N`` control the subtree verdict memo (see
-  ``docs/PERFORMANCE.md``); ``--profile-parse`` prints a
-  parse/skip/validate/total wall-clock phase breakdown (streaming
-  modes run the instrumented event pipeline so byte-level skim time
-  gets its own line instead of being lumped into parse);
+  ``docs/PERFORMANCE.md``); ``--stream-skip`` runs the fused
+  parse-and-validate kernel instead of the DOM cast (no tree, subsumed
+  subtrees byte-skimmed); ``--profile-parse`` prints a wall-clock
+  phase breakdown (parse/validate/total for the DOM cast, one fused
+  phase for a kernel run);
 * ``repair DOC --source A --target B [-o OUT]`` — correct the document
   to conform to the target schema and report the edits;
 * ``relations --source A --target B`` — print the precomputed
@@ -45,12 +46,12 @@ import sys
 import time
 from typing import Optional, Sequence
 
-from repro.core.cast import CastValidator
+from repro.core.cast import CastValidator, cast_text
 from repro.core.memo import DEFAULT_MEMO_SIZE
 from repro.core.repair import DocumentRepairer
 from repro.core.validator import validate_document
 from repro.errors import ReproError, error_code
-from repro.guards import DEFAULT_LIMITS, Limits, limits_scope
+from repro.guards import DEFAULT_LIMITS, Limits, limits_scope, read_document
 from repro.schema.dtd import parse_dtd
 from repro.schema.model import Schema
 from repro.schema.registry import SchemaPair
@@ -118,42 +119,52 @@ def _guard_limits(args: argparse.Namespace) -> tuple[Optional[Limits], str]:
     return DEFAULT_LIMITS.with_overrides(**overrides), ""
 
 
-def _parse_with_retries(path: str, limits: Limits, retries: int,
-                        symbols=None):
-    """``parse_file`` with bounded retry of (possibly transient)
-    ``OSError``; other failures propagate on the first attempt.
-
-    Returns the document and the deadline its parse ran under, which
-    the validation of the same document must share."""
-    deadline = limits.deadline()
+def _with_retries(action, retries: int):
+    """``action()`` with bounded retry of (possibly transient)
+    ``OSError``; other failures propagate on the first attempt."""
     attempt = 0
     while True:
         attempt += 1
         try:
-            document = parse_file(path, limits=limits, deadline=deadline,
-                                  symbols=symbols)
-            return document, deadline
+            return action()
         except OSError:
             if attempt > retries:
                 raise
 
 
-def _print_phase_profile(stats) -> None:
+def _parse_with_retries(path: str, limits: Limits, retries: int,
+                        symbols=None):
+    """``parse_file`` under :func:`_with_retries`.
+
+    Returns the document and the deadline its parse ran under, which
+    the validation of the same document must share."""
+    deadline = limits.deadline()
+    document = _with_retries(
+        lambda: parse_file(path, limits=limits, deadline=deadline,
+                           symbols=symbols),
+        retries,
+    )
+    return document, deadline
+
+
+def _print_phase_profile(stats, *, fused: bool = False) -> None:
     """The ``--profile-parse`` breakdown: where the wall-clock went.
 
-    The skip line appears only when byte-level skims happened — skim
-    time is attributed on its own so skip-heavy runs don't lump it
-    into the parse phase.
+    A kernel run (``fused``) lexes, skims and validates in one loop,
+    so it reports that pass as a single phase — billed to
+    ``validate_seconds``, as batch ``--stream-skip`` workers do.
     """
+    print("phase profile:")
+    if fused:
+        fused_seconds = stats.validate_seconds
+        print(f"  fused:    {fused_seconds:.4f}s (parse + validate)")
+        print(f"  total:    {fused_seconds:.4f}s")
+        return
     parse = stats.parse_seconds
     validate = stats.validate_seconds
-    skip = stats.skip_seconds
-    total = parse + validate + skip
-    print("phase profile:")
+    total = parse + validate
     if total > 0:
         print(f"  parse:    {parse:.4f}s ({parse / total:.1%})")
-        if skip > 0:
-            print(f"  skip:     {skip:.4f}s ({skip / total:.1%})")
         print(f"  validate: {validate:.4f}s ({validate / total:.1%})")
     else:
         print(f"  parse:    {parse:.4f}s")
@@ -417,10 +428,9 @@ def _cast_directory(
             # The batch ran the composed pair; re-derive the reject
             # reason hop-by-hop so it names the first failing schema.
             try:
-                with open(result.path, encoding="utf-8") as handle:
-                    sequential = chain.sequential_cast_text(
-                        handle.read(), limits=limits
-                    )
+                sequential = chain.sequential_cast_text(
+                    read_document(result.path, limits), limits=limits
+                )
                 if not sequential.valid:
                     detail = sequential.reason
             except OSError:
@@ -445,7 +455,7 @@ def _cast_directory(
             f"({batch.stats.memo_hit_rate:.1%} across all workers)"
         )
     if args.profile_parse and batch.stats is not None:
-        _print_phase_profile(batch.stats)
+        _print_phase_profile(batch.stats, fused=args.stream_skip)
     return 0 if batch.all_valid else 1
 
 
@@ -467,8 +477,9 @@ def _cast_single(
                 f"({len(chain.schemas) - 1} hops, 0 residual checks) — "
                 "source-valid documents need no revalidation"
             )
-        with open(document, encoding="utf-8") as handle:
-            text = handle.read()
+        text = _with_retries(
+            lambda: read_document(document, limits), args.retries
+        )
         report = chain.cast_text(
             text, limits=limits, stream_skip=args.stream_skip
         )
@@ -477,30 +488,15 @@ def _cast_single(
         )
         print(f"{document}: {verdict}")
         return 0 if report.valid else 1
-    if args.streaming or args.stream_skip:
-        # The streaming validator never materializes subtrees, so
-        # there is nothing to fingerprint — no memo here.
-        from repro.core.streaming import StreamingCastValidator
-
-        validator = StreamingCastValidator(pair, limits=limits)
-        with open(document, encoding="utf-8") as handle:
-            text = handle.read()
-        if args.profile_parse:
-            # Phase attribution needs the instrumented event pipeline;
-            # the fused loop interleaves parse and validate in one
-            # frame and cannot split them.  Verdicts are identical.
-            print(
-                "note: --profile-parse runs the instrumented event "
-                "pipeline (slower than the fused kernel it profiles)",
-                file=sys.stderr,
-            )
-            report = validator.profile_text(
-                text, byte_skip=args.stream_skip
-            )
-        else:
-            report = validator.validate_text(
-                text, byte_skip=args.stream_skip
-            )
+    if args.stream_skip:
+        # The fused kernel never materializes subtrees, so there is
+        # nothing to fingerprint — no memo here.
+        text = _with_retries(
+            lambda: read_document(document, limits), args.retries
+        )
+        run_start = time.perf_counter()
+        report = cast_text(pair, text, limits=limits)
+        report.stats.validate_seconds += time.perf_counter() - run_start
     else:
         from repro.core.memo import ValidationMemo
 
@@ -528,7 +524,7 @@ def _cast_single(
     if args.stats:
         _print_stats(report.stats)
     if args.profile_parse:
-        _print_phase_profile(report.stats)
+        _print_phase_profile(report.stats, fused=args.stream_skip)
     return 0 if report.valid else 1
 
 
@@ -831,21 +827,16 @@ def build_parser() -> argparse.ArgumentParser:
     cast.add_argument(
         "--stream-skip",
         action="store_true",
-        help="DOM-free cast with byte-level skipping: subsumed "
-        "subtrees are never tokenized (implies streaming; for a "
-        "directory, every batch worker uses this mode)",
-    )
-    cast.add_argument(
-        "--streaming",
-        action="store_true",
-        help="cast during parsing with O(depth) memory",
+        help="DOM-free cast through the fused kernel: one "
+        "parse-and-validate pass in O(depth) memory, subsumed subtrees "
+        "byte-skimmed and never tokenized (for a directory, every "
+        "batch worker uses this mode)",
     )
     cast.add_argument(
         "--profile-parse",
         action="store_true",
-        help="print a parse/skip/validate/total wall-clock phase "
-        "breakdown (streaming modes use the instrumented event "
-        "pipeline: identical verdicts, slower than the fused kernel)",
+        help="print a wall-clock phase breakdown: parse/validate/total "
+        "for the DOM cast, one fused phase under --stream-skip",
     )
     cast.add_argument(
         "--no-string-cast",

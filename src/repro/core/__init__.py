@@ -7,7 +7,6 @@ from repro.core.dtdcast import DTDCastValidator
 from repro.core.repair import DocumentRepairer, RepairAction, RepairResult
 from repro.core.result import ValidationReport, ValidationStats
 from repro.core.streaming import (
-    StreamingCastValidator,
     StreamingValidator,
     validate_stream,
 )
@@ -25,7 +24,6 @@ __all__ = [
     "DocumentRepairer",
     "RepairAction",
     "RepairResult",
-    "StreamingCastValidator",
     "StreamingValidator",
     "validate_stream",
     "ValidationReport",

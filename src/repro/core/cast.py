@@ -35,10 +35,11 @@ from __future__ import annotations
 import sys
 from typing import Optional
 
+from repro.core import castkernel
 from repro.core.memo import ValidationMemo
 from repro.core.result import ValidationReport, ValidationStats
-from repro.errors import DocumentTooDeepError
-from repro.guards import Deadline, Limits, resolve_limits
+from repro.errors import DocumentTooDeepError, XMLSyntaxError
+from repro.guards import Deadline, Limits, read_document, resolve_limits
 from repro.schema.model import ComplexType, SimpleType
 from repro.schema.registry import SchemaPair
 from repro.xmltree.dom import Document, Element, Text
@@ -524,19 +525,21 @@ def cast_text(
 ) -> ValidationReport:
     """DOM-free schema cast of raw XML text.
 
-    One streaming pass parses and cast-validates together; with
-    ``stream_skip`` (the default) subsumed subtrees are byte-skimmed —
-    the lexer never tokenizes them (see
-    :meth:`repro.core.streaming.StreamingCastValidator.validate_text`).
+    One fused pass of :func:`repro.core.castkernel.run` parses and
+    cast-validates together; with ``stream_skip`` (the default)
+    subsumed subtrees are byte-skimmed — the lexer never tokenizes
+    them — otherwise their tokens are drained unchecked.
     ``trusted=True`` additionally byte-searches for end tags, assuming
-    the document is well-formed.  The verdict equals
-    ``CastValidator(pair).validate(parse(text))``.
+    the document is well-formed (the paper's source-validity premise).
+    The verdict equals ``CastValidator(pair).validate(parse(text))``;
+    malformed input becomes a ``not well-formed`` failure report.
     """
-    from repro.core.streaming import StreamingCastValidator
-
-    return StreamingCastValidator(pair, limits=limits).validate_text(
-        text, byte_skip=stream_skip, trusted=trusted
-    )
+    try:
+        return castkernel.run(
+            pair, resolve_limits(limits), text, stream_skip, trusted
+        )
+    except XMLSyntaxError as error:
+        return ValidationReport.failure(f"not well-formed: {error}")
 
 
 def cast_file(
@@ -548,8 +551,11 @@ def cast_file(
     trusted: bool = False,
 ) -> ValidationReport:
     """:func:`cast_text` over a file (size-checked before reading)."""
-    from repro.core.streaming import StreamingCastValidator
-
-    return StreamingCastValidator(pair, limits=limits).validate_file(
-        path, byte_skip=stream_skip, trusted=trusted
+    limits = resolve_limits(limits)
+    return cast_text(
+        pair,
+        read_document(path, limits),
+        limits=limits,
+        stream_skip=stream_skip,
+        trusted=trusted,
     )

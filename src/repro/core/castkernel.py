@@ -1,16 +1,15 @@
 """The fused parse+validate loop of the streaming schema cast.
 
-:meth:`~repro.core.streaming.StreamingCastValidator.validate_text`
-used to run two coroutines — ``iterparse`` producing event objects, the
-validator consuming them — with an allocation, a generator suspension
-and an ``isinstance`` dispatch per event.  This module fuses the two:
-one loop owns the :class:`~repro.xmltree.lexer.Scanner` cursor directly
-and validates each construct the moment the lexer matches it, against
-the flat :class:`~repro.schema.pairkernel.PairKernel` tables.  Per
+This is the engine behind every DOM-free text cast
+(:func:`repro.core.cast.cast_text`/:func:`~repro.core.cast.cast_file`,
+batch ``stream_skip`` workers, evolution chains).  One loop owns the
+:class:`~repro.xmltree.lexer.Scanner` cursor directly and validates
+each construct the moment the lexer matches it, against the flat
+:class:`~repro.schema.pairkernel.PairKernel` tables — no event objects,
+no generator suspension, no ``isinstance`` dispatch per event.  Per
 child element the hot path is: one dict lookup (label → symbol id),
 one flat-table load (parent content step), one action-row load (child
-record / skip / fail), and a list push — no event objects, no method
-dispatch, no per-event attribute access.
+record / skip / fail), and a list push.
 
 On top of the fused walk sits the *leaf fast path*: an attribute-free
 element holding only entity- and bracket-free text (the dominant node
@@ -18,20 +17,24 @@ shape of data-oriented XML) is consumed by a single C-level match
 (:data:`~repro.xmltree.lexer.LEAF_RE`) and validated in place — start
 tag, value and end tag never become separate tokens.
 
-Semantics are byte-identical to the event pipeline — same verdicts,
-same failure messages and Dewey paths, same
-:class:`~repro.core.result.ValidationStats` counters, same guard
-behaviour (document size, depth, entities, deadline ticks once per
-start tag) — asserted by ``tests/core/test_kernel_equivalence.py``.
-The only tolerated divergence is wall-clock deadline *granularity* on
-skipped regions (the byte skim ticks per skimmed tag, the leaf path
-once per leaf).
+Failure reports carry the DOM cast's reason and Dewey path (the
+offending node: an element for attribute, disjointness and value
+failures, the text node for stray character data, the parent for a
+content-model failure).  Semantics are byte-identical to the event
+pipeline kept as the reference oracle
+(:func:`repro.core.reference.reference_cast`) — same verdicts,
+reasons, paths, :class:`~repro.core.result.ValidationStats` counters
+and guard behaviour (document size, depth, entities, deadline ticks
+once per start tag) — asserted by
+``tests/core/test_kernel_equivalence.py``.  The only tolerated
+divergence is wall-clock deadline *granularity* on skipped regions (the
+byte skim ticks per skimmed tag, the leaf path once per leaf).
 
-Both skip modes of the event pipeline are fused here: ``byte_skip``
-skims subsumed subtrees at the byte level via
-:meth:`Scanner.skim_subtree`, otherwise the loop drains the subtree's
-tokens with well-formedness checks only (the event path's
-``skip_depth`` drain, without materializing the events).
+Both skip modes are fused here: ``byte_skip`` skims subsumed subtrees
+at the byte level via :meth:`Scanner.skim_subtree`, otherwise the loop
+drains the subtree's tokens with well-formedness checks only.  Tables
+materialize on first touch, so an unwarmed pair works (it just pays
+for the records a document reaches).
 """
 
 from __future__ import annotations
@@ -72,23 +75,13 @@ _LABEL = 5
 _POS = 6
 
 
-def run_cast(validator, text, *, byte_skip=False, trusted=False):
-    """Fused replacement for ``validate_text`` on a
-    :class:`~repro.core.streaming.StreamingCastValidator`."""
-    from repro.errors import XMLSyntaxError
-
-    try:
-        return run(validator.pair, validator.limits, text,
-                   byte_skip, trusted)
-    except XMLSyntaxError as error:
-        return ValidationReport.failure(f"not well-formed: {error}")
-
-
 def run(pair, limits, text, byte_skip, trusted):
-    """The fused cast of ``text`` against ``pair``; unlike
-    :func:`run_cast`, a malformed document raises
-    :class:`~repro.errors.XMLSyntaxError` instead of becoming a failure
-    report (batch workers record it as a typed per-document error)."""
+    """The fused cast of ``text`` against ``pair`` under ``limits``.
+
+    A malformed document raises :class:`~repro.errors.XMLSyntaxError`
+    (batch workers record it as a typed per-document error;
+    :func:`repro.core.cast.cast_text` turns it into a failure report).
+    """
     kernel = pair.kernel()
     stats = ValidationStats()
     check_document_size(len(text), limits)
@@ -153,7 +146,7 @@ def run(pair, limits, text, byte_skip, trusted):
         return ValidationReport.failure(
             f"complex type {rec.target_type!r} does not allow "
             "character data",
-            path=_path(vstack),
+            path=_child_path(top[_CHILDREN]),
         )
 
     def end_frame(frame, below):
@@ -189,7 +182,12 @@ def run(pair, limits, text, byte_skip, trusted):
                                  _path(below + [frame]))
         return None
 
-    def _leaf_fail_path(position):
+    def _child_path(position):
+        """Dewey path of the node at ``position`` under the open frame
+        (the root's empty path when no frame is open) — where the DOM
+        cast reports an element's own failures."""
+        if not vstack:
+            return ""
         parent_path = _path(vstack)
         return (
             f"{parent_path}.{position}" if parent_path else str(position)
@@ -283,7 +281,7 @@ def run(pair, limits, text, byte_skip, trusted):
                             )
                             if violation:
                                 failure = ValidationReport.failure(
-                                    violation, path=_path(vstack)
+                                    violation, path=_child_path(position)
                                 )
                                 failure.stats = stats
                                 return failure
@@ -303,16 +301,18 @@ def run(pair, limits, text, byte_skip, trusted):
                                     f"value {value!r} does not conform "
                                     "to simple type "
                                     f"{rec.simple_decl.name!r}",
-                                    path=_leaf_fail_path(position),
+                                    path=_child_path(position),
                                 )
                                 failure.stats = stats
                                 return failure
                         elif value.strip():
+                            # Reported at the text node, as the DOM
+                            # cast does.
                             stats.text_nodes_visited += 1
                             failure = ValidationReport.failure(
                                 f"complex type {rec.target_type!r} does "
                                 "not allow character data",
-                                path=_leaf_fail_path(position),
+                                path=f"{_child_path(position)}.0",
                             )
                             failure.stats = stats
                             return failure
@@ -326,8 +326,7 @@ def run(pair, limits, text, byte_skip, trusted):
                                     stats.early_content_decisions += 1
                                 elif not bits & 1:
                                     failure = _content_fail(
-                                        rec, name,
-                                        _leaf_fail_path(position),
+                                        rec, name, _child_path(position)
                                     )
                                     failure.stats = stats
                                     return failure
@@ -346,14 +345,15 @@ def run(pair, limits, text, byte_skip, trusted):
                         failure = ValidationReport.failure(
                             f"source type {c_source!r} is disjoint from "
                             f"target type {c_target!r}",
-                            path=_path(vstack),
+                            path=_child_path(position),
                         )
                         failure.stats = stats
                         return failure
                     if action == A_NO_TARGET:
-                        failure = ValidationReport.failure(
-                            f"no target type assigned to label {name!r}",
-                            path=_path(vstack),
+                        # A label the target content model never
+                        # mentions fails the parent's content model.
+                        failure = _content_fail(
+                            rec_p, top[_LABEL], _path(vstack)
                         )
                     else:  # A_NO_SOURCE
                         failure = ValidationReport.failure(
@@ -515,8 +515,8 @@ def run(pair, limits, text, byte_skip, trusted):
                 top[_CHILDREN] = position + 1
                 if rec_p.kind == K_SIMPLE:
                     failure = ValidationReport.failure(
-                        f"simple type {rec_p.target_type!r} does not "
-                        "allow child elements",
+                        f"simple type {rec_p.simple_decl.name!r} does "
+                        "not allow child elements",
                         path=_path(vstack),
                     )
                     failure.stats = stats
@@ -547,9 +547,10 @@ def run(pair, limits, text, byte_skip, trusted):
                         stats.content_symbols_scanned += 1
                 action = rec_p.action[sid] if sid >= 0 else A_NO_TARGET
                 if action == A_NO_TARGET:
-                    failure = ValidationReport.failure(
-                        f"no target type assigned to label {name!r}",
-                        path=_path(vstack),
+                    # A label the target content model never mentions
+                    # fails the parent's content model.
+                    failure = _content_fail(
+                        rec_p, top[_LABEL], _path(vstack)
                     )
                     failure.stats = stats
                     return failure
@@ -595,7 +596,7 @@ def run(pair, limits, text, byte_skip, trusted):
                 failure = ValidationReport.failure(
                     f"source type {d_source!r} is disjoint from target "
                     f"type {d_target!r}",
-                    path=_path(vstack),
+                    path=_child_path(position),
                 )
                 failure.stats = stats
                 return failure
@@ -610,7 +611,7 @@ def run(pair, limits, text, byte_skip, trusted):
                 )
                 if violation:
                     failure = ValidationReport.failure(
-                        violation, path=_path(vstack)
+                        violation, path=_child_path(position)
                     )
                     failure.stats = stats
                     return failure

@@ -283,13 +283,9 @@ def _validate_document(
                 # DOM path's per-document error capture below.  No tree
                 # is built, so there is nothing to memoize.
                 from repro.core.castkernel import run
-                from repro.guards import check_document_size
+                from repro.guards import read_document
 
-                check_document_size(
-                    os.path.getsize(path), limits, what=f"file {path!r}"
-                )
-                with open(path, encoding="utf-8") as handle:
-                    text = handle.read()
+                text = read_document(path, limits)
                 run_start = time.perf_counter()
                 report = run(pair, limits, text,
                              byte_skip=True, trusted=False)

@@ -45,11 +45,8 @@ class ValidationStats:
             when the caller timed the phases (batch ``collect_stats``
             runs and the CLI's ``--profile-parse``); 0.0 otherwise.
         validate_seconds: wall-clock time spent in the validator proper,
-            under the same conditions.
-        skip_seconds: wall-clock time spent fast-forwarding subsumed
-            subtrees at the byte level, under the same conditions —
-            attributed separately so a skip-heavy profile doesn't lump
-            skim time into the parse phase.
+            under the same conditions.  A fused kernel pass parses and
+            validates in one loop, so it bills everything here.
 
     Every counter is additive, so :meth:`merge` is the single
     aggregation primitive — the batch driver folds per-document (and
@@ -74,7 +71,6 @@ class ValidationStats:
     #: same work (equal counters) compare equal regardless of timing.
     parse_seconds: float = field(default=0.0, compare=False)
     validate_seconds: float = field(default=0.0, compare=False)
-    skip_seconds: float = field(default=0.0, compare=False)
 
     @property
     def nodes_visited(self) -> int:

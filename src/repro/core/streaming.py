@@ -17,7 +17,6 @@ parsed document when the schema declares any.
 
 from __future__ import annotations
 
-import os
 import sys
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -25,62 +24,15 @@ from typing import Iterable, Optional
 from repro.core.result import ValidationReport, ValidationStats
 from repro.core.validator import attribute_violation_parts
 from repro.errors import DocumentTooDeepError
-from repro.guards import Limits, check_document_size, resolve_limits
+from repro.guards import Limits, read_document, resolve_limits
 from repro.schema.model import ComplexType, Schema, SimpleType
 from repro.xmltree.events import (
     Characters,
     EndElement,
     Event,
-    PullParser,
     StartElement,
     iterparse,
 )
-
-
-class _TimedEvents:
-    """Iterator shim that bills time spent producing events (the lexer
-    and event assembly) to ``parse_seconds`` — the profiling hook of
-    :meth:`StreamingCastValidator.profile_text`."""
-
-    __slots__ = ("_events", "parse_seconds", "skip_seconds")
-
-    def __init__(self, events) -> None:
-        self._events = iter(events)
-        self.parse_seconds = 0.0
-        self.skip_seconds = 0.0
-
-    def __iter__(self):
-        return self
-
-    def __next__(self):
-        import time
-
-        start = time.perf_counter()
-        try:
-            return next(self._events)
-        finally:
-            self.parse_seconds += time.perf_counter() - start
-
-
-class _TimedPull(_TimedEvents):
-    """The pull-parser variant: additionally bills byte-level subtree
-    skims to ``skip_seconds`` (they are neither parsing in the token
-    sense nor validation)."""
-
-    __slots__ = ("_pull",)
-
-    def __init__(self, pull: PullParser) -> None:
-        super().__init__(pull)
-        self._pull = pull
-
-    def skip_subtree(self, *, trusted: bool = False) -> int:
-        import time
-
-        start = time.perf_counter()
-        try:
-            return self._pull.skip_subtree(trusted=trusted)
-        finally:
-            self.skip_seconds += time.perf_counter() - start
 
 
 @dataclass
@@ -135,11 +87,7 @@ class StreamingValidator:
             return ValidationReport.failure(f"not well-formed: {error}")
 
     def validate_file(self, path: str) -> ValidationReport:
-        check_document_size(
-            os.path.getsize(path), self.limits, what=f"file {path!r}"
-        )
-        with open(path, encoding="utf-8") as handle:
-            return self.validate_text(handle.read())
+        return self.validate_text(read_document(path, self.limits))
 
     def validate_events(
         self, events: Iterable[Event], *, interned: bool = False
@@ -170,6 +118,15 @@ class StreamingValidator:
 
     def _path(self, stack: list[_Frame]) -> str:
         return ".".join(str(frame.position) for frame in stack[1:])
+
+    def _child_path(self, stack: list[_Frame], position: int) -> str:
+        """Dewey path of the node at ``position`` under the open frame
+        (the root's empty path when no frame is open) — where the DOM
+        validator reports a node's own failures."""
+        if not stack:
+            return ""
+        parent_path = self._path(stack)
+        return f"{parent_path}.{position}" if parent_path else str(position)
 
     def _start(
         self,
@@ -203,7 +160,7 @@ class StreamingValidator:
                 return ValidationReport.failure(
                     f"unexpected element {event.label!r} in content of "
                     f"{parent.type_name!r}",
-                    path=self._path(stack),
+                    path=self._child_path(stack, parent.child_index),
                 )
             parent.state = compiled.rows[parent.state][sid]
             stats.content_symbols_scanned += 1
@@ -229,8 +186,9 @@ class StreamingValidator:
             self.schema, declaration, event.label, event.attributes
         )
         if violation:
-            return ValidationReport.failure(violation,
-                                            path=self._path(stack))
+            return ValidationReport.failure(
+                violation, path=self._child_path(stack, position)
+            )
         if isinstance(declaration, SimpleType):
             frame = _Frame(event.label, type_name, None, [],
                            position=position)
@@ -261,7 +219,7 @@ class StreamingValidator:
         return ValidationReport.failure(
             f"complex type {frame.type_name!r} does not allow character "
             "data",
-            path=self._path(stack),
+            path=self._child_path(stack, frame.child_index),  # the text
         )
 
     def _end(
@@ -304,465 +262,3 @@ class StreamingValidator:
 def validate_stream(schema: Schema, text: str) -> ValidationReport:
     """One-shot streaming validation of XML text."""
     return StreamingValidator(schema).validate_text(text)
-
-
-# -- streaming schema cast ------------------------------------------------------
-
-
-@dataclass
-class _CastFrame:
-    label: str
-    source_type: str
-    target_type: str
-    #: pair-automaton state for the children's content check; None for
-    #: simple-typed frames.
-    state: Optional[int]
-    #: content verdict already decided early (IA hit)?
-    content_decided: bool
-    #: Accumulated character data — allocated only when the target type
-    #: is simple (the only case with a value to check); complex-typed
-    #: frames carry None instead of an always-empty list.
-    text_parts: Optional[list[str]]
-    position: int = 0
-    child_index: int = 0
-
-
-class StreamingCastValidator:
-    """Schema cast validation over an event stream (Section 3.2 logic,
-    O(depth) memory).
-
-    The same skips as :class:`repro.core.cast.CastValidator`: a child
-    whose (source, target) type pair is subsumed starts a *skip region*
-    — its entire subtree is fast-forwarded with a depth counter, no
-    checks performed; a disjoint pair fails immediately; otherwise the
-    child is pushed with a pair content-automaton state, which may also
-    decide early (IA/IR) while children stream past.
-
-    The input must be valid under the source schema (the paper's
-    promise); the verdict then matches
-    :meth:`CastValidator.validate` on the parsed tree.
-    """
-
-    def __init__(self, pair, *, limits: Optional[Limits] = None):
-        from repro.schema.registry import SchemaPair
-
-        assert isinstance(pair, SchemaPair)
-        self.pair = pair
-        self.limits = resolve_limits(limits)
-        self._max_depth = (
-            self.limits.max_tree_depth
-            if self.limits.max_tree_depth is not None
-            else sys.maxsize
-        )
-        pair.warm()
-
-    def validate_text(
-        self, text: str, *, byte_skip: bool = False, trusted: bool = False
-    ) -> ValidationReport:
-        """Parse and cast-validate in one streaming pass.
-
-        ``byte_skip=True`` engages the skip-scan fast path: subsumed
-        subtrees are fast-forwarded at the *byte* level (never
-        tokenized); ``trusted=True`` additionally selects the
-        byte-search skim, which assumes the document is well-formed
-        (the paper's source-validity premise).  The verdict is
-        identical either way — only the work differs.
-
-        Both modes run the fused parse+validate loop of
-        :mod:`repro.core.castkernel` (no event objects); the event
-        pipelines below (:meth:`validate_events`/:meth:`validate_pull`)
-        remain as the executable specification the kernel is fuzzed
-        against, and as the instrumented path for phase profiling.
-        """
-        from repro.core.castkernel import run_cast
-
-        return run_cast(self, text, byte_skip=byte_skip, trusted=trusted)
-
-    def validate_text_events(
-        self, text: str, *, byte_skip: bool = False, trusted: bool = False
-    ) -> ValidationReport:
-        """The pre-kernel event pipeline of :meth:`validate_text` —
-        byte-identical verdicts/stats, used as the fuzzing reference
-        and by the profiling path (which must time parse and validate
-        phases separately, something the fused loop cannot)."""
-        from repro.errors import XMLSyntaxError
-
-        try:
-            if byte_skip:
-                return self.validate_pull(
-                    PullParser(text, limits=self.limits,
-                               deadline=self.limits.deadline(),
-                               symbols=self.pair.symbols),
-                    interned=True,
-                    trusted=trusted,
-                )
-            return self.validate_events(
-                iterparse(text, limits=self.limits,
-                          deadline=self.limits.deadline(),
-                          symbols=self.pair.symbols),
-                interned=True,
-            )
-        except XMLSyntaxError as error:
-            return ValidationReport.failure(f"not well-formed: {error}")
-
-    def profile_text(
-        self, text: str, *, byte_skip: bool = False, trusted: bool = False
-    ) -> ValidationReport:
-        """:meth:`validate_text` with wall-clock phase attribution.
-
-        Runs the instrumented event pipeline (the fused loop interleaves
-        parsing and validation in one frame, so it cannot attribute
-        time) and fills ``stats.parse_seconds`` (event production),
-        ``stats.skip_seconds`` (byte-level skims of subsumed subtrees),
-        and ``stats.validate_seconds`` (everything else — the cast
-        logic).  Verdicts are identical to :meth:`validate_text`; only
-        use this when the breakdown is wanted (``--profile-parse``), as
-        the per-event timing hooks cost real throughput.
-        """
-        import time
-
-        from repro.errors import XMLSyntaxError
-
-        timer = time.perf_counter
-        total_start = timer()
-        try:
-            if byte_skip:
-                timed = _TimedPull(
-                    PullParser(text, limits=self.limits,
-                               deadline=self.limits.deadline(),
-                               symbols=self.pair.symbols)
-                )
-                report = self.validate_pull(timed, interned=True,
-                                            trusted=trusted)
-            else:
-                timed = _TimedEvents(
-                    iterparse(text, limits=self.limits,
-                              deadline=self.limits.deadline(),
-                              symbols=self.pair.symbols)
-                )
-                report = self.validate_events(timed, interned=True)
-        except XMLSyntaxError as error:
-            report = ValidationReport.failure(f"not well-formed: {error}")
-        total = timer() - total_start
-        stats = (
-            report.stats if report.stats is not None else ValidationStats()
-        )
-        stats.parse_seconds += timed.parse_seconds
-        stats.skip_seconds += timed.skip_seconds
-        stats.validate_seconds += max(
-            0.0, total - timed.parse_seconds - timed.skip_seconds
-        )
-        report.stats = stats
-        return report
-
-    def validate_file(
-        self, path: str, *, byte_skip: bool = False, trusted: bool = False
-    ) -> ValidationReport:
-        check_document_size(
-            os.path.getsize(path), self.limits, what=f"file {path!r}"
-        )
-        with open(path, encoding="utf-8") as handle:
-            return self.validate_text(
-                handle.read(), byte_skip=byte_skip, trusted=trusted
-            )
-
-    def validate_pull(
-        self,
-        pull: PullParser,
-        *,
-        interned: bool = False,
-        trusted: bool = False,
-    ) -> ValidationReport:
-        """Validate through a :class:`PullParser`, byte-skimming every
-        subsumed subtree instead of draining its events.
-
-        This is the validator→lexer channel of the skip-scan path: on a
-        subsumed ``(source, target)`` pair the subtree's verdict is
-        known statically, so :meth:`PullParser.skip_subtree` jumps the
-        *lexer* straight past it — no tokens, no events, no entity
-        decoding, no interning.  Disjoint pairs still fail immediately
-        (the stream is simply abandoned — the strongest skip of all).
-        Dewey paths and line/column reporting after a skim are
-        unaffected: parent bookkeeping happens before the subsumption
-        check, and the scanner's newline index always covers the whole
-        document.
-        """
-        stats = ValidationStats()
-        stack: list[_CastFrame] = []
-        for event in pull:
-            if isinstance(event, StartElement):
-                outcome = self._start(event, stack, stats, interned)
-                if outcome == "skip":
-                    stats.subtrees_skipped += 1
-                    stats.subtrees_byte_skipped += 1
-                    stats.bytes_skipped += pull.skip_subtree(
-                        trusted=trusted
-                    )
-                    continue
-                if outcome is not None:
-                    outcome.stats = stats
-                    return outcome
-            elif isinstance(event, Characters):
-                report = self._characters(event, stack, stats)
-                if report is not None:
-                    report.stats = stats
-                    return report
-            else:
-                report = self._end(stack, stats)
-                if report is not None:
-                    report.stats = stats
-                    return report
-        return ValidationReport.success(stats)
-
-    def validate_events(
-        self, events: Iterable[Event], *, interned: bool = False
-    ) -> ValidationReport:
-        """Validate an event stream; ``interned=True`` promises every
-        ``StartElement.sym`` was interned against ``pair.symbols``."""
-        stats = ValidationStats()
-        stack: list[_CastFrame] = []
-        skip_depth = 0
-        for event in events:
-            if skip_depth:
-                if isinstance(event, StartElement):
-                    skip_depth += 1
-                elif isinstance(event, EndElement):
-                    skip_depth -= 1
-                continue
-            if isinstance(event, StartElement):
-                outcome = self._start(event, stack, stats, interned)
-                if outcome == "skip":
-                    stats.subtrees_skipped += 1
-                    skip_depth = 1
-                    continue
-                if outcome is not None:
-                    outcome.stats = stats
-                    return outcome
-            elif isinstance(event, Characters):
-                report = self._characters(event, stack, stats)
-                if report is not None:
-                    report.stats = stats
-                    return report
-            else:
-                report = self._end(stack, stats)
-                if report is not None:
-                    report.stats = stats
-                    return report
-        return ValidationReport.success(stats)
-
-    # -- handlers ------------------------------------------------------------
-
-    def _path(self, stack: list[_CastFrame]) -> str:
-        return ".".join(str(frame.position) for frame in stack[1:])
-
-    def _start(self, event: StartElement, stack, stats, interned):
-        """Returns None (pushed), "skip" (subsumed subtree), or a
-        failure report."""
-        if not stack:
-            target_type = self.pair.target.root_type(event.label)
-            if target_type is None:
-                return ValidationReport.failure(
-                    f"label {event.label!r} is not a permitted root of "
-                    "the target schema"
-                )
-            source_type = self.pair.source.root_type(event.label)
-            if source_type is None:
-                return ValidationReport.failure(
-                    f"label {event.label!r} is not a permitted root of "
-                    "the source schema (promise violated)"
-                )
-            position = 0
-        else:
-            parent = stack[-1]
-            position = parent.child_index
-            parent.child_index += 1
-            source_parent = self.pair.source.type(parent.source_type)
-            target_parent = self.pair.target.type(parent.target_type)
-            if not isinstance(target_parent, ComplexType):
-                return ValidationReport.failure(
-                    f"simple type {parent.target_type!r} does not allow "
-                    "child elements",
-                    path=self._path(stack),
-                )
-            sid = event.sym if interned else -1
-            if sid < 0:
-                sid = self.pair.symbols.id(event.label)
-            # Feed the child label to the parent's content machine.
-            report = self._feed(parent, sid, stack, stats)
-            if report is not None:
-                return report
-            if sid >= 0:
-                target_type = self.pair.target_child_row(
-                    parent.target_type
-                )[sid]
-                source_type = (
-                    self.pair.source_child_row(parent.source_type)[sid]
-                    if isinstance(source_parent, ComplexType)
-                    else None
-                )
-            else:
-                # Label outside the pair alphabet: no type assignments.
-                target_type = source_type = None
-            if target_type is None:
-                return ValidationReport.failure(
-                    f"no target type assigned to label {event.label!r}",
-                    path=self._path(stack),
-                )
-            if source_type is None:
-                return ValidationReport.failure(
-                    f"no source type for label {event.label!r} "
-                    "(promise violated)",
-                    path=self._path(stack),
-                )
-
-        if self.pair.is_subsumed(source_type, target_type):
-            return "skip"
-        if self.pair.is_disjoint(source_type, target_type):
-            stats.disjoint_rejections += 1
-            return ValidationReport.failure(
-                f"source type {source_type!r} is disjoint from target "
-                f"type {target_type!r}",
-                path=self._path(stack),
-            )
-        if len(stack) >= self._max_depth:
-            raise DocumentTooDeepError(
-                f"element tree deeper than {self._max_depth} levels"
-            )
-        stats.elements_visited += 1
-        target_decl = self.pair.target.type(target_type)
-        violation = attribute_violation_parts(
-            self.pair.target, target_decl, event.label, event.attributes
-        )
-        if violation:
-            return ValidationReport.failure(violation,
-                                            path=self._path(stack))
-        if isinstance(target_decl, SimpleType):
-            frame = _CastFrame(event.label, source_type, target_type,
-                               None, True, [], position=position)
-        else:
-            machine = self._machine(source_type, target_type)
-            if machine is None:
-                # Simple source casting to complex target: only the
-                # empty element is shared; require ε content.
-                state = self.pair.target_content(target_type).start
-                frame = _CastFrame(event.label, source_type, target_type,
-                                   state, False, None, position=position)
-                frame.content_decided = False
-            else:
-                decided = machine.always_accepts
-                if decided:
-                    stats.early_content_decisions += 1
-                frame = _CastFrame(
-                    event.label,
-                    source_type,
-                    target_type,
-                    machine.c_immed.dfa.start,
-                    decided,
-                    None,
-                    position=position,
-                )
-        stack.append(frame)
-        return None
-
-    def _machine(self, source_type: str, target_type: str):
-        source_decl = self.pair.source.type(source_type)
-        if not isinstance(source_decl, ComplexType):
-            return None
-        return self.pair.string_cast(source_type, target_type)
-
-    def _feed(self, parent: _CastFrame, sid: int, stack, stats):
-        """Advance the parent's content check by one child symbol id
-        (``-1`` for labels outside the pair alphabet), stepping the
-        compiled dense tables over the pair alphabet."""
-        if parent.content_decided or parent.state is None:
-            return None
-        machine = self._machine(parent.source_type, parent.target_type)
-        if machine is None:
-            # Plain target DFA (simple source).
-            compiled = self.pair.target_content(parent.target_type)
-            if sid < 0:
-                return self._content_failure(parent, stack)
-            state = compiled.rows[parent.state][sid]
-            if state < 0:
-                return self._content_failure(parent, stack)
-            parent.state = state
-            stats.content_symbols_scanned += 1
-            return None
-        immed = machine.c_immed_compiled
-        assert immed is not None  # pair-built machines always compile
-        if immed.ia_mask[parent.state]:
-            parent.content_decided = True
-            stats.early_content_decisions += 1
-            return None
-        if immed.ir_mask[parent.state]:
-            stats.early_content_decisions += 1
-            return self._content_failure(parent, stack)
-        if sid < 0:
-            return self._content_failure(parent, stack)
-        state = immed.rows[parent.state][sid]
-        if state < 0:
-            return self._content_failure(parent, stack)
-        parent.state = state
-        stats.content_symbols_scanned += 1
-        return None
-
-    def _content_failure(self, frame: _CastFrame, stack):
-        declaration = self.pair.target.type(frame.target_type)
-        assert isinstance(declaration, ComplexType)
-        return ValidationReport.failure(
-            f"children of {frame.label!r} do not match content model "
-            f"{declaration.content.to_source()} of type "
-            f"{frame.target_type!r}",
-            path=self._path(stack),
-        )
-
-    def _characters(self, event: Characters, stack, stats):
-        frame = stack[-1]
-        target_decl = self.pair.target.type(frame.target_type)
-        if isinstance(target_decl, SimpleType):
-            frame.text_parts.append(event.value)
-            return None
-        if event.value.strip() == "":
-            return None
-        stats.text_nodes_visited += 1
-        return ValidationReport.failure(
-            f"complex type {frame.target_type!r} does not allow "
-            "character data",
-            path=self._path(stack),
-        )
-
-    def _end(self, stack, stats):
-        frame = stack.pop()
-        target_decl = self.pair.target.type(frame.target_type)
-        if isinstance(target_decl, SimpleType):
-            stats.text_nodes_visited += 1 if frame.text_parts else 0
-            stats.simple_values_checked += 1
-            value = "".join(frame.text_parts)
-            if value.strip() == "":
-                value = ""
-            if not target_decl.validate(value):
-                return ValidationReport.failure(
-                    f"value {value!r} does not conform to simple type "
-                    f"{target_decl.name!r}",
-                    path=self._path(stack + [frame]),
-                )
-            return None
-        if frame.content_decided:
-            return None
-        machine = self._machine(frame.source_type, frame.target_type)
-        if machine is None:
-            compiled = self.pair.target_content(frame.target_type)
-            if not compiled.finals_mask[frame.state]:
-                return self._content_failure(frame, stack + [frame])
-            return None
-        # End of children: the pair automaton must be in a final state
-        # (IA states would have decided already; promise covers source
-        # acceptance).
-        immed = machine.c_immed_compiled
-        assert immed is not None
-        if immed.ia_mask[frame.state]:
-            stats.early_content_decisions += 1
-            return None
-        if not immed.finals_mask[frame.state]:
-            return self._content_failure(frame, stack + [frame])
-        return None

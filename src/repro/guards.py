@@ -30,6 +30,7 @@ handle.  See ``docs/ROBUSTNESS.md`` for the full contract.
 from __future__ import annotations
 
 import contextlib
+import os
 import time
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional
@@ -51,6 +52,7 @@ __all__ = [
     "resolve_limits",
     "remaining_limits",
     "check_document_size",
+    "read_document",
     "check_depth",
     "state_budget",
 ]
@@ -253,6 +255,15 @@ def check_document_size(
             f"{what} is {size} bytes, exceeding the "
             f"max_document_bytes limit of {bound}"
         )
+
+
+def read_document(path: str, limits: Limits) -> str:
+    """Read a UTF-8 document file, size-checked against its on-disk
+    byte count *before* anything is buffered, so an oversized file is
+    rejected (naming the file) without being read."""
+    check_document_size(os.path.getsize(path), limits, what=f"file {path!r}")
+    with open(path, encoding="utf-8") as handle:
+        return handle.read()
 
 
 def check_depth(depth: int, limits: Limits, *, what: str = "element") -> None:

@@ -35,13 +35,14 @@ from repro.schema.registry import SchemaPair
 
 #: Bump whenever the pickled representation of SchemaPair (or anything
 #: it transitively contains) changes shape; old artifacts then miss.
-#: v2: ``_string_casts`` became a ``LazyPairTable`` (was a plain dict).
+#: v2: ``_string_casts`` became a lazy promotion table (was a plain dict).
 #: v3: compiled tables went flat (``array('i')`` + ``bytes`` flags) and
 #: pairs carry the fused :class:`~repro.schema.pairkernel.PairKernel`.
 #: v4: composed evolution-chain pairs (a ``chain`` attribute holding the
 #: :class:`~repro.schema.chain.SchemaChain`, product target schemas with
 #: :class:`~repro.schema.simple.IntersectionType` values) may be pickled.
-ARTIFACT_VERSION = 4
+#: v5: ``_string_casts`` is a plain dict again (the promotion table is gone).
+ARTIFACT_VERSION = 5
 
 
 class ArtifactError(ReproError):

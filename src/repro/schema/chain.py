@@ -365,9 +365,9 @@ class SchemaChain:
                 return report
         return report
 
-    def warm(self, *, eager_pairs: bool = True) -> None:
+    def warm(self) -> None:
         """Warm the composed pair (and build the hop pairs)."""
-        self.composed_pair().warm(eager_pairs=eager_pairs)
+        self.composed_pair().warm()
 
     def __repr__(self) -> str:
         checked = self.analysis()["checked"]

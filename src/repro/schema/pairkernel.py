@@ -1,10 +1,10 @@
 """Fused per-pair action tables — the static heart of the validation
 kernel.
 
-The streaming cast (:class:`~repro.core.streaming.StreamingCastValidator`)
-makes four decisions per child element: feed the label to the parent's
-content machine, assign the child's (source, target) type pair, test
-subsumption (skip the subtree), and test disjointness (fail).  All four
+The streaming cast (:mod:`repro.core.castkernel`) makes four decisions
+per child element: feed the label to the parent's content machine,
+assign the child's (source, target) type pair, test subsumption (skip
+the subtree), and test disjointness (fail).  All four
 depend only on the parent's type pair and the child's interned label —
 document-independent, exactly the paper's static-preprocessing stance —
 so :class:`PairKernel` collapses them into one ``array('i')`` *action
@@ -20,11 +20,10 @@ the plain target content DFA for simple-source parents, nothing for
 simple targets), so the per-child feed is one more indexed load against
 the same record.
 
-Records materialize lazily on first entry — the same first-touch
-promotion policy as :class:`~repro.automata.compiled.LazyPairTable`, so
-an unwarmed pair still only compiles machines for type pairs a document
-actually exercises.  :meth:`PairKernel.warm` forces the full reachable
-set for persisted artifacts.
+Records materialize lazily on first entry, so an unwarmed pair only
+compiles machines for type pairs a document actually exercises.
+:meth:`PairKernel.warm` forces the full reachable set for persisted
+artifacts.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from repro.schema.model import ComplexType, SimpleType
 from repro.schema.simple import compiled_checker
 
 #: ``action[sid]`` sentinels (child record ids are ``>= 0``).
-A_NO_TARGET = -1   #: no target child type — "no target type assigned"
+A_NO_TARGET = -1   #: no target child type — parent content fails
 A_NO_SOURCE = -2   #: no source child type — promise violated
 A_SUBSUME = -3     #: subsumed pair — skip the whole subtree
 A_DISJOINT = -4    #: disjoint pair — fail immediately
@@ -118,7 +117,8 @@ class PairKernel:
         self, source_type: Optional[str], target_type: Optional[str]
     ) -> int:
         """One action code for a resolved (source, target) assignment —
-        the decision order of ``StreamingCastValidator._start``."""
+        the decision order of the reference event walk
+        (:func:`repro.core.reference.reference_cast`)."""
         if target_type is None:
             return A_NO_TARGET
         if source_type is None:

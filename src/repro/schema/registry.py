@@ -25,7 +25,6 @@ from typing import Optional
 from repro.automata.compiled import (
     CompiledDFA,
     CompiledImmediate,
-    LazyPairTable,
     SymbolTable,
 )
 from repro.automata.immediate import ImmediateDecisionAutomaton
@@ -74,10 +73,12 @@ class SchemaPair:
             if r_nondis is None
             else r_nondis
         )
-        #: Per-type-pair cast machines, promoted lazily on first touch
-        #: (:class:`LazyPairTable`); :meth:`warm` can still materialize
-        #: the full product for persisted artifacts.
-        self._string_casts: LazyPairTable = LazyPairTable()
+        #: Per-type-pair cast machines, built on first touch;
+        #: :meth:`warm` materializes the full product for persisted
+        #: artifacts.
+        self._string_casts: dict[
+            tuple[str, str], StringCastValidator
+        ] = {}
         self._target_immed: dict[str, ImmediateDecisionAutomaton] = {}
         self._target_immed_compiled: dict[str, CompiledImmediate] = {}
         self._target_content: dict[str, CompiledDFA] = {}
@@ -102,18 +103,15 @@ class SchemaPair:
     def string_cast(
         self, source_type: str, target_type: str
     ) -> StringCastValidator:
-        """Content-model cast machine for a complex type pair, promoted
-        to the pair table on first touch."""
+        """Content-model cast machine for a complex type pair (built on
+        first touch, then cached)."""
         key = (source_type, target_type)
         machine = self._string_casts.get(key)
         if machine is None:
-            machine = self._string_casts.put(
-                key,
-                StringCastValidator(
-                    self.source.content_dfa(source_type),
-                    self.target.content_dfa(target_type),
-                    symbols=self.symbols,
-                ),
+            machine = self._string_casts[key] = StringCastValidator(
+                self.source.content_dfa(source_type),
+                self.target.content_dfa(target_type),
+                symbols=self.symbols,
             )
         return machine
 
@@ -200,7 +198,7 @@ class SchemaPair:
             kernel = self._pair_kernel = PairKernel(self)
         return kernel
 
-    def warm(self, *, eager_pairs: bool = True) -> None:
+    def warm(self) -> None:
         """Eagerly build the pair's runtime machines, so validation pays
         no lazy-construction cost (and so a persisted artifact carries
         everything — see :mod:`repro.schema.artifacts`).
@@ -218,28 +216,20 @@ class SchemaPair:
         warmed.  The one exception is the DTD label-indexed mode, where
         an exotic schema can assign a root-unreachable type to a label;
         such types fall back to lazy construction on first use.
-
-        ``eager_pairs=False`` skips the quadratic (τ, τ') product and
-        leaves string-cast machines to first-touch promotion in the
-        :class:`LazyPairTable` — the right trade when a pair serves few
-        documents, or when the documents exercise a sparse slice of the
-        product.  Per-target-type machines (linear in the type count)
-        are always warmed.
         """
         source_reachable = self.source.reachable_types()
         target_reachable = self.target.reachable_types()
-        if eager_pairs:
-            for tau in source_reachable:
-                if not isinstance(self.source.types[tau], ComplexType):
+        for tau in source_reachable:
+            if not isinstance(self.source.types[tau], ComplexType):
+                continue
+            for tau_p in target_reachable:
+                if not isinstance(self.target.types[tau_p], ComplexType):
                     continue
-                for tau_p in target_reachable:
-                    if not isinstance(self.target.types[tau_p], ComplexType):
-                        continue
-                    if self.is_subsumed(tau, tau_p) or self.is_disjoint(
-                        tau, tau_p
-                    ):
-                        continue
-                    self.string_cast(tau, tau_p)
+                if self.is_subsumed(tau, tau_p) or self.is_disjoint(
+                    tau, tau_p
+                ):
+                    continue
+                self.string_cast(tau, tau_p)
         for tau_p in target_reachable:
             if isinstance(self.target.types[tau_p], ComplexType):
                 self.target_immed(tau_p)

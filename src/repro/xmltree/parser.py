@@ -33,7 +33,6 @@ without re-hashing label strings per node.
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
 from repro.guards import (
@@ -41,6 +40,7 @@ from repro.guards import (
     Limits,
     check_depth,
     check_document_size,
+    read_document,
     resolve_limits,
 )
 from repro.xmltree.dom import CHI, Document, Element, Text
@@ -113,15 +113,13 @@ def parse_file(
     is read, so an oversized document is rejected without buffering it.
     """
     limits = resolve_limits(limits)
-    check_document_size(os.path.getsize(path), limits, what=f"file {path!r}")
-    with open(path, encoding="utf-8") as handle:
-        return parse(
-            handle.read(),
-            keep_whitespace=keep_whitespace,
-            limits=limits,
-            deadline=deadline,
-            symbols=symbols,
-        )
+    return parse(
+        read_document(path, limits),
+        keep_whitespace=keep_whitespace,
+        limits=limits,
+        deadline=deadline,
+        symbols=symbols,
+    )
 
 
 def parse_fragment(

@@ -25,7 +25,7 @@ from tests.faultinject import (
     write_corpus,
 )
 from repro.core.batch import validate_batch, validate_directory
-from repro.core.streaming import StreamingCastValidator
+from repro.core.cast import cast_file, cast_text
 from repro.errors import BatchError, DocumentTooLargeError
 from repro.guards import Limits
 from repro.schema.registry import SchemaPair
@@ -316,8 +316,18 @@ class TestValidateDirectory:
 
 class TestStreamingGuards:
     def test_streaming_cast_rejects_oversized_text(self, exp2_fresh_pair):
-        validator = StreamingCastValidator(
-            exp2_fresh_pair, limits=CORPUS_LIMITS
-        )
         with pytest.raises(DocumentTooLargeError):
-            validator.validate_text(oversized_document(20_000))
+            cast_text(exp2_fresh_pair, oversized_document(20_000),
+                      limits=CORPUS_LIMITS, stream_skip=False)
+
+    def test_cast_file_rejects_before_reading(self, exp2_fresh_pair,
+                                              tmp_path, monkeypatch):
+        path = tmp_path / "big.xml"
+        path.write_text(oversized_document(20_000), encoding="utf-8")
+
+        def no_open(*args, **kwargs):
+            raise AssertionError("oversized file was opened")
+
+        monkeypatch.setattr("builtins.open", no_open)
+        with pytest.raises(DocumentTooLargeError, match="big.xml"):
+            cast_file(exp2_fresh_pair, str(path), limits=CORPUS_LIMITS)

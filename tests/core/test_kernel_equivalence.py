@@ -1,16 +1,16 @@
 """Randomized equivalence fuzzer for the fused validation kernel.
 
-The fused loop (:mod:`repro.core.castkernel`) is a pure performance
-move: on every document it must produce the same verdict, the same
-failure reason and Dewey path, the same
-:class:`~repro.core.result.ValidationStats` counters, and — when a
-guard or the well-formedness layer raises — the same exception type and
-message as the retained event pipeline
-(:meth:`StreamingCastValidator.validate_text_events`).  This fuzzer
-drives workload corpora (the paper's purchase orders, random schema
-pairs with valid, promise-violating and mutilated documents) and the
-adversarial corpus through both pipelines and asserts exactly
-that, in every skip mode.
+The fused loop (:mod:`repro.core.castkernel`, behind
+:func:`repro.core.cast.cast_text`) is a pure performance move: on every
+document it must produce the same verdict, the same failure reason and
+Dewey path, the same :class:`~repro.core.result.ValidationStats`
+counters, and — when a guard or the well-formedness layer raises — the
+same exception type and message as the event pipeline kept as its
+reference oracle (:func:`repro.core.reference.reference_cast`).  This
+fuzzer drives workload corpora (the paper's purchase orders, random
+schema pairs with valid, promise-violating and mutilated documents) and
+the adversarial corpus through both pipelines and asserts exactly that,
+in every skip mode.
 
 The per-value specialization (:func:`repro.schema.simple
 .compiled_checker`) carries the same contract against
@@ -25,7 +25,8 @@ import random
 
 import pytest
 
-from repro.core.streaming import StreamingCastValidator
+from repro.core.cast import cast_text
+from repro.core.reference import reference_cast
 from repro.errors import ReproError, SchemaError
 from repro.guards import Limits
 from repro.schema.registry import SchemaPair
@@ -56,7 +57,7 @@ from repro.workloads.purchase_orders import (
 from repro.xmltree.dom import Element, Text
 from repro.xmltree.serializer import serialize
 
-#: (byte_skip, trusted) — every skip mode of ``validate_text``.
+#: (byte_skip, trusted) — every skip mode of ``cast_text``.
 MODES = [
     pytest.param((False, False), id="event"),
     pytest.param((True, False), id="byte"),
@@ -64,15 +65,17 @@ MODES = [
 ]
 
 
-def outcome(validator, text, *, byte_skip=False, trusted=False,
+def outcome(pair, text, *, limits=None, byte_skip=False, trusted=False,
             events=False):
     """Everything observable about one validation run, exceptions
     included, as a comparable tuple."""
-    method = (
-        validator.validate_text_events if events else validator.validate_text
-    )
     try:
-        report = method(text, byte_skip=byte_skip, trusted=trusted)
+        if events:
+            report = reference_cast(pair, text, limits=limits,
+                                    byte_skip=byte_skip, trusted=trusted)
+        else:
+            report = cast_text(pair, text, limits=limits,
+                               stream_skip=byte_skip, trusted=trusted)
     except ReproError as error:
         return ("raise", type(error).__name__, str(error))
     return ("report", report.valid, report.reason, report.path,
@@ -81,9 +84,9 @@ def outcome(validator, text, *, byte_skip=False, trusted=False,
 
 def assert_equivalent(pair, text, mode, *, limits=None):
     byte_skip, trusted = mode
-    validator = StreamingCastValidator(pair, limits=limits)
-    fused = outcome(validator, text, byte_skip=byte_skip, trusted=trusted)
-    events = outcome(validator, text, byte_skip=byte_skip,
+    fused = outcome(pair, text, limits=limits, byte_skip=byte_skip,
+                    trusted=trusted)
+    events = outcome(pair, text, limits=limits, byte_skip=byte_skip,
                      trusted=trusted, events=True)
     assert fused == events, (
         f"kernel diverged from the event pipeline "
@@ -231,8 +234,8 @@ class TestArtifactRoundTrip:
             for record in source_pair.kernel().records:
                 if record.ready and record.kind == 2 and source_pair is restored:
                     assert record.check is None  # closure did not pickle
-        fresh = StreamingCastValidator(pair).validate_text(text)
-        healed = StreamingCastValidator(restored).validate_text(text)
+        fresh = cast_text(pair, text)
+        healed = cast_text(restored, text)
         assert (fresh.valid, fresh.reason, fresh.path) == (
             healed.valid, healed.reason, healed.path
         )

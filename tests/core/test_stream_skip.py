@@ -1,19 +1,20 @@
 """End-to-end skip-scan cast: byte skips through the full stack.
 
-The skip-scan path (``validate_text(byte_skip=True)`` /
+The skip-scan path (``cast_text(stream_skip=True)`` /
 ``cast --stream-skip``) must be a pure performance move: identical
 verdicts, identical failure reasons, identical Dewey paths and
 line/column positions — it only changes *how much of the document is
 ever tokenized*.  Under test:
 
-* verdict/reason/path identity against the event-level streaming cast
-  and the DOM cast, on the paper's experiment pairs and random pairs;
+* verdict/reason/path identity against the token-draining cast
+  (``stream_skip=False``) and the DOM cast, on the paper's experiment
+  pairs and random pairs;
 * error reporting *after* a skimmed region (the satellite regression:
   positions must not drift when the newline index is consulted past
   bytes the lexer never tokenized);
 * the new ``subtrees_byte_skipped`` / ``bytes_skipped`` counters;
 * resource guards (depth, size, deadline) firing inside a byte skim
-  through the validator entry points;
+  through the ``cast_text`` entry point;
 * the zero-subsumption worst case: nothing skips, verdict unchanged;
 * batch and module-level ``cast_text``/``cast_file`` routing.
 """
@@ -24,7 +25,6 @@ import pytest
 
 from repro.core.batch import validate_directory
 from repro.core.cast import CastValidator, cast_file, cast_text
-from repro.core.streaming import StreamingCastValidator
 from repro.errors import (
     DeadlineExceededError,
     DocumentTooDeepError,
@@ -58,11 +58,8 @@ class TestVerdictEquivalence:
     @pytest.mark.parametrize("trusted", MODES)
     def test_exp1_valid(self, exp1_pair, trusted):
         text = po_text(10)
-        validator = StreamingCastValidator(exp1_pair)
-        event = validator.validate_text(text)
-        skim = validator.validate_text(
-            text, byte_skip=True, trusted=trusted
-        )
+        event = cast_text(exp1_pair, text, stream_skip=False)
+        skim = cast_text(exp1_pair, text, trusted=trusted)
         assert event.valid and skim.valid
         # Same skip decisions, only executed at the byte level.
         assert (
@@ -82,12 +79,9 @@ class TestVerdictEquivalence:
         # target (<100): the cast fails at a simple value *after*
         # both address subtrees were byte-skipped.
         text = po_text(4, quantity_of=lambda index: 150)
-        validator = StreamingCastValidator(exp2_pair)
         dom = CastValidator(exp2_pair).validate(parse(text))
-        event = validator.validate_text(text)
-        skim = validator.validate_text(
-            text, byte_skip=True, trusted=trusted
-        )
+        event = cast_text(exp2_pair, text, stream_skip=False)
+        skim = cast_text(exp2_pair, text, trusted=trusted)
         assert not dom.valid
         assert (skim.valid, skim.reason, skim.path) == (
             event.valid,
@@ -104,9 +98,7 @@ class TestVerdictEquivalence:
     def test_identical_schemas_byte_skip_root(self, exp2_pair):
         pair = SchemaPair(exp2_pair.target, exp2_pair.target)
         text = po_text(50)
-        report = StreamingCastValidator(pair).validate_text(
-            text, byte_skip=True
-        )
+        report = cast_text(pair, text)
         assert report.valid
         assert report.stats.elements_visited == 0
         assert report.stats.subtrees_byte_skipped == 1
@@ -136,9 +128,8 @@ class TestVerdictEquivalence:
             except Exception:
                 continue
             text = serialize(doc, indent="  ")
-            validator = StreamingCastValidator(pair)
-            event = validator.validate_text(text)
-            skim = validator.validate_text(text, byte_skip=True)
+            event = cast_text(pair, text, stream_skip=False)
+            skim = cast_text(pair, text)
             assert (skim.valid, skim.reason, skim.path) == (
                 event.valid,
                 event.reason,
@@ -161,11 +152,8 @@ class TestErrorReportingAfterSkip:
         text = po_text(
             6, quantity_of=lambda index: 150 if index == 3 else 7
         )
-        validator = StreamingCastValidator(exp2_pair)
-        event = validator.validate_text(text)
-        skim = validator.validate_text(
-            text, byte_skip=True, trusted=trusted
-        )
+        event = cast_text(exp2_pair, text, stream_skip=False)
+        skim = cast_text(exp2_pair, text, trusted=trusted)
         assert not event.valid
         assert skim.path == event.path
         assert skim.reason == event.reason
@@ -179,11 +167,8 @@ class TestErrorReportingAfterSkip:
         # identical line/column (the newline index covers the whole
         # document, tokenized or not).
         text = po_text(8).replace("</purchaseOrder>", "</purchaseOrderX>")
-        validator = StreamingCastValidator(exp1_pair)
-        event = validator.validate_text(text)
-        skim = validator.validate_text(
-            text, byte_skip=True, trusted=trusted
-        )
+        event = cast_text(exp1_pair, text, stream_skip=False)
+        skim = cast_text(exp1_pair, text, trusted=trusted)
         assert not event.valid and not skim.valid
         assert "mismatched close tag </purchaseOrderX>" in event.reason
         assert "line" in event.reason and "column" in event.reason
@@ -193,9 +178,7 @@ class TestErrorReportingAfterSkip:
         # Malformed markup *inside* a skimmed region: the hardened skim
         # still reports a typed, positioned syntax failure.
         text = po_text(3).replace("<city>", "<city <", 1)
-        skim = StreamingCastValidator(exp1_pair).validate_text(
-            text, byte_skip=True
-        )
+        skim = cast_text(exp1_pair, text)
         assert not skim.valid
         assert skim.reason.startswith("not well-formed:")
         assert "line" in skim.reason and "column" in skim.reason
@@ -208,9 +191,8 @@ class TestZeroSubsumption:
             target_schema_zero_subsumption(),
         )
         text = po_text(10)
-        validator = StreamingCastValidator(pair)
-        event = validator.validate_text(text)
-        skim = validator.validate_text(text, byte_skip=True)
+        event = cast_text(pair, text, stream_skip=False)
+        skim = cast_text(pair, text)
         assert event.valid and skim.valid
         assert skim.stats.subtrees_skipped == 0
         assert skim.stats.subtrees_byte_skipped == 0
@@ -228,43 +210,36 @@ def _identical_dtd_pair(dtd: str, root: str) -> SchemaPair:
 
 
 class TestGuardsThroughTheStack:
-    """Limits must fire *inside* a byte skim via the validator API."""
+    """Limits must fire *inside* a byte skim via the entry points."""
 
     @pytest.mark.parametrize("trusted", MODES)
     def test_depth_limit(self, trusted):
         pair = _identical_dtd_pair("<!ELEMENT a (a?)>", "a")
-        validator = StreamingCastValidator(
-            pair, limits=Limits(max_tree_depth=50)
-        )
+        limits = Limits(max_tree_depth=50)
         text = deep_document(200)
         with pytest.raises(DocumentTooDeepError):
-            validator.validate_text(text, byte_skip=True, trusted=trusted)
-        # Parity: the event path trips the same guard.
+            cast_text(pair, text, limits=limits, trusted=trusted)
+        # Parity: the token-draining path trips the same guard.
         with pytest.raises(DocumentTooDeepError):
-            validator.validate_text(text)
+            cast_text(pair, text, limits=limits, stream_skip=False)
 
     def test_document_size_limit(self):
         pair = _identical_dtd_pair(
             "<!ELEMENT a (b*)><!ELEMENT b (#PCDATA)>", "a"
         )
-        validator = StreamingCastValidator(
-            pair, limits=Limits(max_document_bytes=64)
-        )
         with pytest.raises(DocumentTooLargeError):
-            validator.validate_text(wide_document(50), byte_skip=True)
+            cast_text(pair, wide_document(50),
+                      limits=Limits(max_document_bytes=64))
 
     @pytest.mark.parametrize("trusted", MODES)
     def test_deadline_fires_during_root_skim(self, trusted):
         # The whole document is one skim (identical pair, subsumed
         # root); only the per-skimmed-tag deadline ticks can stop it.
         pair = _identical_dtd_pair("<!ELEMENT a (a?)>", "a")
-        validator = StreamingCastValidator(
-            pair, limits=Limits(deadline_seconds=1e-9)
-        )
         with pytest.raises(DeadlineExceededError):
-            validator.validate_text(
-                deep_document(600), byte_skip=True, trusted=trusted
-            )
+            cast_text(pair, deep_document(600),
+                      limits=Limits(deadline_seconds=1e-9),
+                      trusted=trusted)
 
 
 class TestModuleEntryPoints:

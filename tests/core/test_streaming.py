@@ -78,7 +78,37 @@ class TestAttributeChecks:
         assert "missing required" in report.reason
 
 
+#: One schema and a document per failure the DOM validator reports at
+#: the offending node rather than at its parent.
+OFFENDING_NODE_SCHEMA = Schema(
+    {
+        "R": complex_type("R", "(a, b)", {"a": "S", "b": "B"}),
+        "B": complex_type("B", "(q*)", {"q": "I"},
+                          {"k": attribute("k", "I")}),
+        "S": builtin("string"),
+        "I": builtin("integer"),
+    },
+    {"r": "R"},
+)
+OFFENDING_NODE_DOCUMENTS = [
+    pytest.param('<r><a>x</a><b k="zz"/></r>', "1", id="attribute"),
+    pytest.param("<r><a>x</a><b><q>1</q>stray</b></r>", "1.1",
+                 id="character-data"),
+    pytest.param("<r><a>x</a><b><q>5</q><zz/></b></r>", "1.1",
+                 id="unexpected-element"),
+]
+
+
 class TestAgreementWithDom:
+    @pytest.mark.parametrize("text, path", OFFENDING_NODE_DOCUMENTS)
+    def test_failure_reported_at_offending_node(self, text, path):
+        streamed = validate_stream(OFFENDING_NODE_SCHEMA, text)
+        dom = validate_document(OFFENDING_NODE_SCHEMA, parse(text))
+        assert not dom.valid and dom.path == path
+        assert (streamed.valid, streamed.reason, streamed.path) == (
+            dom.valid, dom.reason, dom.path
+        )
+
     def test_failure_paths_match(self, po_schema):
         doc = make_purchase_order(5, quantity_of=lambda i: 500 if i == 3
                                   else 7)

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import os
+
 import pytest
 
 from repro.cli import main
@@ -131,28 +133,11 @@ class TestCast:
         out = capsys.readouterr().out
         assert "phase profile:" in out
 
-    def test_profile_parse_streaming_breaks_out_phases(
+    def test_profile_parse_stream_skip_reports_fused_phase(
         self, workspace, capsys
     ):
-        code = main([
-            "cast", str(workspace / "po.xml"),
-            "--source", str(workspace / "a.xsd"),
-            "--target", str(workspace / "b.xsd"),
-            "--streaming", "--profile-parse",
-        ])
-        assert code == 0
-        captured = capsys.readouterr()
-        assert "phase profile:" in captured.out
-        assert "parse:" in captured.out
-        assert "validate:" in captured.out
-        # The breakdown comes from the instrumented event pipeline.
-        assert "event pipeline" in captured.err
-
-    def test_profile_parse_stream_skip_attributes_skim_time(
-        self, workspace, capsys
-    ):
-        # The a->b pair is subsumption-heavy, so the skim phase must
-        # show up on its own line instead of being lumped into parse.
+        # The kernel parses, skims and validates in one loop: the
+        # profile times that pass as one phase instead of splitting it.
         code = main([
             "cast", str(workspace / "po.xml"),
             "--source", str(workspace / "a.xsd"),
@@ -162,8 +147,29 @@ class TestCast:
         assert code == 0
         captured = capsys.readouterr()
         assert "phase profile:" in captured.out
-        assert "skip:" in captured.out
-        assert "validate:" in captured.out
+        assert "fused:" in captured.out
+        assert "total:" in captured.out
+        assert "parse:" not in captured.out
+        assert captured.err == ""
+
+    def test_profile_parse_stream_skip_directory_reports_fused_phase(
+        self, workspace, capsys
+    ):
+        # Batch --stream-skip workers run the same kernel: same shape.
+        batch_dir = workspace / "batch"
+        batch_dir.mkdir()
+        write_file(make_purchase_order(1), str(batch_dir / "one.xml"))
+        code = main([
+            "cast", str(batch_dir),
+            "--source", str(workspace / "a.xsd"),
+            "--target", str(workspace / "b.xsd"),
+            "--stream-skip", "--profile-parse",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "phase profile:" in out
+        assert "fused:" in out
+        assert "parse:" not in out
 
 
 class TestRepair:
@@ -333,19 +339,61 @@ class TestStreamingFlags:
             "cast", str(workspace / "po.xml"),
             "--source", str(workspace / "a.xsd"),
             "--target", str(workspace / "b.xsd"),
-            "--streaming", "--stats",
+            "--stream-skip", "--stats",
         ])
         assert code == 0
         assert "subtrees skipped" in capsys.readouterr().out
 
-    def test_streaming_cast_invalid(self, workspace):
-        code = main([
+    def test_streaming_cast_invalid(self, workspace, capsys):
+        # The kernel prints the DOM cast's verdict line, reason included.
+        args = [
             "cast", str(workspace / "po_nobill.xml"),
             "--source", str(workspace / "a.xsd"),
             "--target", str(workspace / "b.xsd"),
-            "--streaming",
-        ])
-        assert code == 1
+        ]
+        assert main(args) == 1
+        dom_out = capsys.readouterr().out
+        assert main(args + ["--stream-skip"]) == 1
+        assert capsys.readouterr().out == dom_out
+        assert "INVALID" in dom_out
+
+    def test_cast_streaming_flag_is_gone(self, workspace, capsys):
+        # --stream-skip is the one kernel flag; --streaming was removed.
+        with pytest.raises(SystemExit) as exit_info:
+            main([
+                "cast", str(workspace / "po.xml"),
+                "--source", str(workspace / "a.xsd"),
+                "--target", str(workspace / "b.xsd"),
+                "--streaming",
+            ])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --streaming" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize("mode", ["dom", "stream-skip", "chain"])
+    def test_oversized_file_rejected_before_reading(
+        self, workspace, capsys, mode
+    ):
+        # Every cast path rejects on the on-disk size, naming the file,
+        # before the document is buffered.  The bound sits above the
+        # schema files (which load under the same limits).
+        source, target = str(workspace / "a.xsd"), str(workspace / "b.xsd")
+        doc = workspace / "big.xml"
+        write_file(make_purchase_order(60), str(doc))
+        bound = max(os.path.getsize(source), os.path.getsize(target))
+        assert os.path.getsize(doc) > bound
+        schemas = {
+            "dom": ["--source", source, "--target", target],
+            "stream-skip": ["--stream-skip", "--source", source,
+                            "--target", target],
+            "chain": ["--chain", source, target],
+        }[mode]
+        code = main(["cast", str(doc), *schemas, "--max-bytes", str(bound)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "[doc-too-large]" in err
+        assert f"file {str(doc)!r} is" in err
 
     def test_stream_skip_cast(self, workspace, capsys):
         code = main([

@@ -9,10 +9,10 @@ all fall back to string lookups.
 """
 
 from repro.automata.compiled import SymbolTable
-from repro.core import streaming
-from repro.core.cast import CastValidator
+from repro.core import reference, streaming
+from repro.core.cast import CastValidator, cast_text
 from repro.core.dtdcast import DTDCastValidator
-from repro.core.streaming import StreamingCastValidator, StreamingValidator
+from repro.core.streaming import StreamingValidator
 from repro.core.validator import validate_document
 from repro.schema.dtd import parse_dtd
 from repro.schema.registry import SchemaPair
@@ -154,7 +154,7 @@ class TestVerdictIdentity:
         dom = CastValidator(pair, collect_stats=False).validate(
             parse(text, symbols=pair.symbols)
         )
-        stream = StreamingCastValidator(pair).validate_text(text)
+        stream = cast_text(pair, text, stream_skip=False)
         assert (dom.valid, stream.valid) == (True, True)
         plain_schema = source_schema_experiment2()
         assert StreamingValidator(plain_schema).validate_text(text).valid
@@ -180,23 +180,22 @@ class TestVerdictIdentity:
         pair = SchemaPair(
             source_schema_experiment2(), target_schema_experiment2()
         )
-        # The fused kernel path allocates no _CastFrame at all; the
-        # buffer-discipline contract applies to the event pipeline,
-        # so instrument that path explicitly.
-        buffers = _record_frame_buffers(streaming, "_CastFrame")
+        # The fused kernel allocates no _CastFrame at all; the
+        # buffer-discipline contract applies to the event walk kept as
+        # its reference, so instrument that walk explicitly.
+        buffers = _record_frame_buffers(reference, "_CastFrame")
         try:
-            validator = StreamingCastValidator(pair)
             for byte_skip in (False, True):
                 buffers.clear()
-                report = validator.validate_text_events(
-                    po_text(), byte_skip=byte_skip
+                report = reference.reference_cast(
+                    pair, po_text(), byte_skip=byte_skip
                 )
                 assert report.valid
                 lists = [p for p in buffers if p is not None]
                 assert len(lists) == report.stats.simple_values_checked
                 assert len(buffers) == report.stats.elements_visited
         finally:
-            streaming._CastFrame = buffers.real
+            reference._CastFrame = buffers.real
 
     def test_dtd_cast_interned_vs_not(self):
         dtd = (
