@@ -13,7 +13,10 @@ collapses to a *structured* 500 with code ``internal`` rather than a
 traceback.  Adversarial input therefore cannot produce an unmapped
 response: oversized → 413, slow/expired → 408, depth/entity/state
 blowups → 422, malformed envelope or document → 400, unknown pair →
-404, bursts → 429, overload/drain → 503.
+404, bursts → 429, overload/drain → 503.  Requests the stdlib HTTP
+parser refuses answer in the same shape: an unsupported verb → 405,
+a malformed or oversized request line or header block → its stdlib
+status (400, 414, 431) with code ``bad-request``.
 """
 
 from __future__ import annotations

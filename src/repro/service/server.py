@@ -28,7 +28,10 @@ lifecycle is the robustness contract:
    every ``ReproError`` maps through
    :func:`~repro.service.diagnostics.http_status`; anything else is a
    *structured* 500 (code ``internal``).  No adversarial input can
-   produce a bare 500.
+   produce a bare 500.  Errors ``http.server`` raises itself (an
+   unsupported verb, a malformed or oversized request line or header
+   block) answer in the same JSON shape.  A response is one socket
+   write: status line, headers and body leave together.
 
 **Keep-alive**: connections are persistent (HTTP/1.1) and may carry up
 to ``max_requests_per_connection`` requests, pipelining included — the
@@ -66,6 +69,7 @@ import socket
 import threading
 import time
 from dataclasses import dataclass
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Optional
 
@@ -585,18 +589,63 @@ class _RequestHandler(BaseHTTPRequestHandler):
     def _send_json(
         self, status: int, payload: dict, headers: Optional[dict] = None
     ) -> None:
+        """Send one whole response in a single socket write.
+
+        Headers written apart from the body would leave as their own
+        segment, and Nagle would hold the body until the client ACKs
+        it: a delayed ACK, ~40 ms, on every keep-alive response.
+        """
         body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
         self._requests_served += 1
         if self._should_close():
-            self.send_header("Connection", "close")
             self.close_connection = True
-        self.end_headers()
-        self.wfile.write(body)
+        self.log_request(status)
+        if self.request_version == "HTTP/0.9":
+            # HTTP/0.9 has no status line and no headers: the bare body.
+            self.wfile.write(body)
+            return
+        fields = {
+            "Server": self.version_string(),
+            "Date": self.date_time_string(),
+            "Content-Type": "application/json",
+            "Content-Length": str(len(body)),
+            **(headers or {}),
+        }
+        if self.close_connection:
+            fields["Connection"] = "close"
+        reason = self.responses.get(status, ("",))[0]
+        head = "".join(
+            [f"{self.protocol_version} {status} {reason}\r\n"]
+            + [f"{name}: {value}\r\n" for name, value in fields.items()]
+            + ["\r\n"]
+        ).encode("latin-1")
+        # A HEAD answer carries a GET's headers and no body.
+        self.wfile.write(head if self.command == "HEAD" else head + body)
+
+    def send_error(
+        self,
+        code: int,
+        message: Optional[str] = None,
+        explain: Optional[str] = None,
+    ) -> None:
+        """Answer the errors ``http.server`` raises itself in the typed
+        JSON shape: an unsupported verb is 405 ``method-not-allowed``; a
+        malformed or oversized request line or header block keeps the
+        stdlib status with code ``bad-request``.  Every one closes the
+        connection: it fires before any body is read."""
+        if code == HTTPStatus.NOT_IMPLEMENTED:
+            status = 405
+            error = MethodNotAllowedError(
+                f"method {self.command} is not supported"
+            )
+        else:
+            status = int(code)
+            error = MalformedRequestError(
+                message or self.responses.get(code, ("bad request",))[0]
+            )
+        self.log_error("code %d, message %s", code, message)
+        self.close_connection = True
+        self._send_json(status, error_payload(error))
 
     def _send_error_response(self, error: BaseException) -> None:
         status = http_status(error)

@@ -4,11 +4,18 @@ These assert the persistent-connection contract on raw sockets: reuse
 across requests, in-order pipelined answers, and — critically — that
 every path which may leave unread body bytes on the wire (shed before
 body read, truncated body) closes the connection instead of letting the
-next request line be parsed out of stale body bytes.
+next request line be parsed out of stale body bytes.  Every response,
+error paths included, leaves in one socket write: a body written after
+its headers would wait for the client's delayed ACK of the header
+segment (Nagle), ~40 ms on every keep-alive response.
 """
 
 from __future__ import annotations
 
+import json
+import re
+import socket
+import socketserver
 import threading
 
 import pytest
@@ -151,8 +158,6 @@ class TestKeepAlive:
                 "\r\n"
             ).encode("ascii")
             client.send_raw(head + b'{"pair": "po-exp1"')
-            import socket
-
             client.sock.shutdown(socket.SHUT_WR)
             status, payload, headers = client.read_response()
             assert status == 400
@@ -177,3 +182,139 @@ class TestKeepAlive:
             client.send("GET", "/healthz")
             status, _, _ = client.read_response()
             assert status == 200
+
+
+def exchange_to_eof(host: str, port: int, data: bytes) -> bytes:
+    """Send raw request bytes and read until the server closes."""
+    with socket.create_connection((host, port), timeout=10.0) as sock:
+        sock.sendall(data)
+        reply = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return reply
+            reply += chunk
+
+
+@pytest.fixture()
+def socket_writes(monkeypatch):
+    """Every server-side socket write while the test runs, in order."""
+    writes: list[bytes] = []
+    write = socketserver._SocketWriter.write
+
+    def counting(self, data):
+        # Counted before the send, so a response the client has read is
+        # always already counted.
+        writes.append(bytes(data))
+        return write(self, data)
+
+    monkeypatch.setattr(socketserver._SocketWriter, "write", counting)
+    return writes
+
+
+class TestOneWritePerResponse:
+    def test_verdict(self, demo_service, socket_writes):
+        with KeepAliveClient(demo_service.host, demo_service.port) as client:
+            client.send("POST", "/validate", validate_payload())
+            status, payload, _ = client.read_response()
+            assert status == 200 and payload["valid"] is True
+            assert len(socket_writes) == 1
+
+    def test_typed_error_after_body_read(self, demo_service, socket_writes):
+        with KeepAliveClient(demo_service.host, demo_service.port) as client:
+            client.send(
+                "POST", "/validate",
+                {"pair": "no-such-pair", "xml": "<x/>", "schema": "source"},
+            )
+            status, _, headers = client.read_response()
+            assert status == 404 and headers.get("connection") != "close"
+            assert len(socket_writes) == 1
+            client.send("GET", "/healthz")
+            status, _, _ = client.read_response()
+            assert status == 200
+            assert len(socket_writes) == 2
+
+    def test_shed_before_body_read(self, socket_writes):
+        release = threading.Event()
+        entered = threading.Event()
+
+        def hold_slot(route):
+            entered.set()
+            release.wait(15.0)
+
+        handle = boot(
+            ServiceConfig(max_concurrent=1, max_queue=0),
+            after_admit_hook=hold_slot,
+        )
+        try:
+            blocker = KeepAliveClient(handle.host, handle.port)
+            blocker.send("POST", "/validate", validate_payload())
+            assert entered.wait(10.0)
+            with KeepAliveClient(handle.host, handle.port) as client:
+                client.send("POST", "/validate", validate_payload())
+                status, _, headers = client.read_response()
+                assert status == 503 and headers.get("connection") == "close"
+                assert client.server_closed()
+                assert len(socket_writes) == 1
+            release.set()
+            status, _, _ = blocker.read_response()
+            assert status == 200
+            assert len(socket_writes) == 2
+            blocker.close()
+        finally:
+            release.set()
+            handle.service.close()
+
+    def test_close_at_keepalive_cap(self, socket_writes):
+        handle = boot(ServiceConfig(max_requests_per_connection=1))
+        try:
+            reply = exchange_to_eof(
+                handle.host, handle.port,
+                KeepAliveClient.encode("GET", "/healthz"),
+            )
+            assert b"\r\nConnection: close\r\n" in reply
+            assert socket_writes == [reply]
+        finally:
+            handle.service.close()
+
+    # The oversized line and header block end where the stdlib stops
+    # reading, so no unread byte turns the close into a reset.
+    @pytest.mark.parametrize("request_bytes, status, code", [
+        (b"PUT /cast HTTP/1.1\r\nHost: service\r\nContent-Length: 0\r\n\r\n",
+         405, "method-not-allowed"),
+        # A HEAD answer is the headers alone.
+        (b"HEAD /healthz HTTP/1.1\r\nHost: service\r\n\r\n", 405, None),
+        (b"FOO BAR BAZ HTTP/1.1\r\n\r\n", 400, "bad-request"),
+        (b"GET /" + b"a" * (65537 - len(b"GET /")), 414, "bad-request"),
+        (b"GET /healthz HTTP/1.1\r\n"
+         + b"".join(b"X-Filler-%d: y\r\n" % n for n in range(101)),
+         431, "bad-request"),
+    ], ids=["unsupported-verb", "head", "garbage-line", "oversized-line",
+            "oversized-headers"])
+    def test_stdlib_error(self, demo_service, socket_writes, request_bytes,
+                          status, code):
+        # The typed JSON answer, not the stdlib's HTML page, in one write.
+        reply = exchange_to_eof(
+            demo_service.host, demo_service.port, request_bytes
+        )
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert int(head.split(b" ", 2)[1]) == status
+        assert b"\r\nContent-Type: application/json\r\n" in reply
+        assert b"\r\nConnection: close\r\n" in reply
+        length = int(re.search(rb"\r\nContent-Length: (\d+)\r\n", reply)[1])
+        if code is None:
+            assert body == b"" and length > 0  # a GET's headers, no body
+        else:
+            assert len(body) == length
+            assert json.loads(body)["error"]["code"] == code
+        assert socket_writes == [reply]
+
+
+def test_http09_request_gets_the_bare_json_body(demo_service, capsys):
+    """An HTTP/0.9 request line has no status line or headers to answer
+    with: the reply is the JSON body alone, and nothing is logged."""
+    reply = exchange_to_eof(
+        demo_service.host, demo_service.port, b"GET /healthz\r\n\r\n"
+    )
+    assert json.loads(reply)["status"] == "ok"
+    assert "Traceback" not in capsys.readouterr().err
