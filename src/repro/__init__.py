@@ -28,8 +28,6 @@ from repro.automata import (
 )
 from repro.core import (
     CastValidator,
-    StreamingValidator,
-    validate_stream,
     CastWithModificationsValidator,
     DTDCastValidator,
     DocumentRepairer,
@@ -37,6 +35,7 @@ from repro.core import (
     ValidationReport,
     ValidationStats,
     validate_document,
+    validate_text,
 )
 from repro.dewey import Dewey, DeweyTrie
 from repro.errors import (
@@ -92,8 +91,7 @@ __all__ = [
     "ValidationReport",
     "ValidationStats",
     "validate_document",
-    "StreamingValidator",
-    "validate_stream",
+    "validate_text",
     "Dewey",
     "DeweyTrie",
     "BatchError",

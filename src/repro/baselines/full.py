@@ -18,25 +18,15 @@ from repro.xmltree.dom import Document
 
 
 class FullValidator:
-    """Validates documents against one schema by full traversal.
+    """Validates documents against one schema by full traversal."""
 
-    ``collect_stats=False`` switches to the compiled dense-table fast
-    path of :func:`repro.core.validator.validate_document` — same
-    verdicts, no Table-3 counters.
-    """
-
-    def __init__(self, schema: Schema, *, collect_stats: bool = True):
+    def __init__(self, schema: Schema):
         self.schema = schema
-        self.collect_stats = collect_stats
         # Precompile every content model, as a production validator
         # (Xerces) does when the grammar is loaded.
         for type_name, declaration in schema.types.items():
             if isinstance(declaration, ComplexType):
                 schema.content_dfa(type_name)
-                if not collect_stats:
-                    schema.compiled_content_dfa(type_name)
 
     def validate(self, document: Document) -> ValidationReport:
-        return validate_document(
-            self.schema, document, collect_stats=self.collect_stats
-        )
+        return validate_document(self.schema, document)

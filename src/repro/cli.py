@@ -3,8 +3,10 @@
 Commands mirror the library's main entry points so the system can be
 driven without writing Python:
 
-* ``validate DOC --xsd SCHEMA | --dtd SCHEMA [--root LABEL]`` —
-  plain validation of a document against one schema;
+* ``validate DOC --schema SCHEMA [--root LABEL] [--stats]`` — plain
+  validation of a document against one schema: one pass of the fused
+  kernel over the schema's own tables, no tree
+  (:func:`~repro.core.validator.validate_file`);
 * ``cast DOC... --source A --target B [--stats] [--no-string-cast]`` —
   schema cast validation (documents promised valid under A); each DOC
   may be a directory, validated as a batch (``--jobs N`` parallelizes
@@ -49,7 +51,7 @@ from typing import Optional, Sequence
 from repro.core.cast import CastValidator, cast_text
 from repro.core.memo import DEFAULT_MEMO_SIZE
 from repro.core.repair import DocumentRepairer
-from repro.core.validator import validate_document
+from repro.core.validator import validate_file
 from repro.errors import ReproError, error_code
 from repro.guards import DEFAULT_LIMITS, Limits, limits_scope, read_document
 from repro.schema.dtd import parse_dtd
@@ -179,18 +181,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
         return 2
     with limits_scope(limits):
         schema = load_schema(args.schema, roots=args.root or None)
-        if args.streaming:
-            from repro.core.streaming import StreamingValidator
-
-            report = StreamingValidator(
-                schema, limits=limits
-            ).validate_file(args.document)
-        else:
-            document, deadline = _parse_with_retries(
-                args.document, limits, args.retries, symbols=schema.symbols
-            )
-            report = validate_document(schema, document, limits=limits,
-                                       deadline=deadline)
+        report = _with_retries(
+            lambda: validate_file(schema, args.document, limits=limits),
+            args.retries,
+        )
     if report.valid:
         print(f"{args.document}: valid")
         if args.stats:
@@ -790,11 +784,6 @@ def build_parser() -> argparse.ArgumentParser:
     validate.add_argument("--root", action="append",
                           help="permitted root label (DTD; repeatable)")
     validate.add_argument("--stats", action="store_true")
-    validate.add_argument(
-        "--streaming",
-        action="store_true",
-        help="validate during parsing with O(depth) memory",
-    )
     _add_guard_options(validate)
     validate.set_defaults(handler=cmd_validate)
 

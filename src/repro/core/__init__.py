@@ -6,15 +6,13 @@ from repro.core.castmods import CastWithModificationsValidator
 from repro.core.dtdcast import DTDCastValidator
 from repro.core.repair import DocumentRepairer, RepairAction, RepairResult
 from repro.core.result import ValidationReport, ValidationStats
-from repro.core.streaming import (
-    StreamingValidator,
-    validate_stream,
-)
 from repro.core.updates import Delta, UpdateSession
 from repro.core.validator import (
     validate_document,
     validate_element,
+    validate_file,
     validate_root,
+    validate_text,
 )
 
 __all__ = [
@@ -24,13 +22,13 @@ __all__ = [
     "DocumentRepairer",
     "RepairAction",
     "RepairResult",
-    "StreamingValidator",
-    "validate_stream",
     "ValidationReport",
     "ValidationStats",
     "Delta",
     "UpdateSession",
     "validate_document",
     "validate_element",
+    "validate_file",
     "validate_root",
+    "validate_text",
 ]

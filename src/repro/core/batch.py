@@ -175,7 +175,7 @@ def validate_batch(
             one pickle the transport would otherwise write); ignored
             under the fork start method.
         stream_skip: validate DOM-free through the streaming cast's
-            byte-level skip-scan path (see :mod:`repro.core.streaming`).
+            byte-level skip-scan path (see :mod:`repro.core.castkernel`).
             No tree is built, so ``memo_size`` and ``use_string_cast``
             are ignored; parse and validation are one fused phase.
         fleet: a caller-owned resident :class:`WorkerFleet` to dispatch

@@ -536,7 +536,8 @@ def cast_text(
     """
     try:
         return castkernel.run(
-            pair, resolve_limits(limits), text, stream_skip, trusted
+            pair.kernel(), resolve_limits(limits), text, stream_skip,
+            trusted,
         )
     except XMLSyntaxError as error:
         return ValidationReport.failure(f"not well-formed: {error}")

@@ -2,7 +2,10 @@
 
 This is the engine behind every DOM-free text cast
 (:func:`repro.core.cast.cast_text`/:func:`~repro.core.cast.cast_file`,
-batch ``stream_skip`` workers, evolution chains).  One loop owns the
+batch ``stream_skip`` workers, evolution chains) and behind plain
+validation of text (:func:`repro.core.validator.validate_text`), which
+runs the same loop over the schema-only tables of
+:meth:`repro.schema.model.Schema.kernel`.  One loop owns the
 :class:`~repro.xmltree.lexer.Scanner` cursor directly and validates
 each construct the moment the lexer matches it, against the flat
 :class:`~repro.schema.pairkernel.PairKernel` tables — no event objects,
@@ -20,7 +23,9 @@ tag, value and end tag never become separate tokens.
 Failure reports carry the DOM cast's reason and Dewey path (the
 offending node: an element for attribute, disjointness and value
 failures, the text node for stray character data, the parent for a
-content-model failure).  Semantics are byte-identical to the event
+content-model failure); over a schema-only kernel a foreign root is
+:func:`~repro.core.validator.validate_document`'s "is not a permitted
+root".  Semantics are byte-identical to the event
 pipeline kept as the reference oracle
 (:func:`repro.core.reference.reference_cast`) — same verdicts,
 reasons, paths, :class:`~repro.core.result.ValidationStats` counters
@@ -50,7 +55,7 @@ from repro.schema.pairkernel import (
     K_SIMPLE,
 )
 from repro.schema.simple import compiled_checker
-from repro.xmltree.events import _attributes, _skip_prolog, _trailing_misc
+from repro.xmltree.events import _attributes, _trailing_misc
 from repro.xmltree.lexer import (
     END_TAG_RE,
     LEAF_RE,
@@ -61,6 +66,7 @@ from repro.xmltree.lexer import (
     TOK_TEXT,
     XML_WS_RE,
     Scanner,
+    skip_prolog,
 )
 
 # Frame layout (plain lists — cheaper than dataclass instances in the
@@ -75,19 +81,21 @@ _LABEL = 5
 _POS = 6
 
 
-def run(pair, limits, text, byte_skip, trusted):
-    """The fused cast of ``text`` against ``pair`` under ``limits``.
+def run(kernel, limits, text, byte_skip, trusted):
+    """The fused cast of ``text`` over ``kernel`` (a pair's
+    :meth:`~repro.schema.registry.SchemaPair.kernel`, or a schema's
+    :meth:`~repro.schema.model.Schema.kernel` for plain validation)
+    under ``limits``.
 
     A malformed document raises :class:`~repro.errors.XMLSyntaxError`
     (batch workers record it as a typed per-document error;
     :func:`repro.core.cast.cast_text` turns it into a failure report).
     """
-    kernel = pair.kernel()
     stats = ValidationStats()
     check_document_size(len(text), limits)
     deadline = limits.deadline()
     scanner = Scanner(text, limits=limits, deadline=deadline)
-    _skip_prolog(scanner)
+    skip_prolog(scanner)
     if not scanner.starts_with("<"):
         raise scanner.error("expected the root element")
 
@@ -95,11 +103,11 @@ def run(pair, limits, text, byte_skip, trusted):
     # would repeat is bound once here.
     src = scanner.text
     n = len(src)
-    ids = pair.symbols.ids
+    ids = kernel.symbols.ids
     records = kernel.records
     materialize = kernel.materialize
     root_actions = kernel.root_actions
-    target_schema = pair.target
+    target_schema = kernel.target
     limits_ = scanner.limits
     next_content_match = scanner.next_content_match
     start_tag_parts = scanner.start_tag_parts
@@ -494,8 +502,9 @@ def run(pair, limits, text, byte_skip, trusted):
                 action = root_actions.get(name, A_NO_TARGET)
                 if action == A_NO_TARGET:
                     failure = ValidationReport.failure(
-                        f"label {name!r} is not a permitted root of "
-                        "the target schema"
+                        f"label {name!r} is not a permitted root"
+                        + ("" if kernel.pair is None
+                           else " of the target schema")
                     )
                     failure.stats = stats
                     return failure
@@ -589,8 +598,8 @@ def run(pair, limits, text, byte_skip, trusted):
             if action == A_DISJOINT:
                 stats.disjoint_rejections += 1
                 if rec_p is None:
-                    d_source = pair.source.root_type(name)
-                    d_target = pair.target.root_type(name)
+                    d_source = kernel.pair.source.root_type(name)
+                    d_target = target_schema.root_type(name)
                 else:
                     d_source, d_target = kernel.child_types(rec_p, sid)
                 failure = ValidationReport.failure(

@@ -287,7 +287,7 @@ def _validate_document(
 
                 text = read_document(path, limits)
                 run_start = time.perf_counter()
-                report = run(pair, limits, text,
+                report = run(pair.kernel(), limits, text,
                              byte_skip=True, trusted=False)
                 if config.collect_stats:
                     report.stats.validate_seconds += (

@@ -42,7 +42,9 @@ from repro.schema.registry import SchemaPair
 #: :class:`~repro.schema.chain.SchemaChain`, product target schemas with
 #: :class:`~repro.schema.simple.IntersectionType` values) may be pickled.
 #: v5: ``_string_casts`` is a plain dict again (the promotion table is gone).
-ARTIFACT_VERSION = 5
+#: v6: every :class:`~repro.schema.model.Schema` carries a ``_kernel`` slot
+#: (its plain-validation kernel, ``None`` until built).
+ARTIFACT_VERSION = 6
 
 
 class ArtifactError(ReproError):

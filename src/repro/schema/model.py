@@ -8,8 +8,9 @@
   ``types_τ`` whose domain is exactly the labels used in the expression;
 * ``R`` — the partial map from permitted root labels to their types.
 
-:class:`Schema` owns a cache of compiled content-model DFAs and the
-per-type "useful symbol" analysis the subsumption fixpoint consumes.
+:class:`Schema` owns a cache of compiled content-model DFAs, the
+per-type "useful symbol" analysis the subsumption fixpoint consumes, and
+the plain-validation kernel tables built from them.
 """
 
 from __future__ import annotations
@@ -137,6 +138,7 @@ class Schema:
         self._child_rows: dict[str, tuple[Optional[str], ...]] = {}
         self._useful: dict[str, frozenset[str]] = {}
         self._reachable: Optional[frozenset[str]] = None
+        self._kernel = None
         self._check_references()
         #: Σ — every label mentioned in a content model or the root map.
         self.alphabet: frozenset[str] = self._compute_alphabet()
@@ -256,6 +258,21 @@ class Schema:
             )
             self._child_rows[type_name] = row
         return row
+
+    def kernel(self):
+        """The plain-validation
+        :class:`~repro.schema.pairkernel.PairKernel` of this schema
+        (built on first use, then cached): the fused cast's tables with
+        no source side, every record ``K_PLAIN`` or ``K_SIMPLE`` over
+        :attr:`symbols`, :meth:`compiled_content_dfa` and
+        :meth:`child_type_row`.  :func:`repro.core.validator
+        .validate_text` runs it through :func:`repro.core.castkernel
+        .run`."""
+        if self._kernel is None:
+            from repro.schema.pairkernel import PairKernel
+
+            self._kernel = PairKernel(schema=self)
+        return self._kernel
 
     def reachable_types(self) -> frozenset[str]:
         """Type names reachable from the root map through child-type

@@ -20,6 +20,13 @@ the plain target content DFA for simple-source parents, nothing for
 simple targets), so the per-child feed is one more indexed load against
 the same record.
 
+Plain validation against one schema is the cast with no source
+knowledge (``R_sub`` and ``R_dis`` empty), so the same tables serve
+it: :meth:`repro.schema.model.Schema.kernel` builds a kernel with no
+pair, whose records are all :data:`K_PLAIN` or :data:`K_SIMPLE` over
+the schema's own symbol table and whose actions are only record ids
+and :data:`A_NO_TARGET`.
+
 Records materialize lazily on first entry, so an unwarmed pair only
 compiles machines for type pairs a document actually exercises.
 :meth:`PairKernel.warm` forces the full reachable set for persisted
@@ -98,19 +105,24 @@ class PairRecord:
 
 class PairKernel:
     """Flat action/content tables for every reachable type pair of one
-    :class:`~repro.schema.registry.SchemaPair`."""
+    :class:`~repro.schema.registry.SchemaPair` — or, built from a
+    ``schema`` alone (``pair`` is then ``None``), for every reachable
+    type of that schema, with no source side."""
 
-    def __init__(self, pair) -> None:
+    def __init__(self, pair=None, *, schema=None) -> None:
         self.pair = pair
+        #: The schema the tables validate against, and the symbol table
+        #: their rows are indexed by (the pair's, or the schema's own).
+        self.target = pair.target if pair is not None else schema
+        self.symbols = pair.symbols if pair is not None else schema.symbols
         self.records: list[PairRecord] = []
         self._ids: dict[tuple[str, str], int] = {}
         #: root label → action code (same encoding as action rows).
         self.root_actions: dict[str, int] = {}
-        for label in sorted(
-            set(pair.source.roots) | set(pair.target.roots)
-        ):
+        source_roots = pair.source.roots if pair is not None else {}
+        for label in sorted(set(source_roots) | set(self.target.roots)):
             self.root_actions[label] = self._classify(
-                pair.source.root_type(label), pair.target.root_type(label)
+                source_roots.get(label), self.target.root_type(label)
             )
 
     def _classify(
@@ -121,9 +133,11 @@ class PairKernel:
         (:func:`repro.core.reference.reference_cast`)."""
         if target_type is None:
             return A_NO_TARGET
+        pair = self.pair
+        if pair is None:  # one schema: no source knowledge, no skips
+            return self.record_id(None, target_type)
         if source_type is None:
             return A_NO_SOURCE
-        pair = self.pair
         if pair.is_subsumed(source_type, target_type):
             return A_SUBSUME
         if pair.is_disjoint(source_type, target_type):
@@ -147,9 +161,9 @@ class PairKernel:
         if record.ready:
             return record
         pair = self.pair
-        target_decl = pair.target.type(record.target_type)
+        target_decl = self.target.type(record.target_type)
         record.target_decl = target_decl
-        record.width = len(pair.symbols)
+        record.width = len(self.symbols)
         if isinstance(target_decl, SimpleType):
             record.kind = K_SIMPLE
             record.simple_decl = target_decl
@@ -157,7 +171,11 @@ class PairKernel:
             record.has_attrs = False
         else:
             record.has_attrs = bool(target_decl.attributes)
-            source_decl = pair.source.type(record.source_type)
+            source_decl = (
+                pair.source.type(record.source_type)
+                if pair is not None
+                else None
+            )
             if isinstance(source_decl, ComplexType):
                 machine = pair.string_cast(
                     record.source_type, record.target_type
@@ -170,7 +188,13 @@ class PairKernel:
                 record.start = immed.start
                 record.always_accepts = machine.always_accepts
             else:
-                compiled = pair.target_content(record.target_type)
+                compiled = (
+                    pair.target_content(record.target_type)
+                    if pair is not None
+                    else self.target.compiled_content_dfa(
+                        record.target_type
+                    )
+                )
                 record.kind = K_PLAIN
                 record.table = compiled.flat
                 record.flags = compiled.flags
@@ -182,7 +206,11 @@ class PairKernel:
 
     def _action_row(self, record: PairRecord, source_decl) -> array:
         pair = self.pair
-        target_row = pair.target_child_row(record.target_type)
+        target_row = (
+            pair.target_child_row(record.target_type)
+            if pair is not None
+            else self.target.child_type_row(record.target_type)
+        )
         source_row = (
             pair.source_child_row(record.source_type)
             if isinstance(source_decl, ComplexType)
@@ -195,9 +223,7 @@ class PairKernel:
                     source_row[sid] if source_row is not None else None,
                     target_row[sid],
                 )
-                if target_row[sid] is not None
-                else A_NO_TARGET
-                for sid in range(len(pair.symbols))
+                for sid in range(len(self.symbols))
             ),
         )
 

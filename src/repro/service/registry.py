@@ -189,8 +189,18 @@ class ServiceRegistry:
         one spec — the single compilation point for boot warm-up and
         hot registration alike.  :class:`ChainSpec` entries compose
         their schemas into one chain pair (``chain_length`` > 0)."""
-        if isinstance(spec, ChainSpec):
-            return self._build_chain_entry(spec)
+        entry = (
+            self._build_chain_entry(spec)
+            if isinstance(spec, ChainSpec)
+            else self._build_pair_entry(spec)
+        )
+        # POST /validate runs either schema alone on its plain kernel;
+        # SchemaPair.warm() builds only the pair's own tables.
+        entry.pair.source.kernel().warm()
+        entry.pair.target.kernel().warm()
+        return entry
+
+    def _build_pair_entry(self, spec: PairSpec) -> RegisteredPair:
         source = (
             spec.source
             if isinstance(spec.source, Schema)

@@ -23,7 +23,7 @@ from typing import Optional
 from repro.core.castmods import CastWithModificationsValidator
 from repro.core.cast import cast_text
 from repro.core.updates import UpdateSession
-from repro.core.validator import validate_document
+from repro.core.validator import validate_text
 from repro.dewey import Dewey
 from repro.errors import ChainMismatchError, DeadlineExceededError
 from repro.guards import Limits, limits_scope, remaining_limits
@@ -180,13 +180,13 @@ def perform_request(
 
     ``limits`` must already carry the residual request deadline (see
     :func:`residual_limits`); one deadline started from it covers every
-    pass of the request (parse, then validation).  Raises
+    pass of the request (parse then validation, or the kernel pass and
+    its well-formedness drain).  Raises
     ``ReproError`` on any typed failure — the caller maps it to an
     HTTP status.
     """
     xml = require_str(request, "xml")
     started = time.perf_counter()
-    deadline = limits.deadline()
     mods_applied: Optional[int] = None
     extra: dict = {}
     with limits_scope(limits):
@@ -197,12 +197,7 @@ def perform_request(
                     "request field 'schema' must be 'source' or 'target'"
                 )
             schema = pair.source if which == "source" else pair.target
-            document = parse(xml, limits=limits, deadline=deadline,
-                             symbols=schema.symbols)
-            report = validate_document(
-                schema, document, collect_stats=False, limits=limits,
-                deadline=deadline,
-            )
+            report = validate_text(schema, xml, limits=limits)
         elif kind == "cast":
             report = cast_text(
                 pair,
@@ -235,6 +230,7 @@ def perform_request(
                 mods_applied = len(program.rules)
                 extra["classification"] = classification.value
             else:
+                deadline = limits.deadline()
                 document = parse(xml, limits=limits, deadline=deadline,
                                  symbols=pair.symbols)
                 session = UpdateSession(document)

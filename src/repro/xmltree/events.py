@@ -1,8 +1,10 @@
 """Streaming (SAX-style) XML parsing.
 
 :func:`iterparse` yields start/text/end events without ever building a
-tree — the substrate for :class:`repro.core.streaming.StreamingValidator`,
-which validates in O(document depth) memory.  The event stream matches
+tree — the substrate of the reference event-walk cast
+(:func:`repro.core.reference.reference_cast`, the fused kernel's
+oracle) and of the well-formedness drain that follows a rejection in
+:func:`repro.core.validator.validate_text`.  The event stream matches
 the DOM parser's semantics exactly: same entity handling, same
 whitespace-only text suppression (unless ``keep_whitespace``), same
 error positions; a tree built from the events equals :func:`parse`'s.
@@ -13,8 +15,8 @@ text run — and replays malformed markup through the character-level
 scanner primitives so diagnostics are unchanged from the historical
 implementation.  Pass ``symbols=`` to intern element labels as they are
 lexed: ``StartElement.sym`` then carries the label's dense id in that
-table (``-1`` otherwise), which the streaming validators use to skip
-per-event string hashing.
+table (``-1`` otherwise), so an event consumer can skip per-event
+string hashing.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from repro.xmltree.lexer import (
     TOK_START,
     TOK_TEXT,
     Scanner,
+    skip_prolog,
 )
 
 #: Shared empty attribute mapping for the (dominant) no-attribute case —
@@ -88,7 +91,7 @@ def iterparse(
     if deadline is None:
         deadline = limits.deadline()
     scanner = Scanner(text, limits=limits, deadline=deadline)
-    _skip_prolog(scanner)
+    skip_prolog(scanner)
     if not scanner.starts_with("<"):
         raise scanner.error("expected the root element")
     yield from _element_events(scanner, keep_whitespace, symbols)
@@ -96,58 +99,22 @@ def iterparse(
 
 
 def _trailing_misc(scanner: Scanner) -> None:
-    """Consume comments/PIs/whitespace after the root element."""
+    """Consume comments/PIs/whitespace after the root element, with the
+    tree parser's checks."""
     while not scanner.at_end():
         scanner.skip_whitespace()
         if scanner.at_end():
             break
         if scanner.starts_with("<!--"):
             scanner.advance(4)
-            scanner.read_until("-->", what="comment")
+            body = scanner.read_until("-->", what="comment")
+            if "--" in body:
+                raise scanner.error("'--' is not allowed inside a comment")
         elif scanner.starts_with("<?"):
             scanner.advance(2)
             scanner.read_until("?>", what="processing instruction")
         else:
             raise scanner.error("content after the root element")
-
-
-def _skip_prolog(scanner: Scanner) -> None:
-    scanner.skip_whitespace()
-    if scanner.starts_with("<?xml"):
-        scanner.advance(2)
-        scanner.read_until("?>", what="XML declaration")
-    while True:
-        scanner.skip_whitespace()
-        if scanner.starts_with("<!--"):
-            scanner.advance(4)
-            scanner.read_until("-->", what="comment")
-        elif scanner.starts_with("<?"):
-            scanner.advance(2)
-            scanner.read_until("?>", what="processing instruction")
-        elif scanner.starts_with("<!DOCTYPE"):
-            _skip_doctype(scanner)
-        else:
-            return
-
-
-def _skip_doctype(scanner: Scanner) -> None:
-    scanner.expect("<!DOCTYPE")
-    depth = 0
-    while True:
-        ch = scanner.peek()
-        if ch == "":
-            raise scanner.error("unterminated DOCTYPE")
-        if ch in ("'", '"'):
-            scanner.read_quoted()
-            continue
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        elif ch == ">" and depth <= 0:
-            scanner.advance()
-            return
-        scanner.advance()
 
 
 def _element_events(
@@ -371,7 +338,7 @@ class PullParser:
 
     def _run(self) -> Iterator[Event]:
         scanner = self.scanner
-        _skip_prolog(scanner)
+        skip_prolog(scanner)
         if not scanner.starts_with("<"):
             raise scanner.error("expected the root element")
         yield from _element_events(

@@ -12,6 +12,14 @@ schema pairs with valid, promise-violating and mutilated documents) and
 the adversarial corpus through both pipelines and asserts exactly that,
 in every skip mode.
 
+In validation mode the same loop runs over one schema's kernel
+(:func:`repro.core.validator.validate_text`), and the oracle is the
+tree walk over the parsed document, ``validate_document(schema,
+parse(text))``: the same exception type and error code, or the same
+verdict, reason, path and (on a valid document) counters — with no
+tolerance for the tree walk's content-first order, which the kernel's
+drain after a rejection reproduces.
+
 The per-value specialization (:func:`repro.schema.simple
 .compiled_checker`) carries the same contract against
 :meth:`SimpleType.validate` and is fuzzed over random simple types and
@@ -27,7 +35,9 @@ import pytest
 
 from repro.core.cast import cast_text
 from repro.core.reference import reference_cast
-from repro.errors import ReproError, SchemaError
+from repro.core.updates import UpdateSession
+from repro.core.validator import validate_document, validate_text
+from repro.errors import ReproError, SchemaError, error_code
 from repro.guards import Limits
 from repro.schema.registry import SchemaPair
 from repro.schema.simple import compiled_checker
@@ -44,7 +54,7 @@ from repro.workloads.generators import (
     random_simple_type,
     sample_document,
 )
-from repro.workloads.mutations import perturb_schema
+from repro.workloads.mutations import perturb_schema, random_edits
 from repro.workloads.purchase_orders import (
     make_purchase_order,
     source_schema_experiment1,
@@ -55,6 +65,7 @@ from repro.workloads.purchase_orders import (
     target_schema_zero_subsumption,
 )
 from repro.xmltree.dom import Element, Text
+from repro.xmltree.parser import parse
 from repro.xmltree.serializer import serialize
 
 #: (byte_skip, trusted) — every skip mode of ``cast_text``.
@@ -191,32 +202,40 @@ def chain_pair():
     return SchemaPair(schema, schema)
 
 
+#: Tight limits so every guard can fire on a small document.
+ADVERSARIAL_LIMITS = Limits(
+    max_document_bytes=50_000,
+    max_tree_depth=60,
+    max_entity_expansions=200,
+    deadline_seconds=None,
+)
+
+
+def adversarial_corpus():
+    """Documents rooted at ``a`` that trip every guard and syntax
+    check (under :data:`ADVERSARIAL_LIMITS`), plus legal neighbours."""
+    return [
+        deep_document(100),             # DocumentTooDeepError
+        deep_document(59),              # just under the bound
+        entity_bomb(500),               # EntityExpansionError
+        oversized_document(60_000),     # DocumentTooLargeError
+        truncated_document(8),          # syntax error, typed
+        garbage_tail_document(),        # trailing garbage
+        wide_document(40),              # legal, text in children
+        "<a></b>",
+        "<a><!-- -- --></a>",
+        "<a>]]></a>",
+        "",
+    ]
+
+
 class TestAdversarial:
-    #: Tight limits so every guard can fire on a small document.
-    LIMITS = Limits(
-        max_document_bytes=50_000,
-        max_tree_depth=60,
-        max_entity_expansions=200,
-        deadline_seconds=None,
-    )
+    LIMITS = ADVERSARIAL_LIMITS
 
     @pytest.mark.parametrize("mode", MODES)
     def test_adversarial_corpus(self, mode):
         pair = chain_pair()
-        corpus = [
-            deep_document(100),             # DocumentTooDeepError
-            deep_document(59),              # just under the bound
-            entity_bomb(500),               # EntityExpansionError
-            oversized_document(60_000),     # DocumentTooLargeError
-            truncated_document(8),          # syntax error, typed
-            garbage_tail_document(),        # trailing garbage
-            wide_document(40),              # legal, text in children
-            "<a></b>",
-            "<a><!-- -- --></a>",
-            "<a>]]></a>",
-            "",
-        ]
-        for text in corpus:
+        for text in adversarial_corpus():
             assert_equivalent(pair, text, mode, limits=self.LIMITS)
 
 
@@ -240,6 +259,105 @@ class TestArtifactRoundTrip:
             healed.valid, healed.reason, healed.path
         )
         assert fresh.stats == healed.stats
+
+
+def validation_outcome(schema, text, *, limits=None, tree=False):
+    """Everything observable about one plain validation: the type and
+    error code of what it raised, or its verdict, reason, path and (on
+    a valid document) counters."""
+    try:
+        if tree:
+            report = validate_document(
+                schema, parse(text, limits=limits), limits=limits
+            )
+        else:
+            report = validate_text(schema, text, limits=limits)
+    except ReproError as error:
+        return ("raise", type(error).__name__, error_code(error))
+    return ("report", report.valid, report.reason, report.path,
+            report.stats if report.valid else None)
+
+
+def assert_validates_alike(schema, text, *, limits=None):
+    kernel = validation_outcome(schema, text, limits=limits)
+    tree = validation_outcome(schema, text, limits=limits, tree=True)
+    assert kernel == tree, (
+        f"validate_text diverged from validate_document(parse())\n"
+        f"  kernel: {kernel}\n  tree:   {tree}\n  doc: {text[:300]!r}"
+    )
+
+
+def validation_schemas():
+    return [
+        source_schema_experiment1(),
+        target_schema_experiment1(),
+        source_schema_experiment2(),
+        target_schema_experiment2(),
+        source_schema_zero_subsumption(),
+        target_schema_zero_subsumption(),
+    ]
+
+
+#: Splices that keep a document well-formed (stray text, a foreign or
+#: known element, an entity, a comment) or break it.
+SPLICES = ["<", ">", "&", "]]>", "<!--", "\x00", "x", "&amp;", "<zz/>",
+           "<zz>1</zz>", "<!-- - -->", "<!-- -- -->"]
+
+
+class TestValidationMode:
+    def test_purchase_orders(self):
+        rng = random.Random(0xE8)
+        texts = po_corpus(rng)
+        for schema in validation_schemas():
+            for text in texts:
+                assert_validates_alike(schema, text)
+
+    def test_random_schemas(self):
+        rng = random.Random(0x7A11D)
+        schemas_fuzzed = documents_fuzzed = 0
+        while schemas_fuzzed < 16:
+            try:
+                schema = random_schema(rng, name=f"s{schemas_fuzzed}")
+            except SchemaError:
+                continue  # pruning left no productive root: resample
+            schemas_fuzzed += 1
+            palette = sorted(schema.alphabet) + ["zz"]
+            for _ in range(3):
+                document = sample_document(rng, schema)
+                if document is None:
+                    continue
+                documents_fuzzed += 1
+                indent = rng.choice(["", "  ", None])
+                text = serialize(document, indent=indent)
+                assert_validates_alike(schema, text)
+                session = UpdateSession(document)
+                random_edits(rng, session, rng.randint(1, 4),
+                             labels=palette)
+                assert_validates_alike(
+                    schema,
+                    serialize(session.result_document(), indent=indent),
+                )
+                assert_validates_alike(
+                    schema, text[: rng.randrange(1, len(text) + 1)]
+                )
+                cut = rng.randrange(len(text))
+                splice = rng.choice(SPLICES)
+                for spliced in (text[:cut] + splice + text[cut:],
+                                splice + text, text + splice):
+                    assert_validates_alike(schema, spliced)
+        assert documents_fuzzed >= 16  # the corpus really sampled docs
+
+    @pytest.mark.parametrize("root", ["foreign", "permitted"])
+    def test_adversarial_corpus(self, root):
+        # Under a foreign root the kernel fails on the first tag, so
+        # every guard and syntax error must come from its drain.
+        schema = (
+            target_schema_experiment2()
+            if root == "foreign"
+            else chain_pair().target
+        )
+        for text in adversarial_corpus():
+            assert_validates_alike(schema, text, limits=ADVERSARIAL_LIMITS)
 
 
 EDGE_TEXTS = [

@@ -1,13 +1,22 @@
-"""Tests for streaming validation (O(depth) memory)."""
+"""Tests for plain validation of text (O(depth) memory, no tree).
+
+:func:`repro.core.validator.validate_text` runs the fused kernel over
+the schema-only tables of :meth:`Schema.kernel` and must answer as
+``validate_document(schema, parse(text))`` does: the same verdict,
+reason and Dewey path, the same counters on a valid document, and the
+same typed error on malformed input.
+"""
 
 import random
 
 import pytest
 
-from repro.core.streaming import StreamingValidator, validate_stream
-from repro.core.validator import validate_document
+from repro.core.validator import validate_document, validate_text
+from repro.errors import DocumentTooDeepError, XMLSyntaxError
+from repro.guards import Limits
 from repro.schema.model import Schema, attribute, complex_type
-from repro.schema.simple import builtin, restrict
+from repro.schema.pairkernel import K_PLAIN, K_SIMPLE
+from repro.schema.simple import builtin
 from repro.workloads.generators import random_schema, sample_document
 from repro.workloads.purchase_orders import (
     make_purchase_order,
@@ -25,38 +34,38 @@ def po_schema():
 class TestVerdicts:
     def test_valid_purchase_order(self, po_schema):
         text = serialize(make_purchase_order(10), indent="  ")
-        report = validate_stream(po_schema, text)
+        report = validate_text(po_schema, text)
         assert report.valid
 
     def test_structural_failure(self, po_schema):
         text = "<purchaseOrder><items/></purchaseOrder>"
-        report = validate_stream(po_schema, text)
+        report = validate_text(po_schema, text)
         assert not report.valid
         assert "content model" in report.reason
 
     def test_value_failure(self, po_schema):
         doc = make_purchase_order(3, quantity_of=lambda i: 500)
-        report = validate_stream(po_schema, serialize(doc))
+        report = validate_text(po_schema, serialize(doc))
         assert not report.valid
         assert "does not conform" in report.reason
 
     def test_unknown_root(self, po_schema):
-        assert not validate_stream(po_schema, "<mystery/>").valid
+        assert not validate_text(po_schema, "<mystery/>").valid
 
     def test_unexpected_element(self, po_schema):
         text = "<purchaseOrder><surprise/></purchaseOrder>"
-        report = validate_stream(po_schema, text)
+        report = validate_text(po_schema, text)
         assert not report.valid
         assert "unexpected element" in report.reason
 
     def test_malformed_input_reported(self, po_schema):
-        report = validate_stream(po_schema, "<purchaseOrder><oops")
-        assert not report.valid
-        assert "not well-formed" in report.reason
+        # Malformed text is a typed error, as it is for parse().
+        with pytest.raises(XMLSyntaxError):
+            validate_text(po_schema, "<purchaseOrder><oops")
 
     def test_character_data_in_element_content(self, po_schema):
         text = "<purchaseOrder>stray</purchaseOrder>"
-        report = validate_stream(po_schema, text)
+        report = validate_text(po_schema, text)
         assert not report.valid
         assert "character data" in report.reason
 
@@ -72,8 +81,8 @@ class TestAttributeChecks:
             },
             {"t": "T"},
         )
-        assert validate_stream(schema, '<t id="a"/>').valid
-        report = validate_stream(schema, "<t/>")
+        assert validate_text(schema, '<t id="a"/>').valid
+        report = validate_text(schema, "<t/>")
         assert not report.valid
         assert "missing required" in report.reason
 
@@ -98,14 +107,73 @@ OFFENDING_NODE_DOCUMENTS = [
                  id="unexpected-element"),
 ]
 
+#: ``R = (a, b?)``, ``B = (a*)``: the schema knows label ``b``, but
+#: ``B``'s content model does not allow it.
+PARITY_SCHEMA = Schema(
+    {
+        "R": complex_type("R", "(a, b?)", {"a": "S", "b": "B"},
+                          {"n": attribute("n", "I")}),
+        "B": complex_type("B", "(a*)", {"a": "S"}),
+        "S": builtin("string"),
+        "I": builtin("integer"),
+    },
+    {"r": "R", "a": "S"},
+)
+
+#: (document, the DOM validator's path) — one per kind of report, each
+#: compared with ``validate_document(schema, parse(text))`` on verdict,
+#: reason and path.
+PARITY_FIXTURES = [
+    pytest.param("<r><a>x</a><b><a>y</a></b></r>", None, id="valid"),
+    pytest.param("<a>lone</a>", None, id="valid-simple-root"),
+    pytest.param("<q/>", "", id="root-not-permitted"),
+    pytest.param("<r><a>x</a><b><b/></b></r>", "1",
+                 id="known-label-outside-content-model"),
+    pytest.param("<r><a>x</a><zz/></r>", "1", id="unexpected-element"),
+    pytest.param("<r><a>x</a><zz>1</zz></r>", "1",
+                 id="unexpected-leaf"),
+    pytest.param("<r><a>x</a>stray</r>", "1", id="character-data"),
+    pytest.param("<r><a>x</a><b>text</b></r>", "1.0",
+                 id="character-data-leaf"),
+    pytest.param("<r><a>x<a/></a></r>", "0",
+                 id="simple-with-child-elements"),
+    pytest.param('<r n="x"><a>x</a></r>', "", id="attribute-value"),
+    pytest.param('<r><a k="1">x</a></r>', "0",
+                 id="attribute-on-simple"),
+    pytest.param("<r><b/></r>", "", id="content-model-at-end"),
+    pytest.param("<r><a>x</a><a>y</a></r>", "", id="content-model-early"),
+    pytest.param('<r n="7"><a>fish &amp; chips</a></r>', None,
+                 id="valid-entity-in-value"),
+    # Two faults: the tree walk checks the root's whole child string
+    # before it descends, so the root's fault further on wins over the
+    # one the kernel meets first, inside the first child.
+    pytest.param("<r><a>x<a/></a><zz/></r>", "1",
+                 id="content-first-unexpected-element"),
+    pytest.param("<r><b><b/></b>stray</r>", "1",
+                 id="content-first-character-data"),
+    pytest.param("<r><b><b/></b><a>x</a></r>", "",
+                 id="content-first-content-model"),
+]
+
 
 class TestAgreementWithDom:
     @pytest.mark.parametrize("text, path", OFFENDING_NODE_DOCUMENTS)
     def test_failure_reported_at_offending_node(self, text, path):
-        streamed = validate_stream(OFFENDING_NODE_SCHEMA, text)
+        streamed = validate_text(OFFENDING_NODE_SCHEMA, text)
         dom = validate_document(OFFENDING_NODE_SCHEMA, parse(text))
         assert not dom.valid and dom.path == path
         assert (streamed.valid, streamed.reason, streamed.path) == (
+            dom.valid, dom.reason, dom.path
+        )
+
+    @pytest.mark.parametrize("text, path", PARITY_FIXTURES)
+    def test_parity_fixture(self, text, path):
+        dom = validate_document(PARITY_SCHEMA, parse(text))
+        assert dom.valid == (path is None)
+        if path is not None:
+            assert dom.path == path
+        kernel = validate_text(PARITY_SCHEMA, text)
+        assert (kernel.valid, kernel.reason, kernel.path) == (
             dom.valid, dom.reason, dom.path
         )
 
@@ -113,7 +181,7 @@ class TestAgreementWithDom:
         doc = make_purchase_order(5, quantity_of=lambda i: 500 if i == 3
                                   else 7)
         text = serialize(doc, indent="  ")
-        streamed = validate_stream(po_schema, text)
+        streamed = validate_text(po_schema, text)
         dom = validate_document(po_schema, parse(text))
         assert streamed.valid == dom.valid is False
         assert streamed.path == dom.path
@@ -130,16 +198,16 @@ class TestAgreementWithDom:
                 continue
         if schema is None:
             pytest.skip("no schema")
-        validator = StreamingValidator(schema)
         for _ in range(4):
             doc = sample_document(rng, schema, max_depth=6)
             if doc is None:
                 continue
             text = serialize(doc, indent="  ")
-            streamed = validator.validate_text(text)
+            streamed = validate_text(schema, text)
             dom = validate_document(schema, parse(text))
             assert streamed.valid == dom.valid
             assert streamed.valid  # sampled docs are valid
+            assert streamed.stats == dom.stats
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_agreement_on_corrupted_documents(self, seed):
@@ -157,23 +225,72 @@ class TestAgreementWithDom:
                 break
         if doc is None:
             pytest.skip("no document")
-        validator = StreamingValidator(schema)
         from repro.core.updates import UpdateSession
         from repro.workloads.mutations import random_edits
 
         session = UpdateSession(doc)
         random_edits(rng, session, 4, labels=sorted(schema.alphabet))
         text = serialize(session.result_document(), indent="  ")
-        streamed = validator.validate_text(text)
+        streamed = validate_text(schema, text)
         dom = validate_document(schema, parse(text))
         assert streamed.valid == dom.valid, (streamed.reason, dom.reason)
+
+
+class TestWellFormednessWins:
+    """Parse-then-validate raises on malformed input even when the
+    document is also invalid; the kernel stops at the first failure, so
+    its drain must find the error further on."""
+
+    def test_syntax_error_after_failure(self):
+        text = "<q><a>x</a></b>"
+        with pytest.raises(XMLSyntaxError):
+            parse(text)
+        with pytest.raises(XMLSyntaxError):
+            validate_text(PARITY_SCHEMA, text)
+
+    @pytest.mark.parametrize("text", [
+        "<r><a>x</a></r><!-- a -- b -->",
+        "<!-- a -- b --><r><a>x</a></r>",
+        "<!DOCTYPE><r><a>x</a></r>",
+    ], ids=["trailing-comment", "prolog-comment", "nameless-doctype"])
+    def test_prolog_and_trailing_checks_match_parse(self, text):
+        # The kernel shares the tree parser's prolog and trailing-misc
+        # checks, so a valid root does not hide them.
+        with pytest.raises(XMLSyntaxError):
+            parse(text)
+        with pytest.raises(XMLSyntaxError):
+            validate_text(PARITY_SCHEMA, text)
+
+    def test_limit_error_after_failure(self):
+        limits = Limits(max_tree_depth=10)
+        text = "<r><zz/>" + "<b>" * 20 + "</b>" * 20 + "</r>"
+        with pytest.raises(DocumentTooDeepError):
+            parse(text, limits=limits)
+        with pytest.raises(DocumentTooDeepError):
+            validate_text(PARITY_SCHEMA, text, limits=limits)
+
+
+class TestSchemaKernel:
+    def test_kernel_is_cached_and_plain(self, po_schema):
+        kernel = po_schema.kernel()
+        assert po_schema.kernel() is kernel
+        assert kernel.pair is None and kernel.target is po_schema
+        assert kernel.symbols is po_schema.symbols
+        kernel.warm()
+        kinds = {record.kind for record in kernel.records}
+        assert kinds == {K_PLAIN, K_SIMPLE}
+        actions = {
+            act for record in kernel.records if record.action is not None
+            for act in record.action
+        } | set(kernel.root_actions.values())
+        assert min(actions) == -1  # only A_NO_TARGET among sentinels
 
 
 class TestCounters:
     def test_stats_match_dom_validator(self, po_schema):
         doc = make_purchase_order(8)
         text = serialize(doc)
-        streamed = validate_stream(po_schema, text)
+        streamed = validate_text(po_schema, text)
         dom = validate_document(po_schema, parse(text))
         assert streamed.stats.elements_visited == dom.stats.elements_visited
         assert (

@@ -53,6 +53,68 @@ class TestValidate:
         out = capsys.readouterr().out
         assert "nodes visited" in out
 
+    def test_stats_are_the_dom_walk_counters(self, workspace, capsys):
+        from repro.core.validator import validate_document
+        from repro.schema.xsd import parse_xsd_file
+        from repro.xmltree.parser import parse_file
+
+        write_file(make_purchase_order(12), str(workspace / "po12.xml"))
+        code = main([
+            "validate", str(workspace / "po12.xml"),
+            "--schema", str(workspace / "a.xsd"), "--stats",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        stats = validate_document(
+            parse_xsd_file(str(workspace / "a.xsd")),
+            parse_file(str(workspace / "po12.xml")),
+        ).stats
+        assert stats.nodes_visited > 12
+        assert f"nodes visited:          {stats.nodes_visited}\n" in out
+        assert (
+            f"content symbols read:   {stats.content_symbols_scanned}\n"
+            in out
+        )
+        assert (
+            f"simple values checked:  {stats.simple_values_checked}\n"
+            in out
+        )
+
+    def test_malformed_document_is_a_typed_error(self, workspace, capsys):
+        doc = workspace / "broken.xml"
+        doc.write_text("<purchaseOrder><oops")
+        code = main([
+            "validate", str(doc), "--schema", str(workspace / "a.xsd"),
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "[xml-syntax]" in captured.err
+        assert "INVALID" not in captured.out
+
+    @pytest.mark.parametrize("retries, expected", [(0, 2), (1, 0)])
+    def test_retries_cover_the_read(
+        self, workspace, capsys, monkeypatch, retries, expected
+    ):
+        from repro.core import validator
+
+        real = validator.read_document
+        failures = []
+
+        def flaky(path, limits):
+            if not failures:
+                failures.append(path)
+                raise OSError("transient read failure")
+            return real(path, limits)
+
+        monkeypatch.setattr(validator, "read_document", flaky)
+        code = main([
+            "validate", str(workspace / "po.xml"),
+            "--schema", str(workspace / "a.xsd"),
+            "--retries", str(retries),
+        ])
+        assert code == expected
+        assert failures  # the first read did fail
+
     def test_dtd_schema(self, workspace, capsys):
         doc = workspace / "l.xml"
         doc.write_text("<list><item>x</item></list>")
@@ -326,13 +388,17 @@ class TestGuardKnobs:
 
 
 class TestStreamingFlags:
-    def test_streaming_validate(self, workspace, capsys):
-        code = main([
-            "validate", str(workspace / "po.xml"),
-            "--schema", str(workspace / "a.xsd"), "--streaming",
-        ])
-        assert code == 0
-        assert "valid" in capsys.readouterr().out
+    def test_validate_streaming_flag_is_gone(self, workspace, capsys):
+        # validate has one engine, the fused kernel; --streaming went.
+        with pytest.raises(SystemExit) as exit_info:
+            main([
+                "validate", str(workspace / "po.xml"),
+                "--schema", str(workspace / "a.xsd"), "--streaming",
+            ])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --streaming" in (
+            capsys.readouterr().err
+        )
 
     def test_streaming_cast(self, workspace, capsys):
         code = main([

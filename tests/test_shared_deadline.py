@@ -1,7 +1,8 @@
 """One deadline per request or document, shared across all its passes.
 
 Several entry points run a document through two passes: a parse and
-then a validation, or a composed chain cast and then a per-hop
+then a validation, a kernel pass and then the well-formedness drain
+that follows a rejection, or a composed chain cast and then a per-hop
 fallback.  The budget in ``Limits.deadline_seconds`` covers the whole
 unit of work, so a second pass must not start a fresh copy of it.
 
@@ -21,6 +22,7 @@ import pytest
 
 import repro.cli
 import repro.core.cast
+import repro.core.castkernel
 import repro.service.work
 from repro.cli import main
 from repro.errors import DeadlineExceededError
@@ -88,13 +90,25 @@ def po_text() -> str:
     return serialize(make_purchase_order(ITEMS), indent="  ")
 
 
+def rejected_po_text() -> str:
+    """A purchase order the Experiment-2 target rejects at its first
+    item, so plain validation's kernel pass stops early."""
+    return serialize(
+        make_purchase_order(ITEMS, quantity_of=lambda i: 500 if i == 0
+                            else 7),
+        indent="  ",
+    )
+
+
 class TestService:
     def test_validate_shares_one_deadline(self, exp2_pair, clock,
                                           monkeypatch):
-        slow_first_call(monkeypatch, repro.service.work, "parse", clock)
+        # The kernel pass rejects the document; the drain that follows
+        # (syntax and limit errors still win) is the second pass.
+        slow_first_call(monkeypatch, repro.core.castkernel, "run", clock)
         with pytest.raises(DeadlineExceededError):
             perform_request(
-                "validate", exp2_pair, {"xml": po_text()},
+                "validate", exp2_pair, {"xml": rejected_po_text()},
                 Limits(deadline_seconds=BUDGET),
             )
 

@@ -9,11 +9,10 @@ all fall back to string lookups.
 """
 
 from repro.automata.compiled import SymbolTable
-from repro.core import reference, streaming
+from repro.core import reference
 from repro.core.cast import CastValidator, cast_text
 from repro.core.dtdcast import DTDCastValidator
-from repro.core.streaming import StreamingValidator
-from repro.core.validator import validate_document
+from repro.core.validator import validate_document, validate_text
 from repro.schema.dtd import parse_dtd
 from repro.schema.registry import SchemaPair
 from repro.workloads.purchase_orders import (
@@ -157,24 +156,7 @@ class TestVerdictIdentity:
         stream = cast_text(pair, text, stream_skip=False)
         assert (dom.valid, stream.valid) == (True, True)
         plain_schema = source_schema_experiment2()
-        assert StreamingValidator(plain_schema).validate_text(text).valid
-
-    def test_text_buffer_only_for_simple_frames_plain(self):
-        # Complex-typed frames must not allocate a text buffer: only
-        # simple-typed frames have a value to check, so the number of
-        # list-carrying frames equals simple_values_checked exactly.
-        schema = source_schema_experiment2()
-        buffers = _record_frame_buffers(streaming, "_Frame")
-        try:
-            report = StreamingValidator(schema).validate_text(po_text())
-        finally:
-            streaming._Frame = buffers.real
-        assert report.valid
-        lists = [parts for parts in buffers if parts is not None]
-        assert len(lists) == report.stats.simple_values_checked
-        nones = len(buffers) - len(lists)
-        assert nones == report.stats.elements_visited - len(lists)
-        assert nones > 0  # the corpus does have complex frames
+        assert validate_text(plain_schema, text).valid
 
     def test_text_buffer_only_for_simple_frames_cast(self):
         pair = SchemaPair(
