@@ -7,20 +7,19 @@ driven without writing Python:
   validation of a document against one schema: one pass of the fused
   kernel over the schema's own tables, no tree
   (:func:`~repro.core.validator.validate_file`);
-* ``cast DOC... --source A --target B [--stats] [--no-string-cast]`` —
-  schema cast validation (documents promised valid under A); each DOC
-  may be a directory, validated as a batch (``--jobs N`` parallelizes
-  it over a resident worker fleet, shared across all the directories of
-  one invocation; ``--recursive`` walks nested corpora);
-  ``--checkpoint PATH`` journals completed documents and ``--resume``
-  restores them after an interrupt; ``--cache-dir DIR`` loads/saves
-  the preprocessed pair artifact; ``--memo``/``--no-memo`` and
-  ``--memo-size N`` control the subtree verdict memo (see
-  ``docs/PERFORMANCE.md``); ``--stream-skip`` runs the fused
-  parse-and-validate kernel instead of the DOM cast (no tree, subsumed
-  subtrees byte-skimmed); ``--profile-parse`` prints a wall-clock
-  phase breakdown (parse/validate/total for the DOM cast, one fused
-  phase for a kernel run);
+* ``cast DOC... --source A --target B [--stats]`` — schema cast
+  validation (documents promised valid under A): each file is cast by
+  one fused kernel pass, no tree, subsumed subtrees byte-skimmed
+  (:func:`~repro.core.cast.cast_file`).  Each DOC may be a directory,
+  validated as a batch (``--jobs N`` parallelizes it over a resident
+  worker fleet, shared across all the directories of one invocation;
+  ``--recursive`` walks nested corpora); ``--checkpoint PATH`` journals
+  completed documents and ``--resume`` restores them after an
+  interrupt; ``--cache-dir DIR`` loads/saves the preprocessed pair
+  artifact; ``--profile-parse`` prints the kernel's wall-clock time as
+  one fused phase;
+* ``cast-with-mods [DOC] --source A --target B --program RULES.json``
+  — cast a document after a parametric update program;
 * ``repair DOC --source A --target B [-o OUT]`` — correct the document
   to conform to the target schema and report the edits;
 * ``relations --source A --target B`` — print the precomputed
@@ -33,12 +32,13 @@ driven without writing Python:
   ``docs/ROBUSTNESS.md``).
 
 Schema arguments ending in ``.dtd`` are parsed as DTDs, anything else
-as XSD.  ``validate`` and ``cast`` accept resource-guard knobs —
-``--max-depth``, ``--max-bytes``, ``--timeout`` (per-document seconds),
-``--retries`` (transient-IO re-attempts) — that override the default
-:class:`~repro.guards.Limits` for parsing, validation, and schema
-compilation alike.  Exit status: 0 valid/success, 1 invalid, 2 usage,
-schema, or resource-limit error.
+as XSD.  ``validate``, ``cast`` and ``cast-with-mods`` accept
+resource-guard knobs — ``--max-depth``, ``--max-bytes``, ``--timeout``
+(per-document seconds; for ``validate`` and ``cast`` the read counts
+too), ``--retries`` (transient-IO re-attempts) — that override the
+default :class:`~repro.guards.Limits` for reading, parsing, validation,
+and schema compilation alike.  Exit status: 0 valid/success, 1
+invalid, 2 usage, schema, syntax, or resource-limit error.
 """
 
 from __future__ import annotations
@@ -48,8 +48,7 @@ import sys
 import time
 from typing import Optional, Sequence
 
-from repro.core.cast import CastValidator, cast_text
-from repro.core.memo import DEFAULT_MEMO_SIZE
+from repro.core.cast import cast_file
 from repro.core.repair import DocumentRepairer
 from repro.core.validator import validate_file
 from repro.errors import ReproError, error_code
@@ -80,11 +79,6 @@ def _print_stats(stats) -> None:
     print(f"  content symbols read:   {stats.content_symbols_scanned}")
     print(f"  early content verdicts: {stats.early_content_decisions}")
     print(f"  simple values checked:  {stats.simple_values_checked}")
-    if stats.memo_lookups > 0:
-        print(f"  memo hits:              {stats.memo_hits}")
-        print(f"  memo misses:            {stats.memo_misses}")
-        print(f"  memo evictions:         {stats.memo_evictions}")
-        print(f"  memo hit rate:          {stats.memo_hit_rate:.1%}")
 
 
 def _guard_limits(args: argparse.Namespace) -> tuple[Optional[Limits], str]:
@@ -94,7 +88,7 @@ def _guard_limits(args: argparse.Namespace) -> tuple[Optional[Limits], str]:
     problem to stderr and exit 2.  All knobs share one message shape
     (``--flag must be >= N, got V``) and one validation point, so a
     negative ``--retries`` on ``validate`` fails exactly like a
-    negative ``--memo-size`` on ``cast``.
+    zero ``--chunk-size`` on ``cast``.
     """
     if getattr(args, "jobs", 1) < 1:
         return None, f"--jobs must be >= 1, got {args.jobs}"
@@ -106,8 +100,6 @@ def _guard_limits(args: argparse.Namespace) -> tuple[Optional[Limits], str]:
         return None, f"--timeout must be > 0, got {args.timeout:g}"
     if args.retries < 0:
         return None, f"--retries must be >= 0, got {args.retries}"
-    if getattr(args, "memo_size", 1) < 1:
-        return None, f"--memo-size must be >= 1, got {args.memo_size}"
     chunk_size = getattr(args, "chunk_size", None)
     if chunk_size is not None and chunk_size < 1:
         return None, f"--chunk-size must be >= 1, got {chunk_size}"
@@ -134,44 +126,17 @@ def _with_retries(action, retries: int):
                 raise
 
 
-def _parse_with_retries(path: str, limits: Limits, retries: int,
-                        symbols=None):
-    """``parse_file`` under :func:`_with_retries`.
-
-    Returns the document and the deadline its parse ran under, which
-    the validation of the same document must share."""
-    deadline = limits.deadline()
-    document = _with_retries(
-        lambda: parse_file(path, limits=limits, deadline=deadline,
-                           symbols=symbols),
-        retries,
-    )
-    return document, deadline
-
-
-def _print_phase_profile(stats, *, fused: bool = False) -> None:
+def _print_phase_profile(stats) -> None:
     """The ``--profile-parse`` breakdown: where the wall-clock went.
 
-    A kernel run (``fused``) lexes, skims and validates in one loop,
+    The kernel reads, lexes, skims and validates a file in one pass,
     so it reports that pass as a single phase — billed to
-    ``validate_seconds``, as batch ``--stream-skip`` workers do.
+    ``validate_seconds``, as batch workers do.
     """
+    seconds = stats.validate_seconds
     print("phase profile:")
-    if fused:
-        fused_seconds = stats.validate_seconds
-        print(f"  fused:    {fused_seconds:.4f}s (parse + validate)")
-        print(f"  total:    {fused_seconds:.4f}s")
-        return
-    parse = stats.parse_seconds
-    validate = stats.validate_seconds
-    total = parse + validate
-    if total > 0:
-        print(f"  parse:    {parse:.4f}s ({parse / total:.1%})")
-        print(f"  validate: {validate:.4f}s ({validate / total:.1%})")
-    else:
-        print(f"  parse:    {parse:.4f}s")
-        print(f"  validate: {validate:.4f}s")
-    print(f"  total:    {total:.4f}s")
+    print(f"  fused:    {seconds:.4f}s (read + parse + validate)")
+    print(f"  total:    {seconds:.4f}s")
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -278,7 +243,6 @@ def cmd_cast(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    memo_size = args.memo_size if args.memo else None
     exit_code = 0
     with limits_scope(limits):
         pair, artifact_file = _load_pair(args)
@@ -297,12 +261,9 @@ def cmd_cast(args: argparse.Namespace) -> int:
                     pair,
                     args.jobs,
                     config=FleetConfig(
-                        use_string_cast=not args.no_string_cast,
                         collect_stats=args.stats or args.profile_parse,
                         limits=limits,
                         retries=args.retries,
-                        memo_size=memo_size,
-                        stream_skip=args.stream_skip,
                     ),
                     artifact_path=artifact_file,
                     chunk_size=args.chunk_size,
@@ -310,13 +271,10 @@ def cmd_cast(args: argparse.Namespace) -> int:
             for document in args.document:
                 if os.path.isdir(document):
                     code = _cast_directory(
-                        args, pair, document, limits, memo_size,
-                        artifact_file, fleet,
+                        args, pair, document, limits, artifact_file, fleet
                     )
                 else:
-                    code = _cast_single(
-                        args, pair, document, limits, memo_size
-                    )
+                    code = _cast_single(args, pair, document, limits)
                 exit_code = max(exit_code, code)
         finally:
             if fleet is not None:
@@ -363,8 +321,9 @@ def cmd_cast_with_mods(args: argparse.Namespace) -> int:
             return 2
         text = None
         if args.document is not None:
-            with open(args.document, encoding="utf-8") as handle:
-                text = handle.read()
+            text = _with_retries(
+                lambda: read_document(args.document, limits), args.retries
+            )
         report, classification = cast_text_with_program(
             pair,
             program,
@@ -390,7 +349,6 @@ def _cast_directory(
     pair: SchemaPair,
     document: str,
     limits: Limits,
-    memo_size: Optional[int],
     artifact_file: Optional[str],
     fleet,
 ) -> int:
@@ -401,13 +359,10 @@ def _cast_directory(
         document,
         recursive=args.recursive,
         jobs=args.jobs,
-        use_string_cast=not args.no_string_cast,
         collect_stats=args.stats or args.profile_parse,
         limits=limits,
         retries=args.retries,
-        memo_size=memo_size,
         artifact_path=artifact_file,
-        stream_skip=args.stream_skip,
         fleet=fleet,
         checkpoint=args.checkpoint,
         resume=args.resume,
@@ -442,14 +397,8 @@ def _cast_directory(
         )
     if args.stats and batch.stats is not None:
         _print_stats(batch.stats)
-    elif batch.stats is not None and batch.stats.memo_lookups > 0:
-        print(
-            f"memo: {batch.stats.memo_hits} hits / "
-            f"{batch.stats.memo_lookups} lookups "
-            f"({batch.stats.memo_hit_rate:.1%} across all workers)"
-        )
     if args.profile_parse and batch.stats is not None:
-        _print_phase_profile(batch.stats, fused=args.stream_skip)
+        _print_phase_profile(batch.stats)
     return 0 if batch.all_valid else 1
 
 
@@ -458,7 +407,6 @@ def _cast_single(
     pair: SchemaPair,
     document: str,
     limits: Limits,
-    memo_size: Optional[int],
 ) -> int:
     chain = getattr(pair, "chain", None)
     if chain is not None:
@@ -474,51 +422,23 @@ def _cast_single(
         text = _with_retries(
             lambda: read_document(document, limits), args.retries
         )
-        report = chain.cast_text(
-            text, limits=limits, stream_skip=args.stream_skip
-        )
+        report = chain.cast_text(text, limits=limits)
         verdict = (
             "valid" if report.valid else f"INVALID — {report.reason}"
         )
         print(f"{document}: {verdict}")
         return 0 if report.valid else 1
-    if args.stream_skip:
-        # The fused kernel never materializes subtrees, so there is
-        # nothing to fingerprint — no memo here.
-        text = _with_retries(
-            lambda: read_document(document, limits), args.retries
-        )
-        run_start = time.perf_counter()
-        report = cast_text(pair, text, limits=limits)
-        report.stats.validate_seconds += time.perf_counter() - run_start
-    else:
-        from repro.core.memo import ValidationMemo
-
-        memo = (
-            ValidationMemo(memo_size, limits=limits)
-            if memo_size is not None
-            else None
-        )
-        validator = CastValidator(
-            pair, use_string_cast=not args.no_string_cast,
-            limits=limits, memo=memo,
-        )
-        parse_start = time.perf_counter()
-        tree, deadline = _parse_with_retries(
-            document, limits, args.retries, symbols=pair.symbols
-        )
-        parse_end = time.perf_counter()
-        report = validator.validate(tree, deadline=deadline)
-        report.stats.parse_seconds += parse_end - parse_start
-        report.stats.validate_seconds += (
-            time.perf_counter() - parse_end
-        )
+    run_start = time.perf_counter()
+    report = _with_retries(
+        lambda: cast_file(pair, document, limits=limits), args.retries
+    )
+    report.stats.validate_seconds += time.perf_counter() - run_start
     verdict = "valid" if report.valid else f"INVALID — {report.reason}"
     print(f"{document}: {verdict}")
     if args.stats:
         _print_stats(report.stats)
     if args.profile_parse:
-        _print_phase_profile(report.stats, fused=args.stream_skip)
+        _print_phase_profile(report.stats)
     return 0 if report.valid else 1
 
 
@@ -814,24 +734,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="descend into subdirectories when a directory is given",
     )
     cast.add_argument(
-        "--stream-skip",
-        action="store_true",
-        help="DOM-free cast through the fused kernel: one "
-        "parse-and-validate pass in O(depth) memory, subsumed subtrees "
-        "byte-skimmed and never tokenized (for a directory, every "
-        "batch worker uses this mode)",
-    )
-    cast.add_argument(
         "--profile-parse",
         action="store_true",
-        help="print a wall-clock phase breakdown: parse/validate/total "
-        "for the DOM cast, one fused phase under --stream-skip",
-    )
-    cast.add_argument(
-        "--no-string-cast",
-        action="store_true",
-        help="check content models with a plain target scan "
-        "(the paper's modified-Xerces configuration)",
+        help="print the wall-clock time of the fused kernel pass "
+        "(read, parse and validate in one phase)",
     )
     cast.add_argument(
         "--jobs",
@@ -863,26 +769,6 @@ def build_parser() -> argparse.ArgumentParser:
     cast.add_argument(
         "--cache-dir",
         help="directory for persisted schema-pair artifacts",
-    )
-    cast.add_argument(
-        "--memo",
-        dest="memo",
-        action="store_true",
-        default=True,
-        help="memoize subtree verdicts by structural hash (default on)",
-    )
-    cast.add_argument(
-        "--no-memo",
-        dest="memo",
-        action="store_false",
-        help="disable the subtree verdict memo",
-    )
-    cast.add_argument(
-        "--memo-size",
-        type=int,
-        default=DEFAULT_MEMO_SIZE,
-        help="verdict memo capacity in entries (default: "
-        f"{DEFAULT_MEMO_SIZE})",
     )
     _add_guard_options(cast)
     cast.set_defaults(handler=cmd_cast)

@@ -7,7 +7,9 @@ the static part should be paid once and the per-document part should
 use every core.  This module is the *scheduler* over that idea; the
 mechanics live in :mod:`repro.core.fleet`:
 
-* :func:`validate_batch` dispatches path-chunks over a
+* :func:`validate_batch` casts each document with one fused kernel
+  pass over the file (:func:`~repro.core.cast.cast_file`) and
+  dispatches path-chunks over a
   :class:`~repro.core.fleet.WorkerFleet` — a resident worker pool with
   work-stealing, bounded in-flight backpressure, and zero-copy
   compiled-pair transport (the pair bytes materialize at most once per
@@ -130,7 +132,6 @@ def validate_batch(
     paths: Sequence[str],
     *,
     jobs: int = 1,
-    use_string_cast: bool = True,
     collect_stats: bool = False,
     warm: bool = True,
     limits: Optional[Limits] = None,
@@ -138,13 +139,16 @@ def validate_batch(
     fault_hook: Optional[FaultHook] = None,
     memo_size: Optional[int] = None,
     artifact_path: Optional[str] = None,
-    stream_skip: bool = False,
     fleet: Optional[WorkerFleet] = None,
     checkpoint: Optional[str] = None,
     resume: bool = False,
     chunk_size: Optional[int] = None,
 ) -> BatchResult:
     """Validate many documents against one schema pair.
+
+    Each document is cast by :func:`repro.core.cast.cast_file`: one
+    fused kernel pass over the file, subsumed subtrees byte-skimmed,
+    no tree built.
 
     Args:
         pair: the preprocessed pair; warmed here (once, in the parent)
@@ -153,7 +157,6 @@ def validate_batch(
         jobs: worker processes; ``1`` validates sequentially in-process
             (no pool, the baseline the tests compare against — and the
             one mode without worker-crash isolation).
-        use_string_cast: as for :class:`~repro.core.cast.CastValidator`.
         collect_stats: gather per-document counters and merge them into
             ``BatchResult.stats`` (the merged total equals the
             sequential sum).  Off by default — throughput mode.
@@ -164,20 +167,19 @@ def validate_batch(
         retries: extra attempts for documents failing with ``OSError``.
         fault_hook: test-only callable run before each document in the
             worker (see :data:`~repro.core.fleet.FaultHook`).
-        memo_size: when set, each worker shares one bounded
-            :class:`~repro.core.memo.ValidationMemo` of this capacity
-            across all its documents (and, on a reused fleet, across
-            batch calls); memo counters land in ``BatchResult.stats``
-            even with ``collect_stats=False``.  ``None`` disables it.
+        memo_size: opt into the DOM route instead: each document is
+            parsed to a tree and cast by a
+            :class:`~repro.core.cast.CastValidator` whose worker shares
+            one bounded :class:`~repro.core.memo.ValidationMemo` of this
+            capacity across all its documents (and, on a reused fleet,
+            across batch calls); memo counters land in
+            ``BatchResult.stats`` even with ``collect_stats=False``.
+            ``None`` (the default) runs the kernel.
         artifact_path: a persisted pair artifact
             (:mod:`repro.schema.artifacts`) for this pair, loaded by
             workers that cannot inherit the pair by fork (saves the
             one pickle the transport would otherwise write); ignored
             under the fork start method.
-        stream_skip: validate DOM-free through the streaming cast's
-            byte-level skip-scan path (see :mod:`repro.core.castkernel`).
-            No tree is built, so ``memo_size`` and ``use_string_cast``
-            are ignored; parse and validation are one fused phase.
         fleet: a caller-owned resident :class:`WorkerFleet` to dispatch
             on instead of creating a transient pool.  Its config must
             match this call's arguments (:class:`BatchError` otherwise);
@@ -209,13 +211,11 @@ def validate_batch(
     if warm:
         pair.warm()
     config = FleetConfig(
-        use_string_cast=use_string_cast,
         collect_stats=collect_stats,
         limits=limits,
         retries=retries,
         fault_hook=fault_hook,
         memo_size=memo_size,
-        stream_skip=stream_skip,
     )
     if fleet is not None:
         if fleet.config != config.resolved():
@@ -365,13 +365,10 @@ def validate_directory(
     pattern: str = "*.xml",
     recursive: bool = False,
     jobs: int = 1,
-    use_string_cast: bool = True,
     collect_stats: bool = False,
     limits: Optional[Limits] = None,
     retries: int = 0,
-    memo_size: Optional[int] = None,
     artifact_path: Optional[str] = None,
-    stream_skip: bool = False,
     fleet: Optional[WorkerFleet] = None,
     checkpoint: Optional[str] = None,
     resume: bool = False,
@@ -391,13 +388,10 @@ def validate_directory(
         pair,
         paths,
         jobs=jobs,
-        use_string_cast=use_string_cast,
         collect_stats=collect_stats,
         limits=limits,
         retries=retries,
-        memo_size=memo_size,
         artifact_path=artifact_path,
-        stream_skip=stream_skip,
         fleet=fleet,
         checkpoint=checkpoint,
         resume=resume,

@@ -28,6 +28,12 @@ report counters.
 
 If the document is *not* valid under S (a broken promise), the verdict
 may be wrong in either direction — same contract as the paper.
+
+Text and files take no tree: :func:`cast_text` and :func:`cast_file`
+run one pass of the fused kernel (:mod:`repro.core.castkernel`) over
+the same relations.  :class:`CastValidator` serves documents that are
+trees already (edit sessions, the cast with modifications, the
+benchmark harness) and the batch driver's opt-in memo route.
 """
 
 from __future__ import annotations
@@ -39,7 +45,13 @@ from repro.core import castkernel
 from repro.core.memo import ValidationMemo
 from repro.core.result import ValidationReport, ValidationStats
 from repro.errors import DocumentTooDeepError, XMLSyntaxError
-from repro.guards import Deadline, Limits, read_document, resolve_limits
+from repro.guards import (
+    Deadline,
+    Limits,
+    read_document,
+    remaining_limits,
+    resolve_limits,
+)
 from repro.schema.model import ComplexType, SimpleType
 from repro.schema.registry import SchemaPair
 from repro.xmltree.dom import Document, Element, Text
@@ -548,15 +560,25 @@ def cast_file(
     path: str,
     *,
     limits: Optional[Limits] = None,
-    stream_skip: bool = True,
     trusted: bool = False,
 ) -> ValidationReport:
-    """:func:`cast_text` over a file (size-checked before reading)."""
+    """Cast the document file at ``path``: the one file cast behind
+    ``repro cast FILE|DIR``, :func:`repro.core.batch.validate_batch`
+    and fleet workers.
+
+    The file is size-checked before it is read, and one deadline
+    covers the read and the fused kernel pass (subsumed subtrees
+    byte-skimmed).  Unlike :func:`cast_text`, a malformed document
+    raises :class:`~repro.errors.XMLSyntaxError`, as limit and
+    deadline trips raise their typed errors.  The kernel stops at its
+    first failure, so a document rejected before a later syntax error
+    is answered with the rejection: such a document breaks the source
+    promise, and either answer keeps the paper's contract.
+    """
     limits = resolve_limits(limits)
-    return cast_text(
-        pair,
-        read_document(path, limits),
-        limits=limits,
-        stream_skip=stream_skip,
-        trusted=trusted,
+    deadline = limits.deadline()
+    text = read_document(path, limits)
+    return castkernel.run(
+        pair.kernel(), remaining_limits(limits, deadline), text, True,
+        trusted,
     )

@@ -1,8 +1,9 @@
 """The fused parse+validate loop of the streaming schema cast.
 
-This is the engine behind every DOM-free text cast
-(:func:`repro.core.cast.cast_text`/:func:`~repro.core.cast.cast_file`,
-batch ``stream_skip`` workers, evolution chains) and behind plain
+This is the engine behind every text cast
+(:func:`repro.core.cast.cast_text`, evolution chains, and
+:func:`~repro.core.cast.cast_file`, which ``repro cast`` and batch
+workers run) and behind plain
 validation of text (:func:`repro.core.validator.validate_text`), which
 runs the same loop over the schema-only tables of
 :meth:`repro.schema.model.Schema.kernel`.  One loop owns the

@@ -41,12 +41,15 @@ class ValidationStats:
             subtree (streaming cast with ``byte_skip``).
         bytes_skipped: source characters covered by byte-level skims
             (never tokenized, entity-decoded, or interned).
-        parse_seconds: wall-clock time spent lexing/parsing input text,
-            when the caller timed the phases (batch ``collect_stats``
-            runs and the CLI's ``--profile-parse``); 0.0 otherwise.
+        parse_seconds: wall-clock time spent reading and parsing input
+            to a tree, when the caller timed a separate parse (batch
+            ``collect_stats`` runs on the ``memo_size`` DOM route);
+            0.0 otherwise.
         validate_seconds: wall-clock time spent in the validator proper,
-            under the same conditions.  A fused kernel pass parses and
-            validates in one loop, so it bills everything here.
+            when the caller timed it (batch ``collect_stats`` runs and
+            the CLI's ``--profile-parse``).  A fused kernel pass reads,
+            parses and validates a file in one go, so it bills
+            everything here.
 
     Every counter is additive, so :meth:`merge` is the single
     aggregation primitive — the batch driver folds per-document (and

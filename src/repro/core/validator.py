@@ -277,9 +277,14 @@ class _ContentCheck:
 def validate_file(
     schema: Schema, path: str, *, limits: Optional[Limits] = None
 ) -> ValidationReport:
-    """:func:`validate_text` over a file (size-checked before reading)."""
+    """:func:`validate_text` over a file (size-checked before reading).
+    One deadline covers the read and the validation."""
     limits = resolve_limits(limits)
-    return validate_text(schema, read_document(path, limits), limits=limits)
+    deadline = limits.deadline()
+    text = read_document(path, limits)
+    return validate_text(
+        schema, text, limits=remaining_limits(limits, deadline)
+    )
 
 
 def validate_document(

@@ -157,7 +157,7 @@ class TestBatchResume:
         paths = write_corpus(tmp_path, 2)
         broken = str(tmp_path / "broken.xml")
         with open(broken, "w", encoding="utf-8") as handle:
-            handle.write("<purchaseOrder><unclosed>")
+            handle.write("<purchaseOrder><shipTo>")
         all_paths = sorted(paths + [broken])
         journal = str(tmp_path / "ck.jsonl")
         first = validate_batch(

@@ -15,9 +15,11 @@ import pytest
 
 from tests.faultinject import (
     ADVERSARIAL_CASES,
+    CORPUS_GOOD_DOCUMENT,
     CORPUS_LIMITS,
     arm_fuse,
     bug_hook,
+    corpus_pair,
     crash_hook,
     expected_error,
     fuse_oserror_hook,
@@ -58,12 +60,15 @@ class TestAdversarialCorpus:
     documents around it are unaffected."""
 
     @pytest.mark.parametrize("jobs", [1, 3])
-    def test_mixed_corpus_error_types(self, exp2_fresh_pair, tmp_path, jobs):
+    def test_mixed_corpus_error_types(self, tmp_path, jobs):
         corpus = write_corpus(tmp_path)
-        good = write_valid_pos(tmp_path, ["good1", "good2"])
+        good = [str(tmp_path / f"good{index}.xml") for index in (1, 2)]
+        for path in good:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(CORPUS_GOOD_DOCUMENT)
         batch = validate_batch(
-            exp2_fresh_pair,
-            sorted(list(corpus.values()) + list(good.values())),
+            corpus_pair(),
+            sorted(list(corpus.values()) + good),
             jobs=jobs,
             limits=CORPUS_LIMITS,
         )
@@ -78,18 +83,36 @@ class TestAdversarialCorpus:
         assert batch.total == len(corpus) + len(good)
         assert len(batch.errors) == len(corpus)
 
-    def test_verdicts_independent_of_jobs(self, exp2_fresh_pair, tmp_path):
+    def test_verdicts_independent_of_jobs(self, tmp_path):
         corpus = write_corpus(tmp_path)
         paths = sorted(corpus.values())
+        pair = corpus_pair()
         sequential = validate_batch(
-            exp2_fresh_pair, paths, jobs=1, limits=CORPUS_LIMITS
+            pair, paths, jobs=1, limits=CORPUS_LIMITS
         )
         parallel = validate_batch(
-            exp2_fresh_pair, paths, jobs=3, limits=CORPUS_LIMITS
+            pair, paths, jobs=3, limits=CORPUS_LIMITS
         )
         assert [
             (r.path, r.error_type) for r in sequential.results
         ] == [(r.path, r.error_type) for r in parallel.results]
+
+    def test_broken_promise_is_answered_by_the_rejection(
+        self, exp2_fresh_pair, tmp_path
+    ):
+        # Under a pair whose root the corpus lacks, the cast stops at
+        # its first failure, the root, before a later guard can trip.
+        # Only the size check, made before the read, still decides.
+        corpus = write_corpus(tmp_path)
+        batch = validate_batch(
+            exp2_fresh_pair, sorted(corpus.values()), limits=CORPUS_LIMITS
+        )
+        for name, result in by_name(batch).items():
+            if name == "oversized.xml":
+                assert result.error_type == "DocumentTooLargeError"
+                continue
+            assert not result.valid and not result.error, name
+            assert "is not a permitted root" in result.reason, name
 
     def test_per_document_deadline(self, exp2_fresh_pair, tmp_path):
         # Big enough to outlast the deadline token's check stride.
@@ -301,10 +324,10 @@ class TestValidateDirectory:
         batch = validate_directory(exp2_fresh_pair, str(tmp_path))
         assert [r.path for r in batch.results] == [paths["real"]]
 
-    def test_limits_reach_the_workers(self, exp2_fresh_pair, tmp_path):
+    def test_limits_reach_the_workers(self, tmp_path):
         write_corpus(tmp_path)
         batch = validate_directory(
-            exp2_fresh_pair, str(tmp_path), jobs=2, limits=CORPUS_LIMITS
+            corpus_pair(), str(tmp_path), jobs=2, limits=CORPUS_LIMITS
         )
         results = by_name(batch)
         for name in ADVERSARIAL_CASES:

@@ -1,7 +1,8 @@
 """End-to-end skip-scan cast: byte skips through the full stack.
 
-The skip-scan path (``cast_text(stream_skip=True)`` /
-``cast --stream-skip``) must be a pure performance move: identical
+The skip-scan path (``cast_text(stream_skip=True)``, and every file
+cast: ``cast_file``, ``repro cast`` and batches) must be a pure
+performance move: identical
 verdicts, identical failure reasons, identical Dewey paths and
 line/column positions — it only changes *how much of the document is
 ever tokenized*.  Under test:
@@ -23,8 +24,13 @@ import random
 
 import pytest
 
-from repro.core.batch import validate_directory
+from repro.core.batch import (
+    discover_documents,
+    validate_batch,
+    validate_directory,
+)
 from repro.core.cast import CastValidator, cast_file, cast_text
+from repro.core.memo import DEFAULT_MEMO_SIZE
 from repro.errors import (
     DeadlineExceededError,
     DocumentTooDeepError,
@@ -284,23 +290,25 @@ class TestBatchStreamSkip:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_verdicts_match_dom_batch(self, exp1_pair, corpus, jobs):
+        # The default batch runs the kernel; memo_size opts into the
+        # DOM route (parse, then CastValidator with the memo).
         skip = validate_directory(
-            exp1_pair, str(corpus), jobs=jobs, stream_skip=True,
-            collect_stats=True,
+            exp1_pair, str(corpus), jobs=jobs, collect_stats=True,
         )
-        dom = validate_directory(exp1_pair, str(corpus))
-        assert [(r.path, r.ok) for r in skip.results] == [
-            (r.path, r.ok) for r in dom.results
-        ]
+        dom = validate_batch(
+            exp1_pair, discover_documents(str(corpus)), jobs=jobs,
+            memo_size=DEFAULT_MEMO_SIZE,
+        )
+        assert [
+            (r.path, r.ok, r.reason, r.error_code) for r in skip.results
+        ] == [(r.path, r.ok, r.reason, r.error_code) for r in dom.results]
         assert skip.valid_count == 3
         assert skip.stats.subtrees_byte_skipped > 0
 
     def test_broken_document_is_a_per_document_error(
         self, exp1_pair, corpus
     ):
-        result = validate_directory(
-            exp1_pair, str(corpus), stream_skip=True
-        )
+        result = validate_directory(exp1_pair, str(corpus))
         by_name = {r.path.rsplit("/", 1)[-1]: r for r in result.results}
         broken = by_name["broken.xml"]
         assert not broken.ok

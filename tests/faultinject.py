@@ -61,6 +61,34 @@ ADVERSARIAL_CASES = {
 }
 
 
+#: A document the :func:`corpus_pair` cast accepts.
+CORPUS_GOOD_DOCUMENT = "<a><b>x</b><a><b>y</b></a></a>"
+
+
+def corpus_pair():
+    """The schema pair the adversarial corpus is cast under.
+
+    DTDs over the corpus's own vocabulary: ``a`` nests ``a`` and ``b``,
+    and only the source also allows ``c``, so ``a`` is never subsumed
+    and the kernel walks it.  A cast stops at its first failure, so
+    under a pair whose root the corpus lacks (the purchase-order
+    pairs) a document is rejected at its root before its guard can
+    trip; under this pair the kernel reaches each document's fault
+    first.
+    """
+    from repro.schema.dtd import parse_dtd
+    from repro.schema.registry import SchemaPair
+
+    return SchemaPair(
+        parse_dtd(
+            "<!ELEMENT a (a|b|c)*><!ELEMENT b (#PCDATA)>"
+            "<!ELEMENT c (#PCDATA)>",
+            roots=["a"],
+        ),
+        parse_dtd("<!ELEMENT a (a|b)*><!ELEMENT b (#PCDATA)>", roots=["a"]),
+    )
+
+
 def write_corpus(directory) -> dict[str, str]:
     """Write the adversarial corpus; returns ``name -> path``."""
     paths = {}

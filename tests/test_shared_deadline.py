@@ -1,9 +1,9 @@
 """One deadline per request or document, shared across all its passes.
 
-Several entry points run a document through two passes: a parse and
-then a validation, a kernel pass and then the well-formedness drain
-that follows a rejection, or a composed chain cast and then a per-hop
-fallback.  The budget in ``Limits.deadline_seconds`` covers the whole
+Several entry points run a document through two passes: a file read
+and then a kernel pass, a parse and then a validation, a kernel pass
+and then the well-formedness drain that follows a rejection, or a
+composed chain cast and then a per-hop fallback.  The budget in ``Limits.deadline_seconds`` covers the whole
 unit of work, so a second pass must not start a fresh copy of it.
 
 Time is simulated: :mod:`repro.guards` reads a clock that moves only
@@ -20,9 +20,9 @@ import types
 
 import pytest
 
-import repro.cli
 import repro.core.cast
 import repro.core.castkernel
+import repro.core.validator
 import repro.service.work
 from repro.cli import main
 from repro.errors import DeadlineExceededError
@@ -131,25 +131,43 @@ class TestService:
 
 
 class TestCli:
-    def test_single_file_dom_cast_shares_one_deadline(
-        self, tmp_path, clock, monkeypatch, capsys
+    @pytest.mark.parametrize("command", ["validate", "cast", "cast-dir"])
+    def test_deadline_covers_the_read(
+        self, tmp_path, clock, monkeypatch, capsys, command
     ):
+        # The read is the first pass: the document's deadline starts
+        # before it, so the kernel gets only what the read left.
         (tmp_path / "a.xsd").write_text(
             _po_xsd(billto_optional=True, quantity_max_exclusive=200)
         )
         (tmp_path / "b.xsd").write_text(
             _po_xsd(billto_optional=True, quantity_max_exclusive=100)
         )
-        write_file(make_purchase_order(ITEMS), str(tmp_path / "po.xml"))
-        slow_first_call(monkeypatch, repro.cli, "parse_file", clock)
-        code = main([
-            "cast", str(tmp_path / "po.xml"),
-            "--source", str(tmp_path / "a.xsd"),
-            "--target", str(tmp_path / "b.xsd"),
-            "--no-memo", "--timeout", str(BUDGET),
-        ])
-        assert code == 2
-        assert "[deadline-exceeded]" in capsys.readouterr().err
+        docs = tmp_path / "docs"
+        docs.mkdir()
+        write_file(make_purchase_order(ITEMS), str(docs / "po.xml"))
+        reader = (
+            repro.core.validator if command == "validate" else repro.core.cast
+        )
+        slow_first_call(monkeypatch, reader, "read_document", clock)
+        options = {
+            "validate": ["validate", str(docs / "po.xml"),
+                         "--schema", str(tmp_path / "a.xsd")],
+            "cast": ["cast", str(docs / "po.xml")],
+            "cast-dir": ["cast", str(docs)],
+        }[command]
+        if command != "validate":
+            options += ["--source", str(tmp_path / "a.xsd"),
+                        "--target", str(tmp_path / "b.xsd")]
+        code = main([*options, "--timeout", str(BUDGET)])
+        captured = capsys.readouterr()
+        if command == "cast-dir":
+            # A batch records the trip as that document's error.
+            assert code == 1
+            assert "[deadline-exceeded]" in captured.out
+        else:
+            assert code == 2
+            assert "[deadline-exceeded]" in captured.err
 
 
 class TestChain:
