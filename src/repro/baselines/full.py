@@ -5,8 +5,9 @@ unmodified Xerces 2.4, which validates every node of the DOM tree with
 precompiled content-model automata.  :class:`FullValidator` plays that
 role here: it compiles every content model up front and then runs the
 plain top-down validation of :mod:`repro.core.validator` over the whole
-document, sharing the instrumentation counters so node-visit comparisons
-(Table 3) are apples-to-apples.
+document, always counting, on the same compiled tables and the same
+counters as the cast, so node-visit comparisons (Table 3) are
+apples-to-apples.
 """
 
 from __future__ import annotations
@@ -23,10 +24,12 @@ class FullValidator:
     def __init__(self, schema: Schema):
         self.schema = schema
         # Precompile every content model, as a production validator
-        # (Xerces) does when the grammar is loaded.
+        # (Xerces) does when the grammar is loaded: the compiled rows
+        # and child-type rows the walk reads.
         for type_name, declaration in schema.types.items():
             if isinstance(declaration, ComplexType):
-                schema.content_dfa(type_name)
+                schema.compiled_content_dfa(type_name)
+                schema.child_type_row(type_name)
 
     def validate(self, document: Document) -> ValidationReport:
         return validate_document(self.schema, document)

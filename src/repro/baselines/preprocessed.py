@@ -184,8 +184,9 @@ class PreprocessedIncrementalValidator:
                     stats=stats,
                 )
             return ValidationReport.success(stats)
-        dfa = self.schema.content_dfa(type_name)
-        state = dfa.start
+        compiled = self.schema.compiled_content_dfa(type_name)
+        ids = self.schema.symbols.ids
+        state = compiled.start
         for child in element.children:
             if isinstance(child, Text):
                 if child.value.strip() == "":
@@ -195,15 +196,16 @@ class PreprocessedIncrementalValidator:
                     path=str(element.dewey()),
                     stats=stats,
                 )
-            if child.label not in dfa.alphabet:
+            sid = ids.get(child.label, -1)
+            if sid < 0:
                 return ValidationReport.failure(
                     f"unexpected element {child.label!r}",
                     path=str(child.dewey()),
                     stats=stats,
                 )
-            state = dfa.transitions[state][child.label]
+            state = compiled.flat[state * compiled.width + sid]
             stats.content_symbols_scanned += 1
-        if state not in dfa.finals:
+        if not compiled.flags[state] & 1:
             return ValidationReport.failure(
                 "content model violated after update",
                 path=str(element.dewey()),

@@ -19,12 +19,13 @@ the target content DFA, matching the paper's modified-Xerces prototype
 ("we do not use the algorithms of Section 4 ... to perform a fair
 comparison"); benchmarks exercise both configurations.
 
-``collect_stats=False`` trades the Table-3 instrumentation for
-throughput: the traversal runs the compiled dense-table automata of
-:mod:`repro.automata.compiled` (interned labels, tuple-row scans), skips
-the counter updates, and allocates a :class:`ValidationReport` only on
-failure.  Verdicts are identical in both modes; only the stats mode can
-report counters.
+One traversal serves both modes.  It runs the compiled dense-table
+automata of :mod:`repro.automata.compiled` (interned labels, flat-row
+scans) and allocates a :class:`ValidationReport` only on failure; the
+Table-3 counters go into a :class:`ValidationStats` when there is one,
+each behind a ``stats is not None`` test, so ``collect_stats=False``
+costs one comparison per count and nothing else.  Verdicts are
+identical in both modes; only the stats mode reports counters.
 
 If the document is *not* valid under S (a broken promise), the verdict
 may be wrong in either direction — same contract as the paper.
@@ -44,6 +45,8 @@ from typing import Optional
 from repro.core import castkernel
 from repro.core.memo import ValidationMemo
 from repro.core.result import ValidationReport, ValidationStats
+from repro.core.validator import _walk as _validate_subtree
+from repro.core.validator import attribute_violation, validate_element
 from repro.errors import DocumentTooDeepError, XMLSyntaxError
 from repro.guards import (
     Deadline,
@@ -105,8 +108,8 @@ class CastValidator:
         from ``limits.deadline_seconds`` (``None`` → no deadline).
 
         A document lexed against this pair's symbol table
-        (``parse(..., symbols=pair.symbols)``) runs the fast path on
-        the interned ``Element.sym`` ids — no per-node string hashing.
+        (``parse(..., symbols=pair.symbols)``) is walked on the
+        interned ``Element.sym`` ids — no per-node string hashing.
         """
         return self.validate_root(
             document.root,
@@ -134,24 +137,16 @@ class CastValidator:
         source_type = self.pair.source.root_type(root.label)
         if source_type is None:
             # Promise violated at the root: no source knowledge to
-            # exploit, so fall back to full target validation.
-            from repro.core.validator import validate_element
-
-            return validate_element(self.pair.target, target_type, root)
+            # exploit, so fall back to full (counted) target validation
+            # under this validator's limits and deadline.
+            return validate_element(
+                self.pair.target, target_type, root,
+                limits=self.limits, deadline=self._deadline,
+            )
         memo_base = (
             self._memo.snapshot() if self._memo is not None else None
         )
-        if not self.collect_stats:
-            failure = self._fast_element(source_type, target_type, root)
-            report = (
-                ValidationReport.success() if failure is None else failure
-            )
-        else:
-            stats = ValidationStats()
-            report = self.validate_element(
-                source_type, target_type, root, stats
-            )
-            report.stats = stats
+        report = self.validate_element(source_type, target_type, root)
         self._fill_memo_stats(memo_base, report.stats)
         return report
 
@@ -182,204 +177,31 @@ class CastValidator:
     ) -> ValidationReport:
         """The paper's ``validate(τ, τ', e)``.
 
-        With ``collect_stats=False`` and no explicit ``stats``, the call
-        dispatches to the compiled fast path; passing a ``stats`` object
-        always takes the instrumented path (the with-modifications
-        validator threads its accumulator through here).
+        Counts into ``stats`` when one is passed (the with-modifications
+        validator threads its accumulator through here), into a fresh
+        one under ``collect_stats=True``, and not at all otherwise.
         """
-        if depth > self._max_depth:
-            raise DocumentTooDeepError(
-                f"element tree deeper than {self._max_depth} levels"
-            )
-        if self._deadline is not None:
-            self._deadline.tick()
-        if stats is None and not self.collect_stats:
-            failure = self._fast_element(
-                source_type, target_type, element, depth
-            )
-            return ValidationReport.success() if failure is None else failure
-        stats = stats if stats is not None else ValidationStats()
-        if self.pair.is_subsumed(source_type, target_type):
-            stats.subtrees_skipped += 1
+        if stats is None and self.collect_stats:
+            stats = ValidationStats()
+        failure = self._walk(source_type, target_type, element, stats, depth)
+        if failure is None:
             return ValidationReport.success(stats)
-        if self.pair.is_disjoint(source_type, target_type):
-            stats.disjoint_rejections += 1
-            return ValidationReport.failure(
-                f"source type {source_type!r} is disjoint from target "
-                f"type {target_type!r}",
-                path=str(element.dewey()),
-                stats=stats,
-            )
-        memo = self._memo
-        memo_key = None
-        if memo is not None:
-            memo_key = (source_type, target_type, element.structural_hash())
-            if memo.contains(memo_key):
-                # A structurally identical subtree already validated
-                # under this pair: skip it like a subsumed pair.
-                return ValidationReport.success(stats)
-        stats.elements_visited += 1
-        target_decl = self.pair.target.type(target_type)
-        from repro.core.validator import attribute_violation
+        if stats is not None:
+            failure.stats = stats
+        return failure
 
-        violation = attribute_violation(self.pair.target, target_decl, element)
-        if violation:
-            return ValidationReport.failure(
-                violation, path=str(element.dewey()), stats=stats
-            )
-        if isinstance(target_decl, SimpleType):
-            # Disjointness already ruled out a complex source type here.
-            report = self._check_simple(target_decl, element, stats)
-            if memo_key is not None and report.valid:
-                memo.add(memo_key)
-            return report
-        assert isinstance(target_decl, ComplexType)
-        labels: list[str] = []
-        for child in element.children:
-            if isinstance(child, Text):
-                if child.value.strip() == "":
-                    continue
-                stats.text_nodes_visited += 1
-                return ValidationReport.failure(
-                    f"complex type {target_type!r} does not allow "
-                    "character data",
-                    path=str(child.dewey()),
-                    stats=stats,
-                )
-            labels.append(child.label)
-
-        content_ok = self._check_content(source_type, target_type, labels, stats)
-        if not content_ok:
-            return ValidationReport.failure(
-                f"children of {element.label!r} do not match content "
-                f"model {target_decl.content.to_source()} of type "
-                f"{target_type!r}",
-                path=str(element.dewey()),
-                stats=stats,
-            )
-        source_decl = self.pair.source.type(source_type)
-        if not isinstance(source_decl, ComplexType):
-            # Simple-source element casting to a complex target: the only
-            # shared tree is the empty element, which the content check
-            # above already admitted (no element children to recurse on).
-            for child in element.children:
-                if not isinstance(child, Text):
-                    from repro.core.validator import validate_element
-
-                    report = validate_element(
-                        self.pair.target,
-                        target_decl.child_types[child.label],
-                        child,
-                        stats,
-                    )
-                    if not report.valid:
-                        return report
-            if memo_key is not None:
-                memo.add(memo_key)
-            return ValidationReport.success(stats)
-        for child in element.children:
-            if isinstance(child, Text):
-                continue
-            child_source = source_decl.child_types.get(child.label)
-            child_target = target_decl.child_types.get(child.label)
-            if child_source is None or child_target is None:
-                # Unreachable when both content checks held; defensive.
-                return ValidationReport.failure(
-                    f"no type assigned to label {child.label!r}",
-                    path=str(child.dewey()),
-                    stats=stats,
-                )
-            report = self.validate_element(
-                child_source, child_target, child, stats, depth + 1
-            )
-            if not report.valid:
-                return report
-        if memo_key is not None:
-            memo.add(memo_key)
-        return ValidationReport.success(stats)
-
-    # -- content helpers -----------------------------------------------------
-
-    def _check_content(
-        self,
-        source_type: str,
-        target_type: str,
-        labels: list[str],
-        stats: ValidationStats,
-    ) -> bool:
-        """Is the child-label string in ``L(regexp_τ')``?
-
-        With string casting enabled the scan may stop early (immediate
-        accept/reject); either way only the symbols actually consumed
-        are counted.
-        """
-        source_is_complex = isinstance(
-            self.pair.source.type(source_type), ComplexType
-        )
-        if self.use_string_cast and source_is_complex:
-            machine = self.pair.string_cast(source_type, target_type)
-            if machine.always_accepts:
-                # Content languages in the subsumption relation: every
-                # promised child string passes with zero scanning.
-                stats.early_content_decisions += 1
-                return True
-            if machine.never_accepts:
-                stats.early_content_decisions += 1
-                return False
-            result = machine.c_immed.scan(labels)
-            stats.content_symbols_scanned += result.symbols_scanned
-            if result.early:
-                stats.early_content_decisions += 1
-            return result.accepted
-        dfa = self.pair.target.content_dfa(target_type)
-        state = dfa.start
-        for label in labels:
-            if label not in dfa.alphabet:
-                stats.content_symbols_scanned += 1
-                return False
-            state = dfa.transitions[state][label]
-            stats.content_symbols_scanned += 1
-        return state in dfa.finals
-
-    def _check_simple(
-        self,
-        declaration: SimpleType,
-        element: Element,
-        stats: ValidationStats,
-    ) -> ValidationReport:
-        if any(isinstance(child, Element) for child in element.children):
-            return ValidationReport.failure(
-                f"simple type {declaration.name!r} does not allow child "
-                "elements",
-                path=str(element.dewey()),
-                stats=stats,
-            )
-        stats.text_nodes_visited += sum(
-            1 for child in element.children if isinstance(child, Text)
-        )
-        stats.simple_values_checked += 1
-        text = element.text()
-        if not declaration.validate(text):
-            return ValidationReport.failure(
-                f"value {text!r} does not conform to simple type "
-                f"{declaration.name!r}",
-                path=str(element.dewey()),
-                stats=stats,
-            )
-        return ValidationReport.success(stats)
-
-    # -- the compiled fast path (collect_stats=False) ------------------------------
-
-    def _fast_element(
+    def _walk(
         self,
         source_type: str,
         target_type: str,
         element: Element,
+        stats: Optional[ValidationStats],
         depth: int = 0,
     ) -> Optional[ValidationReport]:
-        """The traversal of :meth:`validate_element` with counters off:
-        ``None`` means the subtree is valid, a report is a failure —
-        success allocates nothing on the way up."""
+        """The traversal on the compiled tables: ``None`` means the
+        subtree is valid, a report is the first failure — success
+        allocates nothing on the way up.  Counters go to ``stats``
+        unless it is ``None``."""
         if depth > self._max_depth:
             raise DocumentTooDeepError(
                 f"element tree deeper than {self._max_depth} levels"
@@ -389,8 +211,12 @@ class CastValidator:
             deadline.tick()
         pair = self.pair
         if (source_type, target_type) in pair.r_sub:
+            if stats is not None:
+                stats.subtrees_skipped += 1
             return None
         if (source_type, target_type) not in pair.r_nondis:
+            if stats is not None:
+                stats.disjoint_rejections += 1
             return ValidationReport.failure(
                 f"source type {source_type!r} is disjoint from target "
                 f"type {target_type!r}",
@@ -401,20 +227,23 @@ class CastValidator:
         if memo is not None:
             memo_key = (source_type, target_type, element.structural_hash())
             if memo.contains(memo_key):
+                # A structurally identical subtree already validated
+                # under this pair: skip it like a subsumed pair.
                 return None
+        if stats is not None:
+            stats.elements_visited += 1
         target_decl = pair.target.types[target_type]
         if element._attributes or (
             isinstance(target_decl, ComplexType) and target_decl.attributes
         ):
-            from repro.core.validator import attribute_violation
-
             violation = attribute_violation(pair.target, target_decl, element)
             if violation:
                 return ValidationReport.failure(
                     violation, path=str(element.dewey())
                 )
         if isinstance(target_decl, SimpleType):
-            failure = self._fast_simple(target_decl, element)
+            # Disjointness already ruled out a complex source type here.
+            failure = self._simple(target_decl, element, stats)
             if failure is None and memo_key is not None:
                 memo.add(memo_key)
             return failure
@@ -428,6 +257,8 @@ class CastValidator:
             if isinstance(child, Text):
                 if child.value.strip() == "":
                     continue
+                if stats is not None:
+                    stats.text_nodes_visited += 1
                 return ValidationReport.failure(
                     f"complex type {target_type!r} does not allow "
                     "character data",
@@ -438,7 +269,7 @@ class CastValidator:
                 sid = ids.get(child._label, -1)
             syms.append(sid)
 
-        if not self._fast_content(source_type, target_type, syms):
+        if not self._content(source_type, target_type, syms, stats):
             return ValidationReport.failure(
                 f"children of {element.label!r} do not match content "
                 f"model {target_decl.content.to_source()} of type "
@@ -447,17 +278,23 @@ class CastValidator:
             )
         source_decl = pair.source.types[source_type]
         if not isinstance(source_decl, ComplexType):
-            from repro.core.validator import validate_element
-
+            # Simple-source element casting to a complex target: no
+            # source knowledge below, so any element children (a broken
+            # promise) get full target validation under the same guards.
             for child in element.children:
                 if not isinstance(child, Text):
-                    report = validate_element(
+                    failure = _validate_subtree(
                         pair.target,
                         target_decl.child_types[child.label],
                         child,
+                        stats,
+                        depth + 1,
+                        self._max_depth,
+                        deadline,
+                        False,
                     )
-                    if not report.valid:
-                        return report
+                    if failure is not None:
+                        return failure
             if memo_key is not None:
                 memo.add(memo_key)
             return None
@@ -475,12 +312,13 @@ class CastValidator:
             else:
                 child_source = child_target = None
             if child_source is None or child_target is None:
+                # Unreachable when both content checks held; defensive.
                 return ValidationReport.failure(
                     f"no type assigned to label {child.label!r}",
                     path=str(child.dewey()),
                 )
-            failure = self._fast_element(
-                child_source, child_target, child, depth + 1
+            failure = self._walk(
+                child_source, child_target, child, stats, depth + 1
             )
             if failure is not None:
                 return failure
@@ -488,27 +326,62 @@ class CastValidator:
             memo.add(memo_key)
         return None
 
-    def _fast_content(
-        self, source_type: str, target_type: str, syms: list[int]
+    # -- content helpers -----------------------------------------------------
+
+    def _content(
+        self,
+        source_type: str,
+        target_type: str,
+        syms: list[int],
+        stats: Optional[ValidationStats],
     ) -> bool:
-        """:meth:`_check_content` on the compiled dense tables, over the
-        already-interned child-label string (``-1`` entries reject)."""
+        """Is the interned child-label string (``-1`` entries reject) in
+        ``L(regexp_τ')``?
+
+        With string casting enabled the scan may stop early (immediate
+        accept/reject); either way only the symbols actually consumed
+        are counted.
+        """
         pair = self.pair
         if self.use_string_cast and isinstance(
             pair.source.types[source_type], ComplexType
         ):
             machine = pair.string_cast(source_type, target_type)
-            if machine.always_accepts:
-                return True
-            if machine.never_accepts:
-                return False
+            if machine.always_accepts or machine.never_accepts:
+                # Content languages in the subsumption (or disjointness)
+                # relation: every promised child string is decided with
+                # zero scanning.
+                if stats is not None:
+                    stats.early_content_decisions += 1
+                return machine.always_accepts
             compiled = machine.c_immed_compiled
             assert compiled is not None  # pair-built machines always compile
-            return compiled.decide(syms)
-        return pair.target_content(target_type).accepts(syms)
+            if stats is None:
+                return compiled.decide(syms)
+            accepted, scanned, early, _ = compiled.scan(syms)
+            stats.content_symbols_scanned += scanned
+            stats.early_content_decisions += early
+            return accepted
+        content = pair.target_content(target_type)
+        if stats is None:
+            return content.accepts(syms)
+        # The paper prototype's plain DFA run: no early decisions, and a
+        # label outside the target alphabet is consumed, then rejected.
+        flat = content.flat
+        width = content.width
+        state = content.start
+        for sid in syms:
+            stats.content_symbols_scanned += 1
+            state = flat[state * width + sid] if sid >= 0 else -1
+            if state < 0:
+                return False
+        return bool(content.flags[state] & 1)
 
-    def _fast_simple(
-        self, declaration: SimpleType, element: Element
+    def _simple(
+        self,
+        declaration: SimpleType,
+        element: Element,
+        stats: Optional[ValidationStats],
     ) -> Optional[ValidationReport]:
         for child in element.children:
             if isinstance(child, Element):
@@ -517,6 +390,9 @@ class CastValidator:
                     "child elements",
                     path=str(element.dewey()),
                 )
+        if stats is not None:
+            stats.text_nodes_visited += len(element.children)
+            stats.simple_values_checked += 1
         text = element.text()
         if not declaration.validate(text):
             return ValidationReport.failure(

@@ -184,7 +184,7 @@ def run(kernel, limits, text, byte_skip, trusted):
             return None
         bits = rec.flags[frame[_STATE]]
         if bits & 2:  # IA (machine records only; plain flags lack it)
-            stats.early_content_decisions += 1
+            # Reached after the last child: accepted, but not early.
             return None
         if not bits & 1:
             return _content_fail(rec, frame[_LABEL],

@@ -36,9 +36,11 @@ from repro.xmltree.dom import Element, Text
 class CastWithModificationsValidator:
     """Revalidates an edited, originally S-valid document against S'.
 
-    ``collect_stats=False`` runs the whole walk (including the embedded
-    no-modifications cast of case 1) with counters off, on the compiled
-    dense-table automata where a compiled form exists.
+    ``collect_stats=False`` runs the same walk (including the embedded
+    no-modifications cast of case 1) with the counters left out.  Both
+    modes check content on the compiled dense tables, except the
+    Section 4.3 string cast with modifications
+    (:meth:`~repro.automata.stringcast.StringCastValidator.validate_modified`).
     """
 
     def __init__(
@@ -140,8 +142,8 @@ class CastWithModificationsValidator:
             )
         if self._deadline is not None:
             self._deadline.tick()
-        # Case 1: untouched subtree — plain schema cast applies.  A None
-        # stats dispatches the cast onto its compiled fast path.
+        # Case 1: untouched subtree — plain schema cast applies, counting
+        # into ``stats`` when there is one.
         if not session.modified(element):
             return self._cast.validate_element(
                 source_type, target_type, element, stats, depth
@@ -163,7 +165,7 @@ class CastWithModificationsValidator:
                 violation, path=str(element.dewey()), stats=stats
             )
         if isinstance(target_decl, SimpleType):
-            return self._check_simple(session, target_decl, element, stats)
+            return self._simple_value(session, target_decl, element, stats)
         assert isinstance(target_decl, ComplexType)
 
         old_labels: list[str] = []
@@ -202,7 +204,7 @@ class CastWithModificationsValidator:
                 live_element_children.append(child)
 
         source_decl = self.pair.source.type(source_type)
-        content_ok = self._check_content(
+        content_ok = self._content_accepts(
             source_type,
             target_type,
             old_labels if isinstance(source_decl, ComplexType) else None,
@@ -278,7 +280,7 @@ class CastWithModificationsValidator:
                 violation, path=str(element.dewey()), stats=stats
             )
         if isinstance(declaration, SimpleType):
-            return self._check_simple(session, declaration, element, stats)
+            return self._simple_value(session, declaration, element, stats)
         assert isinstance(declaration, ComplexType)
         live = session.live_children(element)
         labels: list[str] = []
@@ -302,14 +304,13 @@ class CastWithModificationsValidator:
                     stats=stats,
                 )
             labels.append(child.label)
+        immed = self.pair.target_immed_compiled(type_name)
+        syms = self.pair.symbols.encode(labels)
         if stats is None:
-            accepted = self.pair.target_immed_compiled(type_name).decide(
-                self.pair.symbols.encode(labels)
-            )
+            accepted = immed.decide(syms)
         else:
-            result = self.pair.target_immed(type_name).scan(labels)
-            stats.content_symbols_scanned += result.symbols_scanned
-            accepted = result.accepted
+            accepted, scanned, _, _ = immed.scan(syms)
+            stats.content_symbols_scanned += scanned
         if not accepted:
             return ValidationReport.failure(
                 f"children of {element.label!r} do not match content "
@@ -337,7 +338,7 @@ class CastWithModificationsValidator:
 
     # -- content and simple-value checks ----------------------------------------
 
-    def _check_content(
+    def _content_accepts(
         self,
         source_type: str,
         target_type: str,
@@ -359,18 +360,16 @@ class CastWithModificationsValidator:
                 if result.decision.value.startswith("immediate"):
                     stats.early_content_decisions += 1
             return result.accepted
+        immed = self.pair.target_immed_compiled(target_type)
+        syms = self.pair.symbols.encode(new_labels)
         if stats is None:
-            return self.pair.target_immed_compiled(target_type).decide(
-                self.pair.symbols.encode(new_labels)
-            )
-        immed = self.pair.target_immed(target_type)
-        result = immed.scan(new_labels)
-        stats.content_symbols_scanned += result.symbols_scanned
-        if result.early:
-            stats.early_content_decisions += 1
-        return result.accepted
+            return immed.decide(syms)
+        accepted, scanned, early, _ = immed.scan(syms)
+        stats.content_symbols_scanned += scanned
+        stats.early_content_decisions += early
+        return accepted
 
-    def _check_simple(
+    def _simple_value(
         self,
         session: UpdateSession,
         declaration: SimpleType,

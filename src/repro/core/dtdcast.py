@@ -11,6 +11,10 @@ disjoint pairs make the document invalid the moment one instance exists.
 The traversal order is by label, not document order — sound because
 target-validity of a tree decomposes into independent per-node content
 checks once types are label-determined.
+
+Content checks run on the pair's compiled tables in both modes;
+``collect_stats=True`` only adds the counters (the counted scan is
+:meth:`~repro.automata.compiled.CompiledImmediate.scan`).
 """
 
 from __future__ import annotations
@@ -197,12 +201,9 @@ class DTDCastValidator:
                 memo.add(memo_key)
             return ValidationReport.success(stats)
         assert isinstance(target_decl, ComplexType)
-        # Stats-free runs scan pre-interned symbol ids (``-1`` for
-        # unknown labels, which the compiled tables reject); the stats
-        # path keeps label strings for the counting scanners.
-        collect_syms = stats is None
+        # The child-label string, interned (``-1`` for unknown labels,
+        # which the compiled tables reject).
         ids = self.pair.symbols.ids
-        labels: list[str] = []
         syms: list[int] = []
         for child in element.children:
             if isinstance(child, Text):
@@ -216,40 +217,33 @@ class DTDCastValidator:
                     path=str(child.dewey()),
                     stats=stats,
                 )
-            if collect_syms:
-                sid = child.sym if interned else -1
-                if sid < 0:
-                    sid = ids.get(child._label, -1)
-                syms.append(sid)
-            else:
-                labels.append(child.label)
-        source_is_complex = isinstance(
+            sid = child.sym if interned else -1
+            if sid < 0:
+                sid = ids.get(child._label, -1)
+            syms.append(sid)
+        string_cast = self.use_string_cast and isinstance(
             self.pair.source.type(source_type), ComplexType
         )
-        if self.use_string_cast and source_is_complex:
+        if string_cast:
             machine = self.pair.string_cast(source_type, target_type)
-            if machine.always_accepts or machine.never_accepts:
-                if stats is not None:
-                    stats.early_content_decisions += 1
-                accepted = machine.always_accepts
-            elif stats is None:
-                compiled = machine.c_immed_compiled
-                assert compiled is not None
-                accepted = compiled.decide(syms)
-            else:
-                result = machine.c_immed.scan(labels)
-                stats.content_symbols_scanned += result.symbols_scanned
-                accepted = result.accepted
-                if result.early:
-                    stats.early_content_decisions += 1
-        elif stats is None:
-            accepted = self.pair.target_immed_compiled(target_type).decide(
-                syms
-            )
+            decided = machine.always_accepts or machine.never_accepts
+            immed = machine.c_immed_compiled
         else:
-            scan = self.pair.target_immed(target_type).scan(labels)
-            stats.content_symbols_scanned += scan.symbols_scanned
-            accepted = scan.accepted
+            decided = False
+            immed = self.pair.target_immed_compiled(target_type)
+        if decided:
+            if stats is not None:
+                stats.early_content_decisions += 1
+            accepted = machine.always_accepts
+        elif stats is None:
+            accepted = immed.decide(syms)
+        else:
+            accepted, scanned, early, _ = immed.scan(syms)
+            stats.content_symbols_scanned += scanned
+            if string_cast:
+                # The plain mode counts no early decisions, like the
+                # tree cast's plain target run.
+                stats.early_content_decisions += early
         if not accepted:
             return ValidationReport.failure(
                 f"children of {element.label!r} do not match content "

@@ -285,12 +285,11 @@ def reference_cast(
                 return content_failure(frame, stack + [frame])
             return None
         # End of children: the pair automaton must be in a final state
-        # (IA states would have decided already; the promise covers
-        # source acceptance).
+        # (the promise covers source acceptance).  An IA state reached
+        # after the last child accepts too, but decides nothing early.
         immed = frame_machine.c_immed_compiled
         assert immed is not None
         if immed.ia_mask[frame.state]:
-            stats.early_content_decisions += 1
             return None
         if not immed.finals_mask[frame.state]:
             return content_failure(frame, stack + [frame])

@@ -3,6 +3,13 @@
 Every validator in :mod:`repro.core` and :mod:`repro.baselines` reports
 through these types so the benchmark harness can compare them — the
 node-visit counters are what reproduces **Table 3** of the paper.
+
+A DOM walk counts only when handed a :class:`ValidationStats`
+(``collect_stats=True``, the default): each count sits behind a
+``stats is not None`` test in the one walk that also serves uncounted
+runs.  The fused kernel always counts.  On every document both accept,
+the tree cast and the kernel agree on every counter but the byte-skim
+and memo ones (``tests/core/test_kernel_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -27,7 +34,9 @@ class ValidationStats:
         disjoint_rejections: validations cut short by disjointness
             (``τ ⊘ τ'``).
         early_content_decisions: content-model scans decided by an
-            IA/IR state before the end of the child sequence.
+            IA/IR state before the end of the child sequence (an IA
+            state first reached after the last child accepts, but is
+            not early).
         deltas_seen: Δ-labelled nodes encountered (with-modifications
             runs only).
         memo_hits: subtrees skipped because a structurally identical

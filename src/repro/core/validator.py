@@ -6,10 +6,13 @@ check each element's child-label string against its type's content
 model and descend into every child.  Simple types require exactly one
 χ (text) child whose value conforms.
 
-The tree walks here validate documents that are already trees: the
-full-traversal baseline in :mod:`repro.baselines.full` (unmodified
-Xerces), repair, and edited documents.  Text is validated without a
-tree by :func:`validate_text`, which runs the fused cast kernel over the
+One tree walk, :func:`_walk`, validates documents that are already
+trees: the full-traversal baseline in :mod:`repro.baselines.full`
+(unmodified Xerces), repair, identity constraints and edited documents.
+It runs on the schema's compiled content tables and counts into a
+:class:`ValidationStats` only when given one, so the counted and
+uncounted modes share every line.  Text is validated without a tree by
+:func:`validate_text`, which runs the fused cast kernel over the
 schema's own tables and answers exactly as ``validate_document(schema,
 parse(text))`` does.
 """
@@ -111,23 +114,6 @@ def attribute_violation_parts(
     return ""
 
 
-def _guard_params(
-    limits: Optional[Limits], deadline: Optional[Deadline]
-) -> tuple[int, Optional[Deadline]]:
-    """Resolve ``limits`` (ambient when ``None``) to the pair of per-call
-    guard values the recursive walkers carry: the depth ceiling (as a
-    plain int so the hot path is one comparison) and a deadline token."""
-    resolved = resolve_limits(limits)
-    max_depth = (
-        resolved.max_tree_depth
-        if resolved.max_tree_depth is not None
-        else sys.maxsize
-    )
-    if deadline is None:
-        deadline = resolved.deadline()
-    return max_depth, deadline
-
-
 def validate_text(
     schema: Schema, text: str, *, limits: Optional[Limits] = None
 ) -> ValidationReport:
@@ -212,7 +198,7 @@ def _drain_rejected(
 
 
 class _ContentCheck:
-    """:func:`_validate`'s content check of one complex element, fed
+    """:func:`_walk`'s content check of one complex element, fed
     its children one by one (for :func:`_drain_rejected`)."""
 
     __slots__ = ("schema", "label", "type_name", "compiled", "state",
@@ -297,11 +283,11 @@ def validate_document(
 ) -> ValidationReport:
     """Validate a whole document: root admissibility plus the subtree.
 
-    ``collect_stats=False`` runs the compiled dense-table fast path:
-    same verdict, no counters, reports allocated only on failure.
-    A document lexed against this schema's own symbol table
-    (``parse(..., symbols=schema.symbols)``) is validated on the
-    interned ``Element.sym`` ids with no per-node string hashing.
+    ``collect_stats=False`` leaves the counters out: same verdict,
+    reports allocated only on failure.  A document lexed against this
+    schema's own symbol table (``parse(..., symbols=schema.symbols)``)
+    is validated on the interned ``Element.sym`` ids with no per-node
+    string hashing.
     """
     return validate_root(
         schema,
@@ -327,16 +313,8 @@ def validate_root(
         return ValidationReport.failure(
             f"label {root.label!r} is not a permitted root", path=""
         )
-    max_depth, deadline = _guard_params(limits, deadline)
-    if not collect_stats:
-        failure = _fast_validate(
-            schema, type_name, root, 0, max_depth, deadline, interned
-        )
-        return ValidationReport.success() if failure is None else failure
-    stats = ValidationStats()
-    report = _validate(schema, type_name, root, stats, 0, max_depth, deadline)
-    report.stats = stats
-    return report
+    stats = ValidationStats() if collect_stats else None
+    return _report(schema, type_name, root, stats, limits, deadline, interned)
 
 
 def validate_element(
@@ -346,87 +324,54 @@ def validate_element(
     limits: Optional[Limits] = None,
     deadline: Optional[Deadline] = None,
 ) -> ValidationReport:
-    """Validate one element (and its subtree) against a named type."""
+    """Validate one element (and its subtree) against a named type,
+    counting into ``stats`` (a fresh one when ``None``)."""
     stats = stats if stats is not None else ValidationStats()
-    max_depth, deadline = _guard_params(limits, deadline)
-    report = _validate(schema, type_name, element, stats, 0, max_depth, deadline)
-    report.stats = stats
+    return _report(schema, type_name, element, stats, limits, deadline, False)
+
+
+def _report(
+    schema: Schema,
+    type_name: str,
+    element: Element,
+    stats: Optional[ValidationStats],
+    limits: Optional[Limits],
+    deadline: Optional[Deadline],
+    interned: bool,
+) -> ValidationReport:
+    """:func:`_walk` under ``limits`` (ambient when ``None``) and
+    ``deadline`` (started from the limits when ``None``), as a report
+    carrying ``stats`` when there is one."""
+    limits = resolve_limits(limits)
+    max_depth = (
+        limits.max_tree_depth
+        if limits.max_tree_depth is not None
+        else sys.maxsize
+    )
+    if deadline is None:
+        deadline = limits.deadline()
+    failure = _walk(
+        schema, type_name, element, stats, 0, max_depth, deadline, interned
+    )
+    report = ValidationReport.success() if failure is None else failure
+    if stats is not None:
+        report.stats = stats
     return report
 
 
-def _validate(
+def _walk(
     schema: Schema,
     type_name: str,
     element: Element,
-    stats: ValidationStats,
-    depth: int = 0,
-    max_depth: int = sys.maxsize,
-    deadline: Optional[Deadline] = None,
-) -> ValidationReport:
-    if depth > max_depth:
-        raise DocumentTooDeepError(
-            f"element tree deeper than {max_depth} levels"
-        )
-    if deadline is not None:
-        deadline.tick()
-    stats.elements_visited += 1
-    declaration = schema.type(type_name)
-    violation = attribute_violation(schema, declaration, element)
-    if violation:
-        return ValidationReport.failure(violation, path=str(element.dewey()))
-    if isinstance(declaration, SimpleType):
-        return _validate_simple(declaration, element, stats)
-    assert isinstance(declaration, ComplexType)
-    dfa = schema.content_dfa(type_name)
-    state = dfa.start
-    for child in element.children:
-        if isinstance(child, Text):
-            if child.value.strip() == "":
-                continue  # ignorable whitespace in element content
-            stats.text_nodes_visited += 1
-            return ValidationReport.failure(
-                f"complex type {type_name!r} does not allow character data",
-                path=str(child.dewey()),
-            )
-        label = child.label
-        if label not in dfa.alphabet:
-            return ValidationReport.failure(
-                f"unexpected element {label!r} in content of "
-                f"{type_name!r}",
-                path=str(child.dewey()),
-            )
-        state = dfa.transitions[state][label]
-        stats.content_symbols_scanned += 1
-    if state not in dfa.finals:
-        return ValidationReport.failure(
-            f"children of {element.label!r} do not match content model "
-            f"{declaration.content.to_source()} of type {type_name!r}",
-            path=str(element.dewey()),
-        )
-    for child in element.children:
-        if isinstance(child, Text):
-            continue
-        child_type = declaration.child_types[child.label]
-        report = _validate(
-            schema, child_type, child, stats, depth + 1, max_depth, deadline
-        )
-        if not report.valid:
-            return report
-    return ValidationReport.success()
-
-
-def _fast_validate(
-    schema: Schema,
-    type_name: str,
-    element: Element,
-    depth: int = 0,
-    max_depth: int = sys.maxsize,
-    deadline: Optional[Deadline] = None,
-    interned: bool = False,
+    stats: Optional[ValidationStats],
+    depth: int,
+    max_depth: int,
+    deadline: Optional[Deadline],
+    interned: bool,
 ) -> Optional[ValidationReport]:
-    """:func:`_validate` with counters off, over the schema's compiled
-    content tables.  ``None`` means valid (nothing allocated); a report
-    is the first failure.
+    """The paper's ``validate(τ, e)`` over the schema's compiled content
+    tables.  ``None`` means valid (nothing allocated); a report is the
+    first failure.  Counters go to ``stats`` unless it is ``None``.
 
     With ``interned=True`` (document lexed against ``schema.symbols``)
     the content scan and the child-type descent both run on the
@@ -434,6 +379,11 @@ def _fast_validate(
     ``-1`` (node inserted after parse, or label outside the schema
     alphabet) falls back to the string lookup, so mutated documents
     stay correct, just slower on the touched nodes.
+
+    Definition 1's simple case wants one χ (text) child whose value
+    conforms; an empty element carries the empty string, since XML
+    offers no way to tell ``<e></e>`` from an ``<e>`` with a
+    zero-length text child.
     """
     if depth > max_depth:
         raise DocumentTooDeepError(
@@ -441,6 +391,8 @@ def _fast_validate(
         )
     if deadline is not None:
         deadline.tick()
+    if stats is not None:
+        stats.elements_visited += 1
     declaration = schema.types[type_name]
     if element._attributes or (
         isinstance(declaration, ComplexType) and declaration.attributes
@@ -458,6 +410,9 @@ def _fast_validate(
                     "child elements",
                     path=str(element.dewey()),
                 )
+        if stats is not None:
+            stats.text_nodes_visited += len(element.children)
+            stats.simple_values_checked += 1
         text = element.text()
         if not declaration.validate(text):
             return ValidationReport.failure(
@@ -471,11 +426,16 @@ def _fast_validate(
     flat = compiled.flat
     width = compiled.width
     state = compiled.start
+    # Every symbol read so far is in ``syms``, so the scan count is
+    # settled once, wherever the scan stops.
     syms: list[int] = []
     for child in element.children:
         if isinstance(child, Text):
             if child.value.strip() == "":
                 continue  # ignorable whitespace in element content
+            if stats is not None:
+                stats.text_nodes_visited += 1
+                stats.content_symbols_scanned += len(syms)
             return ValidationReport.failure(
                 f"complex type {type_name!r} does not allow character data",
                 path=str(child.dewey()),
@@ -484,6 +444,8 @@ def _fast_validate(
         if sid < 0:
             sid = ids.get(child.label, -1)
             if sid < 0:
+                if stats is not None:
+                    stats.content_symbols_scanned += len(syms)
                 return ValidationReport.failure(
                     f"unexpected element {child.label!r} in content of "
                     f"{type_name!r}",
@@ -493,6 +455,8 @@ def _fast_validate(
         # Content rows are complete over the schema alphabet, so an
         # interned symbol always has a successor.
         state = flat[state * width + sid]
+    if stats is not None:
+        stats.content_symbols_scanned += len(syms)
     if not (compiled.flags[state] & 1):
         return ValidationReport.failure(
             f"children of {element.label!r} do not match content model "
@@ -504,10 +468,11 @@ def _fast_validate(
     for child in element.children:
         if isinstance(child, Text):
             continue
-        failure = _fast_validate(
+        failure = _walk(
             schema,
             child_row[syms[position]],
             child,
+            stats,
             depth + 1,
             max_depth,
             deadline,
@@ -517,32 +482,3 @@ def _fast_validate(
         if failure is not None:
             return failure
     return None
-
-
-def _validate_simple(
-    declaration: SimpleType, element: Element, stats: ValidationStats
-) -> ValidationReport:
-    """Definition 1, simple case: one χ child whose text conforms.
-
-    Empty elements are treated as carrying the empty string — XML offers
-    no way to distinguish ``<e></e>`` from an ``<e>`` with a zero-length
-    text child.
-    """
-    if any(isinstance(child, Element) for child in element.children):
-        return ValidationReport.failure(
-            f"simple type {declaration.name!r} does not allow child "
-            "elements",
-            path=str(element.dewey()),
-        )
-    stats.text_nodes_visited += sum(
-        1 for child in element.children if isinstance(child, Text)
-    )
-    stats.simple_values_checked += 1
-    text = element.text()
-    if not declaration.validate(text):
-        return ValidationReport.failure(
-            f"value {text!r} does not conform to simple type "
-            f"{declaration.name!r}",
-            path=str(element.dewey()),
-        )
-    return ValidationReport.success()

@@ -116,8 +116,9 @@ class SchemaPair:
         return machine
 
     def target_immed(self, target_type: str) -> ImmediateDecisionAutomaton:
-        """Definition 6 automaton for a target content model (cached);
-        used when no source knowledge exists (inserted subtrees)."""
+        """Definition 6 automaton for a target content model (cached),
+        for content without source knowledge (inserted subtrees); the
+        walks scan its :meth:`target_immed_compiled` form."""
         if target_type not in self._target_immed:
             self._target_immed[target_type] = (
                 ImmediateDecisionAutomaton.from_dfa(
@@ -128,7 +129,8 @@ class SchemaPair:
 
     def target_immed_compiled(self, target_type: str) -> CompiledImmediate:
         """Dense-table compilation of :meth:`target_immed` over the pair
-        symbol table (cached) — the stats-free scanning path."""
+        symbol table (cached): ``decide`` for uncounted scans, ``scan``
+        for counted ones."""
         if target_type not in self._target_immed_compiled:
             self._target_immed_compiled[target_type] = (
                 CompiledImmediate.from_immediate(

@@ -4,10 +4,14 @@ import pytest
 
 from repro.core.cast import CastValidator
 from repro.core.validator import validate_document
+from repro.errors import DocumentTooDeepError
+from repro.guards import Limits
+from repro.schema.dtd import parse_dtd
 from repro.schema.model import Schema, complex_type
 from repro.schema.registry import SchemaPair
 from repro.schema.simple import builtin, restrict
 from repro.workloads.purchase_orders import make_purchase_order
+from repro.xmltree.dom import Document, Element
 from repro.xmltree.parser import parse
 
 
@@ -165,6 +169,64 @@ class TestSimpleComplexBoundary:
         target = Schema({"I": builtin("integer")}, {"e": "I"})
         validator = CastValidator(SchemaPair(source, target))
         assert not validator.validate(parse("<e/>")).valid
+
+
+class TestGuardsWithoutSourceKnowledge:
+    """Where the cast falls back to full target validation (element
+    children of a simple-source element, or a root the source does not
+    declare), that validation runs under the cast's own limits."""
+
+    SOURCE = "<!ELEMENT r (x)> <!ELEMENT x (#PCDATA)>"
+    TARGET = "<!ELEMENT r (x)> <!ELEMENT x (x?)>"
+
+    def pair(self, source_root="r"):
+        return SchemaPair(
+            parse_dtd(self.SOURCE, roots=[source_root]),
+            parse_dtd(self.TARGET, roots=["r"]),
+        )
+
+    @staticmethod
+    def nested(depth):
+        """``<r>`` over ``depth`` nested ``<x>``, built without the
+        parser's own depth guard."""
+        root = node = Element("r")
+        for _ in range(depth):
+            child = Element("x")
+            node.append(child)
+            node = child
+        return Document(root)
+
+    @pytest.mark.parametrize("collect_stats", [True, False])
+    def test_depth_limit_below_simple_source(self, collect_stats):
+        pair = self.pair()
+        limits = Limits(max_tree_depth=5)
+        document = self.nested(8)
+        with pytest.raises(DocumentTooDeepError):
+            validate_document(pair.target, document, limits=limits)
+        validator = CastValidator(
+            pair, collect_stats=collect_stats, limits=limits
+        )
+        with pytest.raises(DocumentTooDeepError):
+            validator.validate(document)
+
+    @pytest.mark.parametrize("collect_stats", [True, False])
+    def test_depth_limit_below_root_unknown_to_source(self, collect_stats):
+        validator = CastValidator(
+            self.pair(source_root="x"), collect_stats=collect_stats,
+            limits=Limits(max_tree_depth=5),
+        )
+        with pytest.raises(DocumentTooDeepError):
+            validator.validate(self.nested(8))
+
+    def test_counts_below_simple_source(self):
+        pair = self.pair()
+        counted = CastValidator(pair).validate(self.nested(3))
+        assert counted.valid
+        # r and the outer x by the cast, the two x below by full
+        # validation, all into one set of counters.
+        assert counted.stats.elements_visited == 4
+        uncounted = CastValidator(pair, collect_stats=False)
+        assert uncounted.validate(self.nested(3)).stats.nodes_visited == 0
 
 
 class TestIdenticalSchemas:

@@ -1,5 +1,10 @@
-"""The stats-off compiled fast paths must agree with the instrumented
-paths on every verdict — the counters are the only permitted difference."""
+"""Uncounted runs (``collect_stats=False``) must agree with counted runs
+on every verdict — the counters are the only permitted difference.
+
+Each semantics has one walk that counts only when handed a
+``ValidationStats``, so these tests pin the two modes of the same code:
+the tree cast, plain validation, the DTD cast and the cast with
+modifications."""
 
 import random
 

@@ -20,6 +20,10 @@ verdict, reason, path and (on a valid document) counters — with no
 tolerance for the tree walk's content-first order, which the kernel's
 drain after a rejection reproduces.
 
+The DOM cast (:class:`~repro.core.cast.CastValidator`) shares no walk
+code with the kernel, so it is the kernel's oracle for the Table-3
+counters: on every document both accept, they count the same work.
+
 The per-value specialization (:func:`repro.schema.simple
 .compiled_checker`) carries the same contract against
 :meth:`SimpleType.validate` and is fuzzed over random simple types and
@@ -33,12 +37,13 @@ import random
 
 import pytest
 
-from repro.core.cast import cast_text
+from repro.core.cast import CastValidator, cast_text
 from repro.core.reference import reference_cast
 from repro.core.updates import UpdateSession
 from repro.core.validator import validate_document, validate_text
 from repro.errors import ReproError, SchemaError, error_code
 from repro.guards import Limits
+from repro.schema.dtd import parse_dtd
 from repro.schema.registry import SchemaPair
 from repro.schema.simple import compiled_checker
 from repro.workloads.adversarial import (
@@ -149,24 +154,32 @@ class TestPurchaseOrders:
                 assert_equivalent(pair, text, mode)
 
 
+def random_pairs(rng, count):
+    """``count`` random schema pairs, each target perturbed from its
+    source or drawn on its own; drawn lazily, so a caller's sampling
+    between pairs shares the one stream."""
+    made = 0
+    while made < count:
+        try:
+            source = random_schema(rng, name=f"src{made}")
+            target = (
+                perturb_schema(rng, source)
+                if rng.random() < 0.6
+                else random_schema(rng, name=f"tgt{made}")
+            )
+        except SchemaError:
+            continue  # pruning left no productive root: resample
+        made += 1
+        yield SchemaPair(source, target)
+
+
 class TestRandomPairs:
     @pytest.mark.parametrize("mode", MODES)
     def test_random_schemas(self, mode):
         rng = random.Random(0x5EED)
-        pairs_fuzzed = documents_fuzzed = 0
-        while pairs_fuzzed < 12:
-            try:
-                source = random_schema(rng, name=f"src{pairs_fuzzed}")
-                target = (
-                    perturb_schema(rng, source)
-                    if rng.random() < 0.6
-                    else random_schema(rng, name=f"tgt{pairs_fuzzed}")
-                )
-            except SchemaError:
-                continue  # pruning left no productive root: resample
-            pair = SchemaPair(source, target)
-            pairs_fuzzed += 1
-            for schema in (source, target):
+        documents_fuzzed = 0
+        for pair in random_pairs(rng, 12):
+            for schema in (pair.source, pair.target):
                 document = sample_document(rng, schema)
                 if document is None:
                     continue
@@ -259,6 +272,81 @@ class TestArtifactRoundTrip:
             healed.valid, healed.reason, healed.path
         )
         assert fresh.stats == healed.stats
+
+
+#: Counters outside the comparison: byte skims exist only in the
+#: kernel, the memo only in the DOM cast, and seconds are not work.
+UNCOUNTED = frozenset({
+    "subtrees_byte_skipped", "bytes_skipped", "memo_hits", "memo_misses",
+    "memo_evictions", "parse_seconds", "validate_seconds",
+})
+
+
+def counters(stats):
+    return {name: value for name, value in stats.as_dict().items()
+            if name not in UNCOUNTED}
+
+
+def counts_alike(pair, text):
+    """Assert that on a document both engines accept, the DOM cast
+    and the kernel (draining, not skimming) count the same work;
+    returns whether the document was compared."""
+    dom = CastValidator(pair).validate(parse(text, symbols=pair.symbols))
+    kernel = cast_text(pair, text, stream_skip=False)
+    if not (dom.valid and kernel.valid):
+        return False
+    assert counters(dom.stats) == counters(kernel.stats), (
+        f"counters diverged\n  dom:    {counters(dom.stats)}\n"
+        f"  kernel: {counters(kernel.stats)}\n  doc: {text[:300]!r}"
+    )
+    return True
+
+
+class TestCounterOracle:
+    """The DOM cast and the fused kernel share no walk code, so each is
+    the other's oracle for the Table-3 counters."""
+
+    def test_ia_reached_after_the_last_child(self):
+        """After ``<a2/>`` the pair automaton of ``(a2|a3)`` against
+        ``(a2|a4)`` is in an IA state, but the child sequence has ended:
+        no early decision, in either engine."""
+        pair = SchemaPair(
+            parse_dtd("<!ELEMENT a1 (a2|a3)> <!ELEMENT a2 EMPTY>"
+                      "<!ELEMENT a3 EMPTY> <!ELEMENT a4 EMPTY>",
+                      roots=["a1"]),
+            parse_dtd("<!ELEMENT a1 (a2|a4)> <!ELEMENT a2 EMPTY>"
+                      "<!ELEMENT a3 EMPTY> <!ELEMENT a4 EMPTY>",
+                      roots=["a1"]),
+        )
+        text = "<a1><a2/></a1>"
+        assert counts_alike(pair, text)
+        for report in (cast_text(pair, text, stream_skip=False),
+                       reference_cast(pair, text)):
+            assert report.valid
+            assert report.stats.early_content_decisions == 0
+
+    def test_purchase_orders(self):
+        rng = random.Random(0xE8)
+        compared = 0
+        for pair in experiment_pairs():
+            for text in po_corpus(rng):
+                compared += counts_alike(pair, text)
+        assert compared >= 9
+
+    def test_random_pairs(self):
+        rng = random.Random(0x5EED)
+        compared = 0
+        for pair in random_pairs(rng, 12):
+            for schema in (pair.source, pair.target):
+                for _ in range(60):
+                    document = sample_document(rng, schema, max_depth=5)
+                    if document is None:
+                        break
+                    text = serialize(
+                        document, indent=rng.choice(["", "  ", None])
+                    )
+                    compared += counts_alike(pair, text)
+        assert compared >= 300  # 480 to 871 over hash seeds 0-19
 
 
 def validation_outcome(schema, text, *, limits=None, tree=False):
