@@ -31,6 +31,7 @@ from repro.core.result import ValidationReport, ValidationStats
 from repro.core.validator import validate_document
 from repro.errors import UpdateError
 from repro.schema.model import ComplexType, Schema, SimpleType
+from repro.schema.simple import value_checker
 from repro.xmltree.dom import Document, Element, Text
 
 
@@ -177,7 +178,7 @@ class PreprocessedIncrementalValidator:
         stats.elements_visited += 1
         if isinstance(declaration, SimpleType):
             stats.simple_values_checked += 1
-            if not declaration.validate(element.text()):
+            if not value_checker(declaration)(element.text()):
                 return ValidationReport.failure(
                     "text no longer conforms",
                     path=str(element.dewey()),

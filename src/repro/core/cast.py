@@ -57,6 +57,7 @@ from repro.guards import (
 )
 from repro.schema.model import ComplexType, SimpleType
 from repro.schema.registry import SchemaPair
+from repro.schema.simple import value_checker
 from repro.xmltree.dom import Document, Element, Text
 
 
@@ -146,7 +147,11 @@ class CastValidator:
         memo_base = (
             self._memo.snapshot() if self._memo is not None else None
         )
-        report = self.validate_element(source_type, target_type, root)
+        stats = ValidationStats() if self.collect_stats else None
+        failure = self._walk(source_type, target_type, root, stats)
+        report = ValidationReport.success() if failure is None else failure
+        if stats is not None:
+            report.stats = stats
         self._fill_memo_stats(memo_base, report.stats)
         return report
 
@@ -167,29 +172,6 @@ class CastValidator:
 
     # -- the parallel traversal ------------------------------------------------
 
-    def validate_element(
-        self,
-        source_type: str,
-        target_type: str,
-        element: Element,
-        stats: Optional[ValidationStats] = None,
-        depth: int = 0,
-    ) -> ValidationReport:
-        """The paper's ``validate(τ, τ', e)``.
-
-        Counts into ``stats`` when one is passed (the with-modifications
-        validator threads its accumulator through here), into a fresh
-        one under ``collect_stats=True``, and not at all otherwise.
-        """
-        if stats is None and self.collect_stats:
-            stats = ValidationStats()
-        failure = self._walk(source_type, target_type, element, stats, depth)
-        if failure is None:
-            return ValidationReport.success(stats)
-        if stats is not None:
-            failure.stats = stats
-        return failure
-
     def _walk(
         self,
         source_type: str,
@@ -198,10 +180,11 @@ class CastValidator:
         stats: Optional[ValidationStats],
         depth: int = 0,
     ) -> Optional[ValidationReport]:
-        """The traversal on the compiled tables: ``None`` means the
-        subtree is valid, a report is the first failure — success
-        allocates nothing on the way up.  Counters go to ``stats``
-        unless it is ``None``."""
+        """The paper's ``validate(τ, τ', e)`` on the compiled tables:
+        ``None`` means the subtree is valid, a report is the first
+        failure — success allocates nothing on the way up.  Counters go
+        to ``stats`` unless it is ``None``.  The cast with modifications
+        hands its untouched subtrees straight here."""
         if depth > self._max_depth:
             raise DocumentTooDeepError(
                 f"element tree deeper than {self._max_depth} levels"
@@ -394,7 +377,7 @@ class CastValidator:
             stats.text_nodes_visited += len(element.children)
             stats.simple_values_checked += 1
         text = element.text()
-        if not declaration.validate(text):
+        if not value_checker(declaration)(text):
             return ValidationReport.failure(
                 f"value {text!r} does not conform to simple type "
                 f"{declaration.name!r}",

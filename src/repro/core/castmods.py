@@ -15,6 +15,13 @@ four cases of the paper:
    modifications* applies, since the ``Proj_old`` string is known to be
    in ``L(regexp_τ)`` — then recurse with the child-type pairs derived
    from the two projections.
+
+The walk enters only marked nodes (a touched node or an ancestor of
+one).  At each of them a child costs one Δ lookup, which gives both
+projections, and one mark lookup; an unmarked child goes straight to
+:meth:`CastValidator._walk <repro.core.cast.CastValidator._walk>`, so it
+costs what it costs in the Section 3.2 cast.  Like that walk, this one
+returns ``None`` on success and allocates a report only on failure.
 """
 
 from __future__ import annotations
@@ -26,10 +33,12 @@ from repro.core.cast import CastValidator
 from repro.core.memo import ValidationMemo
 from repro.core.result import ValidationReport, ValidationStats
 from repro.core.updates import UpdateSession
+from repro.core.validator import attribute_violation
 from repro.errors import DocumentTooDeepError
 from repro.guards import Deadline, Limits, resolve_limits
 from repro.schema.model import ComplexType, SimpleType
 from repro.schema.registry import SchemaPair
+from repro.schema.simple import value_checker
 from repro.xmltree.dom import Element, Text
 
 
@@ -91,8 +100,11 @@ class CastWithModificationsValidator:
     def _validate_session(self, session: UpdateSession) -> ValidationReport:
         # One deadline spans the whole walk, shared with the embedded
         # cast validator (case 1 hands subtrees to it mid-recursion).
-        self._deadline = self.limits.deadline()
-        self._cast._deadline = self._deadline
+        # Case-1 subtrees are never relabelled or inserted, so the cast
+        # may read their parsed-in ``sym`` ids.
+        cast = self._cast
+        self._deadline = cast._deadline = self.limits.deadline()
+        cast._interned = session.document.symbols is self.pair.symbols
         root = session.document.root
         if session.is_deleted(root):
             return ValidationReport.failure("the root element was deleted")
@@ -105,29 +117,32 @@ class CastWithModificationsValidator:
                 "target schema"
             )
         stats = ValidationStats() if self.collect_stats else None
-        if session.is_inserted(root):  # cannot happen via UpdateSession
-            report = self._full_validate_live(session, target_type, root, stats)
-            if stats is not None:
-                report.stats = stats
-            return report
         old_label = session.proj_old(root)
-        assert old_label is not None
-        source_type = self.pair.source.root_type(old_label)
-        if source_type is None:
-            report = self._full_validate_live(session, target_type, root, stats)
-            if stats is not None:
-                report.stats = stats
-            return report
-        report = self._validate_node(
-            session, source_type, target_type, root, stats
+        source_type = (
+            self.pair.source.root_type(old_label)
+            if old_label is not None
+            else None
         )
+        if source_type is None:
+            # An inserted root (not reachable through UpdateSession) or
+            # a broken promise: no source knowledge at all.
+            failure = self._full_validate_live(
+                session, target_type, root, stats
+            )
+        elif session.modified(root):
+            failure = self._walk(
+                session, source_type, target_type, root, stats
+            )
+        else:
+            failure = cast._walk(source_type, target_type, root, stats)
+        report = ValidationReport.success() if failure is None else failure
         if stats is not None:
             report.stats = stats
         return report
 
     # -- the recursive parallel walk -----------------------------------------
 
-    def _validate_node(
+    def _walk(
         self,
         session: UpdateSession,
         source_type: str,
@@ -135,62 +150,59 @@ class CastWithModificationsValidator:
         element: Element,
         stats: Optional[ValidationStats],
         depth: int = 0,
-    ) -> ValidationReport:
+    ) -> Optional[ValidationReport]:
+        """Cases 2–4 at a marked ``element``; ``None`` means valid."""
         if depth > self._max_depth:
             raise DocumentTooDeepError(
                 f"element tree deeper than {self._max_depth} levels"
             )
         if self._deadline is not None:
             self._deadline.tick()
-        # Case 1: untouched subtree — plain schema cast applies, counting
-        # into ``stats`` when there is one.
-        if not session.modified(element):
-            return self._cast.validate_element(
-                source_type, target_type, element, stats, depth
-            )
+        deltas = session._deltas
         if stats is not None:
-            if session.is_touched(element):
+            if id(element) in deltas:
                 stats.deltas_seen += 1
-            # Disjointness still applies when the *content* below may
-            # have changed only in ways the types bound; but unlike the
-            # untouched case, subsumption of τ by τ' says nothing about
-            # a modified subtree, so no skip here.
+            # Unlike the untouched case, subsumption of τ by τ' says
+            # nothing about a modified subtree, so no skip here.
             stats.elements_visited += 1
         target_decl = self.pair.target.type(target_type)
-        from repro.core.validator import attribute_violation
-
         violation = attribute_violation(self.pair.target, target_decl, element)
         if violation:
             return ValidationReport.failure(
-                violation, path=str(element.dewey()), stats=stats
+                violation, path=str(element.dewey())
             )
         if isinstance(target_decl, SimpleType):
             return self._simple_value(session, target_decl, element, stats)
         assert isinstance(target_decl, ComplexType)
 
+        alphabet = self.pair.target.alphabet
         old_labels: list[str] = []
         new_labels: list[str] = []
-        live_element_children: list[Element] = []
+        live: list[Element] = []
         for child in element.children:
             if isinstance(child, Text):
-                if session.is_deleted(child):
-                    continue
                 if child.value.strip() == "":
                     continue
+                delta = deltas.get(id(child))
+                if delta is not None and delta.new is None:
+                    continue  # a deleted text leaf
                 if stats is not None:
                     stats.text_nodes_visited += 1
                 return ValidationReport.failure(
                     f"complex type {target_type!r} does not allow "
                     "character data",
                     path=str(child.dewey()),
-                    stats=stats,
                 )
-            old = session.proj_old(child)
-            new = session.proj_new(child)
+            delta = deltas.get(id(child))
+            if delta is None:
+                old = new = child._label
+            else:
+                old = delta.old
+                new = delta.new
             if old is not None:
                 old_labels.append(old)
             if new is not None:
-                if new not in self.pair.target.alphabet:
+                if new not in alphabet:
                     # Renamed/inserted to a label the target schema does
                     # not know at all — cannot be valid, and content
                     # automata (which may early-accept) never see it.
@@ -198,60 +210,71 @@ class CastWithModificationsValidator:
                         f"label {new!r} does not occur in the target "
                         "schema",
                         path=str(child.dewey()),
-                        stats=stats,
                     )
                 new_labels.append(new)
-                live_element_children.append(child)
+                live.append(child)
 
         source_decl = self.pair.source.type(source_type)
-        content_ok = self._content_accepts(
+        source_children = (
+            source_decl.child_types
+            if isinstance(source_decl, ComplexType)
+            else None
+        )
+        if not self._content_accepts(
             source_type,
             target_type,
-            old_labels if isinstance(source_decl, ComplexType) else None,
+            old_labels if source_children is not None else None,
             new_labels,
             stats,
-        )
-        if not content_ok:
+        ):
             return ValidationReport.failure(
                 f"updated children of {element.label!r} do not match "
                 f"content model {target_decl.content.to_source()} of "
                 f"type {target_type!r}",
                 path=str(element.dewey()),
-                stats=stats,
             )
 
-        for child in live_element_children:
-            new = session.proj_new(child)
-            assert new is not None
-            child_target = target_decl.child_types.get(new)
+        marks = session._marked()
+        target_children = target_decl.child_types
+        cast_walk = self._cast._walk
+        for child, new in zip(live, new_labels):
+            child_target = target_children.get(new)
             if child_target is None:
                 return ValidationReport.failure(
                     f"no target type assigned to label {new!r}",
                     path=str(child.dewey()),
-                    stats=stats,
                 )
-            old = session.proj_old(child)
+            marked = id(child) in marks
+            old = new
+            if marked:
+                delta = deltas.get(id(child))
+                if delta is not None:
+                    old = delta.old
             child_source = (
-                source_decl.child_types.get(old)
-                if isinstance(source_decl, ComplexType) and old is not None
+                source_children.get(old)
+                if source_children is not None and old is not None
                 else None
             )
-            if old is None or child_source is None:
+            if child_source is None:
                 # Case 3 (inserted) or no usable source type ("if τ is
                 # not a complex type, we must validate each t_i
                 # explicitly"): full target validation of the subtree,
                 # through the live view (tombstones skipped).
-                report = self._full_validate_live(
+                failure = self._full_validate_live(
                     session, child_target, child, stats, depth + 1
                 )
-            else:
-                report = self._validate_node(
+            elif marked:
+                failure = self._walk(
                     session, child_source, child_target, child, stats,
                     depth + 1,
                 )
-            if not report.valid:
-                return report
-        return ValidationReport.success(stats)
+            else:  # case 1
+                failure = cast_walk(
+                    child_source, child_target, child, stats, depth + 1
+                )
+            if failure is not None:
+                return failure
+        return None
 
     def _full_validate_live(
         self,
@@ -260,9 +283,10 @@ class CastWithModificationsValidator:
         element: Element,
         stats: Optional[ValidationStats],
         depth: int = 0,
-    ) -> ValidationReport:
+    ) -> Optional[ValidationReport]:
         """Full target validation of a subtree through the session's
-        live view (deleted tombstones are invisible)."""
+        live view (deleted tombstones are invisible); ``None`` means
+        valid."""
         if depth > self._max_depth:
             raise DocumentTooDeepError(
                 f"element tree deeper than {self._max_depth} levels"
@@ -272,12 +296,10 @@ class CastWithModificationsValidator:
         if stats is not None:
             stats.elements_visited += 1
         declaration = self.pair.target.type(type_name)
-        from repro.core.validator import attribute_violation
-
         violation = attribute_violation(self.pair.target, declaration, element)
         if violation:
             return ValidationReport.failure(
-                violation, path=str(element.dewey()), stats=stats
+                violation, path=str(element.dewey())
             )
         if isinstance(declaration, SimpleType):
             return self._simple_value(session, declaration, element, stats)
@@ -294,14 +316,12 @@ class CastWithModificationsValidator:
                     f"complex type {type_name!r} does not allow "
                     "character data",
                     path=str(child.dewey()),
-                    stats=stats,
                 )
             if child.label not in self.pair.target.alphabet:
                 return ValidationReport.failure(
                     f"label {child.label!r} does not occur in the "
                     "target schema",
                     path=str(child.dewey()),
-                    stats=stats,
                 )
             labels.append(child.label)
         immed = self.pair.target_immed_compiled(type_name)
@@ -317,7 +337,6 @@ class CastWithModificationsValidator:
                 f"model {declaration.content.to_source()} of type "
                 f"{type_name!r}",
                 path=str(element.dewey()),
-                stats=stats,
             )
         for child in live:
             if isinstance(child, Text):
@@ -327,14 +346,13 @@ class CastWithModificationsValidator:
                 return ValidationReport.failure(
                     f"no type assigned to label {child.label!r}",
                     path=str(child.dewey()),
-                    stats=stats,
                 )
-            report = self._full_validate_live(
+            failure = self._full_validate_live(
                 session, child_type, child, stats, depth + 1
             )
-            if not report.valid:
-                return report
-        return ValidationReport.success(stats)
+            if failure is not None:
+                return failure
+        return None
 
     # -- content and simple-value checks ----------------------------------------
 
@@ -375,26 +393,28 @@ class CastWithModificationsValidator:
         declaration: SimpleType,
         element: Element,
         stats: Optional[ValidationStats],
-    ) -> ValidationReport:
-        live = session.live_children(element)
-        if any(isinstance(child, Element) for child in live):
-            return ValidationReport.failure(
-                f"simple type {declaration.name!r} does not allow child "
-                "elements",
-                path=str(element.dewey()),
-                stats=stats,
-            )
+    ) -> Optional[ValidationReport]:
+        deltas = session._deltas
+        parts: list[str] = []
+        for child in element.children:
+            delta = deltas.get(id(child))
+            if delta is not None and delta.new is None:
+                continue  # a tombstone
+            if isinstance(child, Element):
+                return ValidationReport.failure(
+                    f"simple type {declaration.name!r} does not allow "
+                    "child elements",
+                    path=str(element.dewey()),
+                )
+            parts.append(child.value)
         if stats is not None:
-            stats.text_nodes_visited += len(live)
+            stats.text_nodes_visited += len(parts)
             stats.simple_values_checked += 1
-        text = "".join(
-            child.value for child in live if isinstance(child, Text)
-        )
-        if not declaration.validate(text):
+        text = "".join(parts)
+        if not value_checker(declaration)(text):
             return ValidationReport.failure(
                 f"value {text!r} does not conform to simple type "
                 f"{declaration.name!r}",
                 path=str(element.dewey()),
-                stats=stats,
             )
-        return ValidationReport.success(stats)
+        return None

@@ -27,6 +27,7 @@ from repro.errors import SchemaError
 from repro.schema.dtd import is_dtd_schema, label_type
 from repro.schema.model import ComplexType, SimpleType
 from repro.schema.registry import SchemaPair
+from repro.schema.simple import value_checker
 from repro.xmltree.dom import Document, Element, Text
 
 
@@ -190,7 +191,7 @@ class DTDCastValidator:
                     1 for child in element.children if isinstance(child, Text)
                 )
             text = element.text()
-            if not target_decl.validate(text):
+            if not value_checker(target_decl)(text):
                 return ValidationReport.failure(
                     f"value {text!r} does not conform to simple type "
                     f"{target_decl.name!r}",

@@ -8,10 +8,14 @@ tombstone).  :class:`UpdateSession` applies updates to a parsed document
 *in place* while keeping exactly that encoding:
 
 * deleted nodes remain attached (so ``Proj_old`` still sees them);
-* every touched node's Dewey number feeds a
-  :class:`~repro.dewey.DeweyTrie`, giving the O(depth) ``modified(v)``
-  predicate the with-modifications validator navigates in parallel with
-  the tree;
+* every touched node and each of its ancestors carries a mark, giving
+  the O(1) ``modified(v)`` predicate the with-modifications validator
+  consults in parallel with the tree.  The marks are the paper's Dewey
+  trie indexed by node rather than by Dewey number: a node is marked
+  exactly when the trie built from the touched nodes' Dewey numbers has
+  a branch at or below the node's own number
+  (:class:`~repro.dewey.DeweyTrie` stays as that definition's test
+  oracle);
 * ``proj_old`` / ``proj_new`` are the paper's ``Proj_old``/``Proj_new``
   label projections (``None`` encodes ε).
 
@@ -24,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from repro.dewey import DeweyTrie
 from repro.errors import UpdateError
 from repro.xmltree.dom import CHI, Document, Element, Node, Text
 
@@ -48,7 +51,11 @@ class UpdateSession:
         self.document = document
         self._deltas: dict[int, Delta] = {}
         self._pinned: dict[int, Node] = {}  # keep ids stable
-        self._trie: Optional[DeweyTrie] = None
+        #: ids of the touched nodes and their ancestors (see
+        #: :meth:`_marked`); ``None`` until the next query builds them.
+        #: The with-modifications walk reads ``_deltas`` and the marks
+        #: directly: one dict and one set lookup per child.
+        self._marks: Optional[set[int]] = None
         self.update_count = 0
 
     # -- update operations ----------------------------------------------------
@@ -154,6 +161,7 @@ class UpdateSession:
             node.parent.remove(node)
             del self._deltas[id(node)]
             self._pinned.pop(id(node), None)
+            self._marks = None
         else:
             old = delta.old if delta is not None else node.label
             self._record(node, Delta(old=old, new=None))
@@ -202,15 +210,24 @@ class UpdateSession:
     def modified(self, node: Node) -> bool:
         """Has any part of the subtree rooted at ``node`` been updated?
 
-        Implemented with the Dewey-number trie exactly as in the paper;
-        the trie is (re)built lazily after the last update.
+        One set lookup in :meth:`_marked`.
         """
-        if self._trie is None:
-            trie = DeweyTrie()
-            for pinned in self._pinned.values():
-                trie.insert(pinned.dewey())
-            self._trie = trie
-        return self._trie.subtree_modified(node.dewey())
+        return id(node) in self._marked()
+
+    def _marked(self) -> set[int]:
+        """The ids of every touched node and each of its ancestors.
+
+        Built by parent walks from the touched nodes on the first query,
+        then kept current by each recorded update; removing an inserted
+        node outright drops the set for a rebuild, since its ancestors
+        may lead to no other touched node.
+        """
+        marks = self._marks
+        if marks is None:
+            marks = self._marks = set()
+            for node in self._pinned.values():
+                _mark_path(node, marks)
+        return marks
 
     # -- materialization -----------------------------------------------------------
 
@@ -238,9 +255,10 @@ class UpdateSession:
     def _record(self, node: Node, delta: Delta) -> None:
         self._deltas[id(node)] = delta
         self._pinned[id(node)] = node
+        if self._marks is not None:
+            _mark_path(node, self._marks)
 
     def _bump(self) -> None:
-        self._trie = None
         self.update_count += 1
 
     def _require_live(self, node: Node) -> None:
@@ -252,3 +270,11 @@ class UpdateSession:
         if node.parent is None:
             raise UpdateError("node has no parent")
         return node.parent
+
+
+def _mark_path(node: Optional[Node], marks: set[int]) -> None:
+    """Mark ``node`` and its ancestors.  The walk stops at the first
+    node already marked: its ancestors are marked too."""
+    while node is not None and id(node) not in marks:
+        marks.add(id(node))
+        node = node.parent

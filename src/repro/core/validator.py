@@ -33,6 +33,7 @@ from repro.guards import (
     resolve_limits,
 )
 from repro.schema.model import ComplexType, Schema, SimpleType, TypeDef
+from repro.schema.simple import value_checker
 from repro.xmltree.dom import Document, Element, Text
 from repro.xmltree.events import Characters, StartElement, iterparse
 
@@ -414,7 +415,7 @@ def _walk(
             stats.text_nodes_visited += len(element.children)
             stats.simple_values_checked += 1
         text = element.text()
-        if not declaration.validate(text):
+        if not value_checker(declaration)(text):
             return ValidationReport.failure(
                 f"value {text!r} does not conform to simple type "
                 f"{declaration.name!r}",

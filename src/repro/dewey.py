@@ -8,6 +8,10 @@ module provides both pieces:
 * :class:`Dewey` — an immutable path of child ordinals, root = ``()``.
 * :class:`DeweyTrie` — insertion of marked paths and the two queries the
   revalidation algorithm needs: *exact* marking and *subtree* marking.
+
+:class:`~repro.core.updates.UpdateSession` answers ``modified`` from
+marks indexed by node instead (one set lookup, no Dewey numbers built);
+the trie is the definition those marks are tested against.
 """
 
 from __future__ import annotations

@@ -73,6 +73,17 @@ class SimpleType:
     max_length: Optional[int] = None
     enumeration: Optional[frozenset[str]] = None
 
+    #: This declaration's :func:`compiled_checker`, once
+    #: :func:`value_checker` has built it.  Not a field (equality and
+    #: hashing ignore it), and :meth:`__getstate__` keeps the closure
+    #: out of pickles.
+    _check = None
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_check", None)
+        return state
+
     def __post_init__(self) -> None:
         has_bounds = any(
             facet is not None
@@ -374,12 +385,12 @@ def compiled_checker(decl: SimpleType):
     The generic :meth:`SimpleType.validate` re-dispatches on the atomic
     kind, rebuilds the facet :class:`Interval` and compares through
     :class:`~fractions.Fraction` arithmetic on every call.  All of that
-    depends only on the declaration, so hot loops (the fused validation
-    kernel's per-value check) bind it once here: the kind dispatch
-    happens at build time, integer bounds collapse to two int compares,
-    and unbounded decimals never construct a ``Fraction`` at all.
-    Equivalence with ``validate`` on every text is asserted by the
-    kernel equivalence fuzzer.
+    depends only on the declaration, so hot loops (the fused kernel and
+    the DOM walks, through :func:`value_checker`) bind it once here:
+    the kind dispatch happens at build time, integer bounds collapse to
+    two int compares, and decimal bounds to integer cross-products, so
+    no ``Fraction`` is built per value.  Equivalence with ``validate``
+    on every text is asserted by the kernel equivalence fuzzer.
     """
     if isinstance(decl, IntersectionType):
         checks = tuple(compiled_checker(m) for m in decl.members)
@@ -455,8 +466,18 @@ def compiled_checker(decl: SimpleType):
     if kind is AtomicKind.DECIMAL:
         interval = decl.interval()
         assert interval is not None
-        bounded = interval.lower is not None or interval.upper is not None
-        contains = interval.contains
+        # A lexical value n/10^k and a bound p/q compare exactly as the
+        # integers n*q and p*10^k, so no Fraction is built per value.
+        lo_num = lo_den = hi_num = hi_den = None
+        if interval.lower is not None:
+            bound = Fraction(interval.lower)
+            lo_num, lo_den = bound.numerator, bound.denominator
+        if interval.upper is not None:
+            bound = Fraction(interval.upper)
+            hi_num, hi_den = bound.numerator, bound.denominator
+        lo_open = interval.lower_open
+        hi_open = interval.upper_open
+        bounded = lo_num is not None or hi_num is not None
         decimal_match = _DECIMAL_RE.match
 
         def check_decimal(text: str) -> bool:
@@ -464,11 +485,19 @@ def compiled_checker(decl: SimpleType):
             if decimal_match(lexical) is None:
                 return False
             if bounded:
-                value = Fraction(
-                    lexical if lexical[-1] != "." else lexical[:-1]
-                )
-                if not contains(value):
-                    return False
+                whole, _, digits = lexical.partition(".")
+                value = int(whole + digits)
+                scale = 10 ** len(digits)
+                if lo_num is not None:
+                    left = value * lo_den
+                    right = lo_num * scale
+                    if left < right or (lo_open and left == right):
+                        return False
+                if hi_num is not None:
+                    left = value * hi_den
+                    right = hi_num * scale
+                    if left > right or (hi_open and left == right):
+                        return False
             if enum is not None:
                 return lexical in enum
             return True
@@ -477,6 +506,19 @@ def compiled_checker(decl: SimpleType):
     # DATE (and any future kind): the generic path is dominated by
     # ``datetime.date`` construction anyway — nothing to specialize.
     return decl.validate
+
+
+def value_checker(decl: SimpleType):
+    """:func:`compiled_checker` of ``decl``, built on first use and kept
+    on the declaration, so every walk binds a declaration's checker
+    once.  It lives on the instance rather than in a mapping keyed by
+    the declaration: hashing a frozen declaration hashes its facets,
+    which costs more than the check."""
+    check = decl._check
+    if check is None:
+        check = compiled_checker(decl)
+        object.__setattr__(decl, "_check", check)
+    return check
 
 
 def _length_implies(narrow: SimpleType, wide: SimpleType) -> bool:

@@ -216,3 +216,50 @@ class TestLocality:
         # Only the edited path is re-examined; untouched items are
         # skipped wholesale via the identity subsumption.
         assert report.stats.nodes_visited <= 12
+
+
+def _outcome(report):
+    return (report.valid, report.reason, report.path, report.stats.as_dict())
+
+
+class TestUnsoundSkipFails:
+    """An edit beside an unmodified sibling under a non-subsumed pair:
+    a walk that skipped the sibling would accept what the target
+    rejects."""
+
+    @pytest.mark.parametrize("edited, bad", [(1, 3), (3, 1)])
+    def test_unmodified_sibling_quantity_rejected(
+        self, exp2_pair, exp2_target, edited, bad
+    ):
+        doc = make_purchase_order(5)
+        items = doc.root.find("items").children
+        # 150 is valid under the source (< 200), not the target (< 100).
+        items[bad].find("quantity").children[0].value = "150"
+        session = UpdateSession(doc)
+        session.replace_text(
+            items[edited].find("productName").children[0], "renamed"
+        )
+        expected_path = str(items[bad].find("quantity").dewey())
+        for collect_stats in (True, False):
+            validator = CastWithModificationsValidator(
+                exp2_pair, collect_stats=collect_stats
+            )
+            report = check_against_full(validator, session, exp2_target)
+            assert not report.valid
+            assert report.path == expected_path
+            assert "150" in report.reason
+
+    def test_insert_then_delete_equals_untouched(self, exp2_pair):
+        untouched = UpdateSession(make_purchase_order(8))
+        session = UpdateSession(make_purchase_order(8))
+        validator = CastWithModificationsValidator(exp2_pair)
+        baseline = _outcome(validator.validate(untouched))
+        items = session.document.root.find("items")
+        inserted = session.insert_element(items, 3, "item")
+        # Query once with the insert in place, so the removal must drop
+        # marks that were already built.
+        assert not validator.validate(session).valid
+        session.delete(inserted)
+        assert session.delta(inserted) is None
+        assert not session.modified(session.document.root)
+        assert _outcome(validator.validate(session)) == baseline

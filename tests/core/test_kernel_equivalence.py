@@ -32,6 +32,7 @@ edge-case lexical forms.
 
 from __future__ import annotations
 
+import math
 import pickle
 import random
 
@@ -501,3 +502,91 @@ class TestCheckerEquivalence:
                 assert check(text) == decl.validate(text), (
                     f"checker diverged on {decl!r} for {text!r}"
                 )
+
+    def test_decimal_strings_at_bounds(self):
+        """Bounded decimals compare a lexical value with each bound as
+        integers; probe every bound with decimal strings at the bound
+        and one last digit either side, in every lexical shape."""
+        from fractions import Fraction
+
+        from repro.schema.simple import builtin, restrict
+
+        big = Fraction("1234567890123456789012345678901234567890.5")
+        decls = [
+            restrict(builtin("decimal"), "window",
+                     min_inclusive=Fraction(1, 4),
+                     max_exclusive=Fraction(3, 4)),
+            restrict(builtin("decimal"), "third",
+                     max_exclusive=Fraction(1, 3)),
+            restrict(builtin("decimal"), "third-closed",
+                     min_exclusive=Fraction(-1, 3),
+                     max_inclusive=Fraction(1, 3)),
+            restrict(builtin("decimal"), "half-to-five",
+                     min_exclusive=Fraction(-1, 2),
+                     max_inclusive=Fraction(5)),
+            restrict(builtin("decimal"), "non-negative",
+                     min_inclusive=Fraction(0)),
+            restrict(builtin("decimal"), "big", max_inclusive=big,
+                     min_exclusive=-big),
+        ]
+        rng = random.Random(0xDEC)
+        for index in range(60):
+            facets = {}
+            low = Fraction(rng.randint(-2000, 2000),
+                           rng.choice([1, 2, 3, 4, 7, 8, 10, 100, 1000]))
+            high = low + Fraction(rng.randint(0, 3000),
+                                  rng.choice([1, 3, 10, 100]))
+            facets["min_exclusive" if rng.random() < 0.5
+                   else "min_inclusive"] = low
+            facets["max_exclusive" if rng.random() < 0.5
+                   else "max_inclusive"] = high
+            decls.append(restrict(builtin("decimal"), f"D{index}", **facets))
+        shapes = ["+5", "-5", "5.", "-5.", ".5", "-.5", "+.5", "-0.0",
+                  "-0", "+0.", "0.0", "5.000", "0005", str(big),
+                  "-" + str(big), "1234567890123456789012345678901234567891",
+                  "0.0000000000000000000000000000000000000001"]
+        for decl in decls:
+            check = compiled_checker(decl)
+            interval = decl.interval()
+            for bound in (interval.lower, interval.upper):
+                if bound is None:
+                    continue
+                probes = _decimal_probes(bound)
+                verdicts = set()
+                for text in probes:
+                    verdict = check(text)
+                    verdicts.add(verdict)
+                    assert verdict == decl.validate(text), (
+                        f"checker diverged on {decl!r} for {text!r}"
+                    )
+                # The probes straddle the bound: a bound the probes all
+                # fall on one side of would test nothing.
+                assert verdicts == {True, False}, (decl, bound)
+            for text in EDGE_TEXTS + shapes:
+                assert check(text) == decl.validate(text), (
+                    f"checker diverged on {decl!r} for {text!r}"
+                )
+
+
+def _decimal_probes(bound) -> list[str]:
+    """Decimal strings for ``bound`` cut to 0-6 fraction digits, and one
+    last digit either side, signed and unsigned forms alike."""
+    probes = []
+    for digits in range(7):
+        scaled = math.floor(bound * 10 ** digits)
+        for delta in (-1, 0, 1):
+            text = _decimal_text(scaled + delta, digits)
+            probes.append(text)
+            if not text.startswith("-"):
+                probes.append("+" + text)
+    return probes
+
+
+def _decimal_text(numerator: int, digits: int) -> str:
+    """``numerator / 10**digits`` written with ``digits`` fraction
+    digits."""
+    sign = "-" if numerator < 0 else ""
+    body = str(abs(numerator)).rjust(digits + 1, "0")
+    if not digits:
+        return sign + body
+    return f"{sign}{body[:-digits]}.{body[-digits:]}"

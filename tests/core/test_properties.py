@@ -69,7 +69,7 @@ def test_cast_never_does_more_work_than_full(seed):
         assert cast.stats.nodes_visited <= full.stats.nodes_visited
 
 
-@pytest.mark.parametrize("seed", range(30))
+@pytest.mark.parametrize("seed", range(150))
 def test_cast_with_modifications_agrees_with_full(seed):
     rng = random.Random(5000 + seed)
     pair, doc = _random_pair_and_doc(rng)
@@ -78,6 +78,12 @@ def test_cast_with_modifications_agrees_with_full(seed):
     random_edits(rng, session, rng.randint(0, 6), labels=labels)
     validator = CastWithModificationsValidator(pair)
     report = validator.validate(session)
+    uncounted = CastWithModificationsValidator(
+        pair, collect_stats=False
+    ).validate(session)
+    assert (uncounted.valid, uncounted.reason, uncounted.path) == (
+        report.valid, report.reason, report.path,
+    )
     try:
         result = session.result_document()
     except Exception:

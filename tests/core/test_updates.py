@@ -1,9 +1,15 @@
 """Tests for tree update sessions and Δ-label bookkeeping (Section 3.3)."""
 
+import random
+
 import pytest
 
 from repro.core.updates import UpdateSession
+from repro.dewey import DeweyTrie
 from repro.errors import UpdateError
+from repro.workloads.generators import random_schema, sample_document
+from repro.workloads.mutations import random_edits
+from repro.workloads.purchase_orders import make_purchase_order
 from repro.xmltree.dom import CHI, Document, Text, element
 from repro.xmltree.parser import parse
 
@@ -167,6 +173,53 @@ class TestModifiedPredicate:
         session.insert_first(root, "a")
         session.rename(root.find("items"), "things")
         assert session.update_count == 2
+
+
+def _trie_agrees(session):
+    """``modified(n)`` on every node, tombstones included, against the
+    paper's definition: a Dewey trie of the touched nodes' numbers."""
+    nodes = list(session.document.root.iter_nodes())
+    trie = DeweyTrie()
+    for node in nodes:
+        if session.is_touched(node):
+            trie.insert(node.dewey())
+    for node in nodes:
+        assert session.modified(node) == trie.subtree_modified(
+            node.dewey()
+        ), node
+
+
+def _edit_and_compare(rng, session, labels):
+    for _ in range(6):
+        random_edits(rng, session, rng.randint(1, 4), labels=labels)
+        if rng.random() < 0.5:  # sometimes let edits pile up unqueried
+            _trie_agrees(session)
+    _trie_agrees(session)
+
+
+class TestModifiedAgainstDeweyTrie:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_purchase_order_edits(self, seed):
+        rng = random.Random(seed)
+        session = UpdateSession(make_purchase_order(rng.randint(1, 6)))
+        _edit_and_compare(
+            rng, session, ["item", "quantity", "shipDate", "comment", "zip"]
+        )
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_schema_edits(self, seed):
+        rng = random.Random(7000 + seed)
+        for _ in range(40):
+            try:
+                schema = random_schema(rng)
+            except Exception:
+                continue
+            doc = sample_document(rng, schema, max_depth=6)
+            if doc is not None:
+                break
+        else:
+            pytest.skip("no document")
+        _edit_and_compare(rng, UpdateSession(doc), sorted(schema.alphabet))
 
 
 class TestResultDocument:

@@ -185,3 +185,74 @@ class TestGetOrBuild:
         size = save(warmed_pair, path)
         assert size > 0
         assert os.listdir(str(tmp_path)) == ["pair.pkl"]
+
+
+class TestCachedCheckers:
+    def test_walks_then_save_and_load(self, tmp_path):
+        """The DOM walks keep each declaration's compiled value checker
+        on the declaration.  A pair and a chain saved after those walks
+        still pickle, load, and answer as before."""
+        from repro.core.cast import CastValidator
+        from repro.core.castmods import CastWithModificationsValidator
+        from repro.core.updates import UpdateSession
+        from repro.core.validator import validate_document
+        from repro.schema.artifacts import chain_cache_key
+        from repro.schema.chain import SchemaChain
+        from repro.schema.simple import SimpleType
+        from repro.workloads.evolution import (
+            conforming_document,
+            drift_chain,
+            violating_document,
+        )
+        from repro.workloads.purchase_orders import make_purchase_order
+        from repro.xmltree.parser import parse
+        from repro.xmltree.serializer import serialize
+
+        pair = SchemaPair(source_schema_experiment2(),
+                          target_schema_experiment2())
+        pair.warm()
+        order = make_purchase_order(6)
+        order.root.find("items").children[2].find(
+            "quantity").children[0].value = "150"
+        pair_texts = [serialize(make_purchase_order(6)), serialize(order)]
+        schemas, kinds = drift_chain(3, ["tighten", "rename", "tighten"])
+        chain_pair = SchemaChain(schemas).composed_pair()
+        chain_texts = [conforming_document(schemas)] + [
+            violating_document(schemas, kinds, hop) for hop in range(3)
+        ]
+
+        def verdicts(target_pair, texts):
+            out = []
+            for text in texts:
+                doc = parse(text)
+                for report in (
+                    CastValidator(target_pair).validate(doc),
+                    validate_document(target_pair.target, doc),
+                ):
+                    out.append((report.valid, report.reason, report.path))
+                session = UpdateSession(parse(text))
+                quantity = session.document.root.find("items").children[
+                    0].find("quantity")
+                session.replace_text(quantity.children[0], "7")
+                report = CastWithModificationsValidator(
+                    target_pair).validate(session)
+                out.append((report.valid, report.reason, report.path))
+            return out
+
+        before = verdicts(pair, pair_texts)
+        chain_before = verdicts(chain_pair, chain_texts)
+        for schema in (pair.target, chain_pair.target):
+            assert any(
+                isinstance(declaration, SimpleType)
+                and declaration._check is not None
+                for declaration in schema.types.values()
+            ), "the walks should have cached value checkers"
+
+        pair_path = str(tmp_path / "pair.pkl")
+        chain_path = str(tmp_path / "chain.pkl")
+        save(pair, pair_path)
+        save(chain_pair, chain_path, key=chain_cache_key(schemas))
+        loaded = load(pair_path)
+        loaded_chain = load(chain_path, expected_key=chain_cache_key(schemas))
+        assert verdicts(loaded, pair_texts) == before
+        assert verdicts(loaded_chain, chain_texts) == chain_before
