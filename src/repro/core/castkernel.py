@@ -41,6 +41,21 @@ at the byte level via :meth:`Scanner.skim_subtree`, otherwise the loop
 drains the subtree's tokens with well-formedness checks only.  Tables
 materialize on first touch, so an unwarmed pair works (it just pays
 for the records a document reaches).
+
+A cast stops at its first failure: a document that fails there breaks
+the source promise, so a later syntax error may go unreported.  Plain
+validation instead *settles* its first failure in the same pass, so it
+answers exactly as ``validate_document(schema, parse(text))``.  The
+tree walk checks an element's whole child string before it descends,
+where the loop reads in document order, so the checks the loop has not
+finished at its failure are the content checks of the elements on the
+failure's path: its ancestors, and the failing element itself while
+its content is still open.  Those frames stay *watched*, and the rest
+of the text runs through the drain branches, which feed the innermost
+watched frame its direct children: the first non-whitespace text or
+label outside the schema's alphabet fails the frame, otherwise its
+final state decides, and the outermost failing frame wins.  A syntax,
+depth, entity or deadline error anywhere in the text still raises.
 """
 
 from __future__ import annotations
@@ -56,7 +71,6 @@ from repro.schema.pairkernel import (
     K_SIMPLE,
 )
 from repro.schema.simple import compiled_checker
-from repro.xmltree.events import _attributes, _trailing_misc
 from repro.xmltree.lexer import (
     END_TAG_RE,
     LEAF_RE,
@@ -67,12 +81,15 @@ from repro.xmltree.lexer import (
     TOK_TEXT,
     XML_WS_RE,
     Scanner,
+    scan_attributes_slow,
     skip_prolog,
+    trailing_misc,
 )
 
 # Frame layout (plain lists — cheaper than dataclass instances in the
 # hot loop): [record, state, decided, text_parts, child_index, label,
-# position].
+# position].  While plain validation settles, ``decided`` marks a
+# watched frame whose first bad child has already failed it.
 _REC = 0
 _STATE = 1
 _DECIDED = 2
@@ -91,6 +108,8 @@ def run(kernel, limits, text, byte_skip, trusted):
     A malformed document raises :class:`~repro.errors.XMLSyntaxError`
     (batch workers record it as a typed per-document error;
     :func:`repro.core.cast.cast_text` turns it into a failure report).
+    A cast returns its first failure; plain validation settles it (see
+    the module docstring) and raises on a later syntax or limit error.
     """
     stats = ValidationStats()
     check_document_size(len(text), limits)
@@ -109,6 +128,7 @@ def run(kernel, limits, text, byte_skip, trusted):
     materialize = kernel.materialize
     root_actions = kernel.root_actions
     target_schema = kernel.target
+    plain = kernel.pair is None
     limits_ = scanner.limits
     next_content_match = scanner.next_content_match
     start_tag_parts = scanner.start_tag_parts
@@ -125,6 +145,7 @@ def run(kernel, limits, text, byte_skip, trusted):
     parse_stack = []     # open labels for well-formedness and depth
     text_parts = []      # pending character data, decoded
     drain = 0            # event-skip depth (subsumed subtree, no skim)
+    failure = None       # the first failure; then the settled answer
 
     def _path(stack):
         return ".".join(str(frame[_POS]) for frame in stack[1:])
@@ -137,26 +158,86 @@ def run(kernel, limits, text, byte_skip, trusted):
             path=path,
         )
 
-    def flush():
-        """Deliver pending character data to the open frame (the event
-        path's merged ``Characters``); returns a failure report or
-        ``None``.  Whitespace-only runs are dropped, drained regions
-        discard."""
-        value = "".join(text_parts)
-        del text_parts[:]
-        if not value.strip() or drain:
-            return None
-        top = vstack[-1]
-        rec = top[_REC]
-        if rec.kind == K_SIMPLE:
-            top[_TEXT].append(value)
-            return None
-        stats.text_nodes_visited += 1
+    def _label_fail(top, name, sid, position):
+        """A child label the open frame's content cannot read.  Plain
+        validation reports a label outside the schema's alphabet at the
+        child, as the tree walk does; it is the frame's first bad
+        child, so it also decides the frame."""
+        if sid < 0 and plain:
+            top[_DECIDED] = True
+            return ValidationReport.failure(
+                f"unexpected element {name!r} in content of "
+                f"{top[_REC].target_type!r}",
+                path=_child_path(position),
+            )
+        return _content_fail(top[_REC], top[_LABEL], _path(vstack))
+
+    def _text_fail(top):
+        """Character data in complex frame ``top``: its first bad child,
+        so it also decides the frame."""
+        top[_DECIDED] = True
         return ValidationReport.failure(
-            f"complex type {rec.target_type!r} does not allow "
+            f"complex type {top[_REC].target_type!r} does not allow "
             "character data",
             path=_child_path(top[_CHILDREN]),
         )
+
+    def flush():
+        """Deliver pending character data to the open frame (the event
+        path's merged ``Characters``); returns a failure report or
+        ``None``.  Whitespace-only runs are dropped; in a drain, other
+        text is left to the drain branches, which discard or settle it."""
+        value = "".join(text_parts)
+        if not value.strip():
+            del text_parts[:]
+            return None
+        if drain:
+            return None
+        del text_parts[:]
+        top = vstack[-1]
+        if top[_REC].kind == K_SIMPLE:
+            top[_TEXT].append(value)
+            return None
+        stats.text_nodes_visited += 1
+        return _text_fail(top)
+
+    def settle_text(top, answer):
+        """Settle: the innermost watched frame ``top`` reads its pending
+        character data; returns the answer so far, which non-whitespace
+        text replaces when it is the frame's first bad child."""
+        value = "".join(text_parts)
+        del text_parts[:]
+        if value.strip() and not top[_DECIDED]:
+            return _text_fail(top)
+        return answer
+
+    def feed(name, answer):
+        """Settle: the innermost watched frame reads its pending text,
+        then child element ``name``, over its complete content table;
+        returns the answer so far."""
+        top = vstack[-1]
+        answer = settle_text(top, answer)
+        position = top[_CHILDREN]
+        top[_CHILDREN] = position + 1
+        if top[_DECIDED]:
+            return answer
+        sid = kernel.symbols.ids.get(name, -1)
+        if sid < 0:
+            return _label_fail(top, name, sid, position)
+        rec = top[_REC]
+        top[_STATE] = rec.table[top[_STATE] * rec.width + sid]
+        return answer
+
+    def close_watched(answer):
+        """Settle: the innermost watched frame reads its pending text
+        and closes.  Its failure replaces the answer so far: it closes
+        after every frame inside it, so the outermost failing frame
+        wins."""
+        frame = vstack[-1]
+        answer = settle_text(frame, answer)
+        vstack.pop()
+        fault = end_frame(frame, vstack)
+        return answer if fault is None else fault
 
     def end_frame(frame, below):
         """The event path's ``_end`` on a popped frame; ``below`` is the
@@ -202,57 +283,341 @@ def run(kernel, limits, text, byte_skip, trusted):
             f"{parent_path}.{position}" if parent_path else str(position)
         )
 
+    # The inner loop validates until the root closes or a check fails
+    # (``failure`` set, ``break``); the outer loop runs it once more,
+    # as a drain, to settle a plain validation's failure.
     while True:
-        pos = scanner.pos
+        while True:
+            pos = scanner.pos
 
-        # -- leaf + end-tag fast path --------------------------------------
-        if vstack and pos < n:
-            lpos = pos
-            if src[pos] != "<" and (
-                drain or vstack[-1][_REC].kind != K_SIMPLE
-            ):
-                # Indentation rides along with the fast paths: alone,
-                # a whitespace run is a dropped (or drained) text node,
-                # and merged with pending text it changes neither the
-                # merge's strippedness nor any failure message.  Simple
-                # content keeps its whitespace (part of the value), so
-                # those frames opt out.
-                wm = ws_match(src, pos)
-                if wm is not None:
-                    wend = wm.end()
-                    if wend < n and src[wend] == "<":
-                        lpos = wend
-            if src[lpos] == "<":
-                leaf = leaf_match(src, lpos)
-            else:
-                leaf = None
+            # -- leaf + end-tag fast path ----------------------------------
+            if (vstack or drain) and pos < n:
                 lpos = pos
-            if leaf is not None:
-                if drain:
-                    if len(parse_stack) >= depth_limit:
-                        check_depth(len(parse_stack) + 1, limits_)
-                    if deadline is not None:
-                        deadline.tick()
-                    del text_parts[:]
-                    scanner.pos = leaf.end()
+                if src[pos] != "<" and (
+                    drain or vstack[-1][_REC].kind != K_SIMPLE
+                ):
+                    # Indentation rides along with the fast paths:
+                    # alone, a whitespace run is a dropped (or drained)
+                    # text node, and merged with pending text it
+                    # changes neither the merge's strippedness nor any
+                    # failure message.  Simple content keeps its
+                    # whitespace (part of the value), so those frames
+                    # opt out.
+                    wm = ws_match(src, pos)
+                    if wm is not None:
+                        wend = wm.end()
+                        if wend < n and src[wend] == "<":
+                            lpos = wend
+                if src[lpos] == "<":
+                    leaf = leaf_match(src, lpos)
+                else:
+                    leaf = None
+                    lpos = pos
+                if leaf is not None:
+                    if drain:
+                        if len(parse_stack) >= depth_limit:
+                            check_depth(len(parse_stack) + 1, limits_)
+                        if deadline is not None:
+                            deadline.tick()
+                        if len(parse_stack) == len(vstack):  # settling
+                            failure = feed(leaf.group(1), failure)
+                        else:
+                            del text_parts[:]
+                        scanner.pos = leaf.end()
+                        continue
+                    top = vstack[-1]
+                    rec_p = top[_REC]
+                    if rec_p.kind != K_SIMPLE:
+                        if text_parts and (fault := flush()) is not None:
+                            failure = fault
+                            break
+                        if len(parse_stack) >= depth_limit:
+                            check_depth(len(parse_stack) + 1, limits_)
+                        if deadline is not None:
+                            deadline.tick()
+                        name, value = leaf.group(1, 2)
+                        scanner.pos = leaf.end()
+                        sid = ids.get(name, -1)
+                        position = top[_CHILDREN]
+                        top[_CHILDREN] = position + 1
+                        if not top[_DECIDED]:
+                            state = top[_STATE]
+                            bits = rec_p.flags[state]
+                            if bits & 2:  # IA
+                                top[_DECIDED] = True
+                                stats.early_content_decisions += 1
+                            elif bits & 4:  # IR
+                                stats.early_content_decisions += 1
+                                failure = _content_fail(
+                                    rec_p, top[_LABEL], _path(vstack)
+                                )
+                                break
+                            elif sid < 0 or (
+                                (ns := rec_p.table[
+                                    state * rec_p.width + sid
+                                ]) < 0
+                            ):
+                                failure = _label_fail(
+                                    top, name, sid, position
+                                )
+                                break
+                            else:
+                                top[_STATE] = ns
+                                stats.content_symbols_scanned += 1
+                        action = (
+                            rec_p.action[sid] if sid >= 0 else A_NO_TARGET
+                        )
+                        if action >= 0:
+                            rec = records[action]
+                            if not rec.ready:
+                                materialize(rec)
+                            stats.elements_visited += 1
+                            if rec.has_attrs:
+                                violation = attribute_violation_parts(
+                                    target_schema, rec.target_decl, name,
+                                    None,
+                                )
+                                if violation:
+                                    failure = ValidationReport.failure(
+                                        violation,
+                                        path=_child_path(position),
+                                    )
+                                    break
+                            if rec.kind == K_SIMPLE:
+                                if value.strip():
+                                    stats.text_nodes_visited += 1
+                                else:
+                                    value = ""
+                                stats.simple_values_checked += 1
+                                check = rec.check
+                                if check is None:  # pickled artifact
+                                    check = rec.check = compiled_checker(
+                                        rec.simple_decl
+                                    )
+                                if not check(value):
+                                    failure = ValidationReport.failure(
+                                        f"value {value!r} does not "
+                                        "conform to simple type "
+                                        f"{rec.simple_decl.name!r}",
+                                        path=_child_path(position),
+                                    )
+                                    break
+                            elif value.strip():
+                                # Reported at the text node, as the DOM
+                                # cast does.
+                                stats.text_nodes_visited += 1
+                                failure = ValidationReport.failure(
+                                    f"complex type {rec.target_type!r} "
+                                    "does not allow character data",
+                                    path=f"{_child_path(position)}.0",
+                                )
+                                break
+                            else:
+                                # Empty content against the child
+                                # machine.
+                                if rec.always_accepts:
+                                    stats.early_content_decisions += 1
+                                else:
+                                    bits = rec.flags[rec.start]
+                                    if bits & 2:  # IA
+                                        stats.early_content_decisions += 1
+                                    elif not bits & 1:
+                                        failure = _content_fail(
+                                            rec, name,
+                                            _child_path(position),
+                                        )
+                                        break
+                            continue
+                        if action == A_SUBSUME:
+                            stats.subtrees_skipped += 1
+                            if byte_skip:
+                                stats.subtrees_byte_skipped += 1
+                                stats.bytes_skipped += (
+                                    leaf.end() - leaf.start(2)
+                                )
+                            continue
+                        if action == A_DISJOINT:
+                            stats.disjoint_rejections += 1
+                            c_source, c_target = kernel.child_types(
+                                rec_p, sid
+                            )
+                            failure = ValidationReport.failure(
+                                f"source type {c_source!r} is disjoint "
+                                f"from target type {c_target!r}",
+                                path=_child_path(position),
+                            )
+                        elif action == A_NO_TARGET:
+                            # A label the target content model never
+                            # mentions fails the parent's content model.
+                            failure = _content_fail(
+                                rec_p, top[_LABEL], _path(vstack)
+                            )
+                        else:  # A_NO_SOURCE
+                            failure = ValidationReport.failure(
+                                f"no source type for label {name!r} "
+                                "(promise violated)",
+                                path=_path(vstack),
+                            )
+                        break
+                elif (
+                    lpos + 1 < n
+                    and src[lpos + 1] == "/"
+                    and (lpos != pos or scanner._finditer_pos != pos)
+                ):
+                    # End-tag fast path, taken only when the master
+                    # sweep is already stale (a leaf or skim moved the
+                    # cursor out of band) or leading whitespace was
+                    # swallowed — the cases where the sweep would have
+                    # to reseed anyway.
+                    em = end_match(src, lpos)
+                    if em is not None:
+                        if text_parts and (fault := flush()) is not None:
+                            failure = fault
+                            break
+                        close_name = em.group("ename")
+                        scanner.pos = em.end()
+                        if not parse_stack or parse_stack[-1] != close_name:
+                            raise scanner.error(
+                                f"mismatched close tag </{close_name}>"
+                            )
+                        parse_stack.pop()
+                        if drain:
+                            drain -= 1
+                            if len(parse_stack) < len(vstack):
+                                failure = close_watched(failure)
+                            else:
+                                del text_parts[:]
+                            if not parse_stack:
+                                break
+                            continue
+                        frame = vstack.pop()
+                        failure = end_frame(frame, vstack)
+                        if failure is not None or not parse_stack:
+                            break
+                        continue
+
+            hit = next_content_match()
+            if hit is None:
+                # EOF or markup the master regex declined: replay the
+                # event path's slow diagnostics (flush-before-tag
+                # ordering kept — in a cast a text failure beats the
+                # syntax error, exactly as the suspended event generator
+                # never got to raise; a settle reads on to the error).
+                if scanner.at_end():
+                    if parse_stack:
+                        raise scanner.error(
+                            f"unterminated element <{parse_stack[-1]}>"
+                        )
+                    break
+                if scanner.starts_with("</"):
+                    if (fault := flush()) is not None:
+                        failure = fault
+                        break
+                    scanner.advance(2)
+                    close_name = scanner.read_name()
+                    scanner.skip_whitespace()
+                    scanner.expect(">")
+                    if not parse_stack or parse_stack[-1] != close_name:
+                        raise scanner.error(
+                            f"mismatched close tag </{close_name}>"
+                        )
+                elif scanner.starts_with("<!--"):
+                    scanner.advance(4)
+                    body = scanner.read_until("-->", what="comment")
+                    if "--" in body:
+                        raise scanner.error(
+                            "'--' is not allowed inside a comment"
+                        )
+                elif scanner.starts_with("<![CDATA["):
+                    scanner.advance(9)
+                    scanner.read_until("]]>", what="CDATA section")
+                elif scanner.starts_with("<?"):
+                    scanner.advance(2)
+                    scanner.read_until("?>", what="processing instruction")
+                else:
+                    if (fault := flush()) is not None:
+                        failure = fault
+                        break
+                    scanner.expect("<")
+                    name = scanner.read_name()
+                    scan_attributes_slow(scanner, name)
+                    if not scanner.match("/>"):
+                        scanner.expect(">")
+                raise AssertionError(
+                    "master regex rejected markup the character-level "
+                    f"scanner accepts at offset {scanner.pos}"
+                )
+            kind, m = hit
+
+            if kind == TOK_TEXT:
+                raw = m.group("text")
+                scanner.pos = m.end()
+                bad = raw.find("]]>")
+                if bad >= 0:
+                    raise scanner.error(
+                        "']]>' is not allowed in character data", pos + bad
+                    )
+                if not parse_stack:
+                    if raw.strip():
+                        raise scanner.error(
+                            "character data outside the root"
+                        )
                     continue
-                top = vstack[-1]
-                rec_p = top[_REC]
-                if rec_p.kind != K_SIMPLE:
-                    if text_parts:
-                        failure = flush()
-                        if failure is not None:
-                            failure.stats = stats
-                            return failure
-                    if len(parse_stack) >= depth_limit:
-                        check_depth(len(parse_stack) + 1, limits_)
-                    if deadline is not None:
-                        deadline.tick()
-                    name, value = leaf.group(1, 2)
-                    scanner.pos = leaf.end()
-                    sid = ids.get(name, -1)
+                if "&" in raw:
+                    raw = scanner.decode_entities(raw, pos)
+                text_parts.append(raw)
+
+            elif kind == TOK_START:
+                if text_parts and (fault := flush()) is not None:
+                    failure = fault
+                    break
+                if len(parse_stack) >= depth_limit:
+                    check_depth(len(parse_stack) + 1, limits_)
+                if deadline is not None:
+                    deadline.tick()
+                name, attributes, self_closing = start_tag_parts(m)
+                if drain:
+                    if len(parse_stack) == len(vstack):  # settling
+                        failure = feed(name, failure)
+                    else:
+                        del text_parts[:]
+                    if not self_closing:
+                        drain += 1
+                        parse_stack.append(name)
+                    continue
+                if not self_closing:
+                    # Open before any check, so a failure here leaves
+                    # the element for a settle to drain.
+                    parse_stack.append(name)
+                sid = ids.get(name, -1)
+                if not vstack:
+                    action = root_actions.get(name, A_NO_TARGET)
+                    if action == A_NO_TARGET:
+                        failure = ValidationReport.failure(
+                            f"label {name!r} is not a permitted root"
+                            + ("" if plain else " of the target schema")
+                        )
+                        break
+                    if action == A_NO_SOURCE:
+                        failure = ValidationReport.failure(
+                            f"label {name!r} is not a permitted root of "
+                            "the source schema (promise violated)"
+                        )
+                        break
+                    position = 0
+                    rec_p = None
+                else:
+                    top = vstack[-1]
+                    rec_p = top[_REC]
                     position = top[_CHILDREN]
                     top[_CHILDREN] = position + 1
+                    if rec_p.kind == K_SIMPLE:
+                        failure = ValidationReport.failure(
+                            f"simple type {rec_p.simple_decl.name!r} "
+                            "does not allow child elements",
+                            path=_path(vstack),
+                        )
+                        break
                     if not top[_DECIDED]:
                         state = top[_STATE]
                         bits = rec_p.flags[state]
@@ -264,422 +629,152 @@ def run(kernel, limits, text, byte_skip, trusted):
                             failure = _content_fail(
                                 rec_p, top[_LABEL], _path(vstack)
                             )
-                            failure.stats = stats
-                            return failure
+                            break
                         elif sid < 0 or (
                             (ns := rec_p.table[state * rec_p.width + sid])
                             < 0
                         ):
-                            failure = _content_fail(
-                                rec_p, top[_LABEL], _path(vstack)
-                            )
-                            failure.stats = stats
-                            return failure
+                            failure = _label_fail(top, name, sid, position)
+                            break
                         else:
                             top[_STATE] = ns
                             stats.content_symbols_scanned += 1
                     action = rec_p.action[sid] if sid >= 0 else A_NO_TARGET
-                    if action >= 0:
-                        rec = records[action]
-                        if not rec.ready:
-                            materialize(rec)
-                        stats.elements_visited += 1
-                        if rec.has_attrs:
-                            violation = attribute_violation_parts(
-                                target_schema, rec.target_decl, name, None
-                            )
-                            if violation:
-                                failure = ValidationReport.failure(
-                                    violation, path=_child_path(position)
-                                )
-                                failure.stats = stats
-                                return failure
-                        if rec.kind == K_SIMPLE:
-                            if value.strip():
-                                stats.text_nodes_visited += 1
-                            else:
-                                value = ""
-                            stats.simple_values_checked += 1
-                            check = rec.check
-                            if check is None:  # pickled artifact
-                                check = rec.check = compiled_checker(
-                                    rec.simple_decl
-                                )
-                            if not check(value):
-                                failure = ValidationReport.failure(
-                                    f"value {value!r} does not conform "
-                                    "to simple type "
-                                    f"{rec.simple_decl.name!r}",
-                                    path=_child_path(position),
-                                )
-                                failure.stats = stats
-                                return failure
-                        elif value.strip():
-                            # Reported at the text node, as the DOM
-                            # cast does.
-                            stats.text_nodes_visited += 1
-                            failure = ValidationReport.failure(
-                                f"complex type {rec.target_type!r} does "
-                                "not allow character data",
-                                path=f"{_child_path(position)}.0",
-                            )
-                            failure.stats = stats
-                            return failure
-                        else:
-                            # Empty content against the child machine.
-                            if rec.always_accepts:
-                                stats.early_content_decisions += 1
-                            else:
-                                bits = rec.flags[rec.start]
-                                if bits & 2:  # IA
-                                    stats.early_content_decisions += 1
-                                elif not bits & 1:
-                                    failure = _content_fail(
-                                        rec, name, _child_path(position)
-                                    )
-                                    failure.stats = stats
-                                    return failure
-                        continue
-                    if action == A_SUBSUME:
-                        stats.subtrees_skipped += 1
-                        if byte_skip:
-                            stats.subtrees_byte_skipped += 1
-                            stats.bytes_skipped += (
-                                leaf.end() - leaf.start(2)
-                            )
-                        continue
-                    if action == A_DISJOINT:
-                        stats.disjoint_rejections += 1
-                        c_source, c_target = kernel.child_types(rec_p, sid)
-                        failure = ValidationReport.failure(
-                            f"source type {c_source!r} is disjoint from "
-                            f"target type {c_target!r}",
-                            path=_child_path(position),
-                        )
-                        failure.stats = stats
-                        return failure
                     if action == A_NO_TARGET:
                         # A label the target content model never
                         # mentions fails the parent's content model.
                         failure = _content_fail(
                             rec_p, top[_LABEL], _path(vstack)
                         )
-                    else:  # A_NO_SOURCE
+                        break
+                    if action == A_NO_SOURCE:
                         failure = ValidationReport.failure(
                             f"no source type for label {name!r} "
                             "(promise violated)",
                             path=_path(vstack),
                         )
-                    failure.stats = stats
-                    return failure
-            elif (
-                lpos + 1 < n
-                and src[lpos + 1] == "/"
-                and (lpos != pos or scanner._finditer_pos != pos)
-            ):
-                # End-tag fast path, taken only when the master sweep
-                # is already stale (a leaf or skim moved the cursor out
-                # of band) or leading whitespace was swallowed — the
-                # cases where the sweep would have to reseed anyway.
-                em = end_match(src, lpos)
-                if em is not None:
-                    if text_parts:
-                        failure = flush()
-                        if failure is not None:
-                            failure.stats = stats
-                            return failure
-                    close_name = em.group("ename")
-                    scanner.pos = em.end()
-                    if not parse_stack or parse_stack[-1] != close_name:
-                        raise scanner.error(
-                            f"mismatched close tag </{close_name}>"
-                        )
-                    parse_stack.pop()
-                    if drain:
-                        drain -= 1
-                        if not parse_stack:
-                            break
-                        continue
-                    frame = vstack.pop()
-                    failure = end_frame(frame, vstack)
-                    if failure is not None:
-                        failure.stats = stats
-                        return failure
-                    if not parse_stack:
                         break
-                    continue
 
-        hit = next_content_match()
-        if hit is None:
-            # EOF or markup the master regex declined: replay the event
-            # path's slow diagnostics (flush-before-tag ordering kept —
-            # a text failure beats the syntax error, exactly as the
-            # suspended event generator never got to raise).
-            if scanner.at_end():
-                if parse_stack:
-                    raise scanner.error(
-                        f"unterminated element <{parse_stack[-1]}>"
+                if action == A_SUBSUME:
+                    stats.subtrees_skipped += 1
+                    if byte_skip:
+                        stats.subtrees_byte_skipped += 1
+                    if self_closing:
+                        if not parse_stack:
+                            break  # self-closed subsumed root
+                        continue
+                    if byte_skip:
+                        start = scanner.pos
+                        end = scanner.skim_subtree(
+                            label=name,
+                            base_depth=len(parse_stack),
+                            trusted=trusted,
+                        )
+                        parse_stack.pop()
+                        stats.bytes_skipped += end - start
+                        if not parse_stack:
+                            break  # the skim closed the root
+                    else:
+                        drain = 1
+                    continue
+                if action == A_DISJOINT:
+                    stats.disjoint_rejections += 1
+                    if rec_p is None:
+                        d_source = kernel.pair.source.root_type(name)
+                        d_target = target_schema.root_type(name)
+                    else:
+                        d_source, d_target = kernel.child_types(rec_p, sid)
+                    failure = ValidationReport.failure(
+                        f"source type {d_source!r} is disjoint from "
+                        f"target type {d_target!r}",
+                        path=_child_path(position),
                     )
-                break
-            if scanner.starts_with("</"):
-                failure = flush()
-                if failure is not None:
-                    failure.stats = stats
-                    return failure
-                scanner.advance(2)
-                close_name = scanner.read_name()
-                scanner.skip_whitespace()
-                scanner.expect(">")
+                    break
+
+                rec = records[action]
+                if not rec.ready:
+                    materialize(rec)
+                stats.elements_visited += 1
+                if attributes is not None or rec.has_attrs:
+                    violation = attribute_violation_parts(
+                        target_schema, rec.target_decl, name, attributes
+                    )
+                    if violation:
+                        failure = ValidationReport.failure(
+                            violation, path=_child_path(position)
+                        )
+                        break
+                if rec.kind == K_SIMPLE:
+                    frame = [rec, 0, True, [], 0, name, position]
+                else:
+                    decided = rec.always_accepts
+                    if decided:
+                        stats.early_content_decisions += 1
+                    frame = [rec, rec.start, decided, None, 0, name,
+                             position]
+                if self_closing:
+                    failure = end_frame(frame, vstack)
+                    if failure is not None or not parse_stack:
+                        break  # a failure, or a self-closed root
+                else:
+                    vstack.append(frame)
+
+            elif kind == TOK_END:
+                if text_parts and (fault := flush()) is not None:
+                    failure = fault
+                    break
+                close_name = m.group("ename")
+                scanner.pos = m.end()
                 if not parse_stack or parse_stack[-1] != close_name:
                     raise scanner.error(
                         f"mismatched close tag </{close_name}>"
                     )
-            elif scanner.starts_with("<!--"):
-                scanner.advance(4)
-                body = scanner.read_until("-->", what="comment")
-                if "--" in body:
+                parse_stack.pop()
+                if drain:
+                    drain -= 1
+                    if len(parse_stack) < len(vstack):
+                        failure = close_watched(failure)
+                    else:
+                        del text_parts[:]
+                    if not parse_stack:
+                        break
+                    continue
+                frame = vstack.pop()
+                failure = end_frame(frame, vstack)
+                if failure is not None or not parse_stack:
+                    break
+
+            elif kind == TOK_COMMENT:
+                scanner.pos = m.end()
+                if "--" in m.group("comment"):
                     raise scanner.error(
                         "'--' is not allowed inside a comment"
                     )
-            elif scanner.starts_with("<![CDATA["):
-                scanner.advance(9)
-                scanner.read_until("]]>", what="CDATA section")
-            elif scanner.starts_with("<?"):
-                scanner.advance(2)
-                scanner.read_until("?>", what="processing instruction")
-            else:
-                failure = flush()
-                if failure is not None:
-                    failure.stats = stats
-                    return failure
-                check_depth(len(parse_stack) + 1, limits_)
-                if deadline is not None:
-                    deadline.tick()
-                scanner.expect("<")
-                name = scanner.read_name()
-                _attributes(scanner, name)
-                if not scanner.match("/>"):
-                    scanner.expect(">")
-            raise AssertionError(
-                "master regex rejected markup the character-level "
-                f"scanner accepts at offset {scanner.pos}"
-            )
-        kind, m = hit
 
-        if kind == TOK_TEXT:
-            raw = m.group("text")
-            scanner.pos = m.end()
-            bad = raw.find("]]>")
-            if bad >= 0:
-                raise scanner.error(
-                    "']]>' is not allowed in character data", pos + bad
-                )
-            if not parse_stack:
-                if raw.strip():
-                    raise scanner.error("character data outside the root")
-                continue
-            if "&" in raw:
-                raw = scanner.decode_entities(raw, pos)
-            text_parts.append(raw)
+            elif kind == TOK_CDATA:
+                scanner.pos = m.end()
+                text_parts.append(m.group("cdata"))
 
-        elif kind == TOK_START:
-            if text_parts:
-                failure = flush()
-                if failure is not None:
-                    failure.stats = stats
-                    return failure
-            if len(parse_stack) >= depth_limit:
-                check_depth(len(parse_stack) + 1, limits_)
-            if deadline is not None:
-                deadline.tick()
-            name, attributes, self_closing = start_tag_parts(m)
-            if drain:
-                if not self_closing:
-                    drain += 1
-                    parse_stack.append(name)
-                continue
-            sid = ids.get(name, -1)
-            if not vstack:
-                action = root_actions.get(name, A_NO_TARGET)
-                if action == A_NO_TARGET:
-                    failure = ValidationReport.failure(
-                        f"label {name!r} is not a permitted root"
-                        + ("" if kernel.pair is None
-                           else " of the target schema")
-                    )
-                    failure.stats = stats
-                    return failure
-                if action == A_NO_SOURCE:
-                    failure = ValidationReport.failure(
-                        f"label {name!r} is not a permitted root of "
-                        "the source schema (promise violated)"
-                    )
-                    failure.stats = stats
-                    return failure
-                position = 0
-                rec_p = None
-            else:
-                top = vstack[-1]
-                rec_p = top[_REC]
-                position = top[_CHILDREN]
-                top[_CHILDREN] = position + 1
-                if rec_p.kind == K_SIMPLE:
-                    failure = ValidationReport.failure(
-                        f"simple type {rec_p.simple_decl.name!r} does "
-                        "not allow child elements",
-                        path=_path(vstack),
-                    )
-                    failure.stats = stats
-                    return failure
-                if not top[_DECIDED]:
-                    state = top[_STATE]
-                    bits = rec_p.flags[state]
-                    if bits & 2:  # IA
-                        top[_DECIDED] = True
-                        stats.early_content_decisions += 1
-                    elif bits & 4:  # IR
-                        stats.early_content_decisions += 1
-                        failure = _content_fail(
-                            rec_p, top[_LABEL], _path(vstack)
-                        )
-                        failure.stats = stats
-                        return failure
-                    elif sid < 0 or (
-                        (ns := rec_p.table[state * rec_p.width + sid]) < 0
-                    ):
-                        failure = _content_fail(
-                            rec_p, top[_LABEL], _path(vstack)
-                        )
-                        failure.stats = stats
-                        return failure
-                    else:
-                        top[_STATE] = ns
-                        stats.content_symbols_scanned += 1
-                action = rec_p.action[sid] if sid >= 0 else A_NO_TARGET
-                if action == A_NO_TARGET:
-                    # A label the target content model never mentions
-                    # fails the parent's content model.
-                    failure = _content_fail(
-                        rec_p, top[_LABEL], _path(vstack)
-                    )
-                    failure.stats = stats
-                    return failure
-                if action == A_NO_SOURCE:
-                    failure = ValidationReport.failure(
-                        f"no source type for label {name!r} "
-                        "(promise violated)",
-                        path=_path(vstack),
-                    )
-                    failure.stats = stats
-                    return failure
+            else:  # TOK_PI
+                scanner.pos = m.end()
 
-            if action == A_SUBSUME:
-                stats.subtrees_skipped += 1
-                if byte_skip:
-                    stats.subtrees_byte_skipped += 1
-                if self_closing:
-                    if not parse_stack:
-                        break  # self-closed subsumed root
-                    continue
-                parse_stack.append(name)
-                if byte_skip:
-                    start = scanner.pos
-                    end = scanner.skim_subtree(
-                        label=name,
-                        base_depth=len(parse_stack),
-                        trusted=trusted,
-                    )
-                    parse_stack.pop()
-                    stats.bytes_skipped += end - start
-                    if not parse_stack:
-                        break  # the skim closed the root
-                else:
-                    drain = 1
-                continue
-            if action == A_DISJOINT:
-                stats.disjoint_rejections += 1
-                if rec_p is None:
-                    d_source = kernel.pair.source.root_type(name)
-                    d_target = target_schema.root_type(name)
-                else:
-                    d_source, d_target = kernel.child_types(rec_p, sid)
-                failure = ValidationReport.failure(
-                    f"source type {d_source!r} is disjoint from target "
-                    f"type {d_target!r}",
-                    path=_child_path(position),
-                )
-                failure.stats = stats
-                return failure
+        if failure is None or drain:
+            break  # the root closed: validated, or settled
+        if not plain:
+            failure.stats = stats
+            return failure  # a broken promise: the cast stops here
+        if not parse_stack:
+            break  # the failure closed the root
+        # Settle: watch the complex frames on the failure's path (a
+        # simple element's own failure stands; its content is not
+        # watched) and drain the rest of the text.  ``drain`` stays
+        # above the open depth, so it ends only with the root.
+        if vstack and vstack[-1][_REC].kind == K_SIMPLE:
+            vstack.pop()
+        drain = len(parse_stack) + 1
 
-            rec = records[action]
-            if not rec.ready:
-                materialize(rec)
-            stats.elements_visited += 1
-            if attributes is not None or rec.has_attrs:
-                violation = attribute_violation_parts(
-                    target_schema, rec.target_decl, name, attributes
-                )
-                if violation:
-                    failure = ValidationReport.failure(
-                        violation, path=_child_path(position)
-                    )
-                    failure.stats = stats
-                    return failure
-            if rec.kind == K_SIMPLE:
-                frame = [rec, 0, True, [], 0, name, position]
-            else:
-                decided = rec.always_accepts
-                if decided:
-                    stats.early_content_decisions += 1
-                frame = [rec, rec.start, decided, None, 0, name, position]
-            if self_closing:
-                failure = end_frame(frame, vstack)
-                if failure is not None:
-                    failure.stats = stats
-                    return failure
-                if not parse_stack:
-                    break  # self-closed root
-            else:
-                parse_stack.append(name)
-                vstack.append(frame)
-
-        elif kind == TOK_END:
-            if text_parts:
-                failure = flush()
-                if failure is not None:
-                    failure.stats = stats
-                    return failure
-            close_name = m.group("ename")
-            scanner.pos = m.end()
-            if not parse_stack or parse_stack[-1] != close_name:
-                raise scanner.error(
-                    f"mismatched close tag </{close_name}>"
-                )
-            parse_stack.pop()
-            if drain:
-                drain -= 1
-                if not parse_stack:
-                    break
-                continue
-            frame = vstack.pop()
-            failure = end_frame(frame, vstack)
-            if failure is not None:
-                failure.stats = stats
-                return failure
-            if not parse_stack:
-                break
-
-        elif kind == TOK_COMMENT:
-            scanner.pos = m.end()
-            if "--" in m.group("comment"):
-                raise scanner.error("'--' is not allowed inside a comment")
-
-        elif kind == TOK_CDATA:
-            scanner.pos = m.end()
-            text_parts.append(m.group("cdata"))
-
-        else:  # TOK_PI
-            scanner.pos = m.end()
-
-    _trailing_misc(scanner)
-    return ValidationReport.success(stats)
+    trailing_misc(scanner)
+    if failure is None:
+        return ValidationReport.success(stats)
+    failure.stats = stats
+    return failure

@@ -14,13 +14,13 @@ It runs on the schema's compiled content tables and counts into a
 uncounted modes share every line.  Text is validated without a tree by
 :func:`validate_text`, which runs the fused cast kernel over the
 schema's own tables and answers exactly as ``validate_document(schema,
-parse(text))`` does.
+parse(text))`` does, in one pass: the kernel settles its own
+rejections (:mod:`repro.core.castkernel`).
 """
 
 from __future__ import annotations
 
 import sys
-from collections import deque
 from typing import Optional
 
 from repro.core.result import ValidationReport, ValidationStats
@@ -35,7 +35,6 @@ from repro.guards import (
 from repro.schema.model import ComplexType, Schema, SimpleType, TypeDef
 from repro.schema.simple import value_checker
 from repro.xmltree.dom import Document, Element, Text
-from repro.xmltree.events import Characters, StartElement, iterparse
 
 #: Attribute names outside validation: namespace machinery and the
 #: xsi:* instance attributes (schemaLocation etc.).
@@ -126,139 +125,14 @@ def validate_text(
     limit trips.  One pass of the fused kernel
     (:func:`repro.core.castkernel.run`) over
     :meth:`~repro.schema.model.Schema.kernel` does the work in
-    O(depth) memory; an INVALID verdict is settled by
-    :func:`_drain_rejected` under what is left of the same deadline.
+    O(depth) memory, a rejection included: the kernel settles its
+    first failure in the same pass, under the same deadline.
     """
     from repro.core import castkernel  # castkernel imports this module
 
-    limits = resolve_limits(limits)
-    deadline = limits.deadline()
-    report = castkernel.run(schema.kernel(), limits, text, False, False)
-    if report.valid:
-        return report
-    return _drain_rejected(
-        schema, text, remaining_limits(limits, deadline), report
+    return castkernel.run(
+        schema.kernel(), resolve_limits(limits), text, False, False
     )
-
-
-def _drain_rejected(
-    schema: Schema, text: str, limits: Limits, failure: ValidationReport
-) -> ValidationReport:
-    """The tree walk's report on text the kernel rejected with
-    ``failure``, from one well-formedness drain of the whole text.
-
-    The kernel stops at its first failure; parse-then-validate would
-    still raise on a syntax or limit error further on, and the drain
-    does too.  The tree walk also orders its checks differently: it
-    checks an element's whole child string before it descends, where
-    the kernel reads in document order.  Every check the tree walk
-    makes before the kernel's failing one has already passed in the
-    kernel, except the content checks of the elements on the path to
-    the failure — its ancestors, and the failing element itself when
-    the kernel rejected its content model, perhaps before reading all
-    of it.  The drain finishes those checks; the outermost one that
-    fails is the tree walk's report.
-    """
-    steps = [int(step) for step in failure.path.split(".") if step]
-    watched = len(steps) + failure.reason.startswith("children of ")
-    events = iterparse(text, limits=limits)
-    if not watched:
-        deque(events, maxlen=0)
-        return failure
-    checks: list[_ContentCheck] = []
-    depth = 0
-    first = None
-    for event in events:
-        if isinstance(event, StartElement):
-            if depth == 0:
-                checks.append(_ContentCheck(
-                    schema, event.label, schema.root_type(event.label), ""
-                ))
-            elif depth == len(checks):
-                parent = checks[-1]
-                position, child_type = parent.element(event.label)
-                if depth < watched and position == steps[depth - 1]:
-                    checks.append(_ContentCheck(
-                        schema, event.label, child_type,
-                        parent.child_path(position),
-                    ))
-            depth += 1
-        elif isinstance(event, Characters):
-            if depth == len(checks):
-                checks[-1].characters()
-        else:
-            depth -= 1
-            if depth < len(checks):
-                fault = checks.pop().close()
-                if fault is not None:
-                    first = fault  # outer elements close later and win
-    if first is None:
-        return failure
-    first.stats = failure.stats
-    return first
-
-
-class _ContentCheck:
-    """:func:`_walk`'s content check of one complex element, fed
-    its children one by one (for :func:`_drain_rejected`)."""
-
-    __slots__ = ("schema", "label", "type_name", "compiled", "state",
-                 "children", "path", "fault")
-
-    def __init__(self, schema: Schema, label: str, type_name: str,
-                 path: str):
-        self.schema = schema
-        self.label = label
-        self.type_name = type_name
-        self.compiled = schema.compiled_content_dfa(type_name)
-        self.state = self.compiled.start
-        self.children = 0
-        self.path = path
-        self.fault: Optional[ValidationReport] = None
-
-    def child_path(self, position: int) -> str:
-        return f"{self.path}.{position}" if self.path else str(position)
-
-    def element(self, label: str) -> tuple[int, Optional[str]]:
-        """Read a child element; returns its position and type."""
-        position = self.children
-        self.children += 1
-        if self.fault is not None:
-            return position, None
-        sid = self.schema.symbols.ids.get(label, -1)
-        if sid < 0:
-            self.fault = ValidationReport.failure(
-                f"unexpected element {label!r} in content of "
-                f"{self.type_name!r}",
-                path=self.child_path(position),
-            )
-            return position, None
-        compiled = self.compiled
-        self.state = compiled.flat[self.state * compiled.width + sid]
-        return position, self.schema.child_type_row(self.type_name)[sid]
-
-    def characters(self) -> None:
-        """Read a (non-whitespace) text child."""
-        position = self.children
-        self.children += 1
-        if self.fault is None:
-            self.fault = ValidationReport.failure(
-                f"complex type {self.type_name!r} does not allow "
-                "character data",
-                path=self.child_path(position),
-            )
-
-    def close(self) -> Optional[ValidationReport]:
-        """The first content failure, once every child has been read."""
-        if self.fault is None and not self.compiled.flags[self.state] & 1:
-            declaration = self.schema.type(self.type_name)
-            self.fault = ValidationReport.failure(
-                f"children of {self.label!r} do not match content model "
-                f"{declaration.content.to_source()} of type "
-                f"{self.type_name!r}",
-                path=self.path,
-            )
-        return self.fault
 
 
 def validate_file(

@@ -180,10 +180,14 @@ def perform_request(
 
     ``limits`` must already carry the residual request deadline (see
     :func:`residual_limits`); one deadline started from it covers every
-    pass of the request (parse then validation, or the kernel pass and
-    its well-formedness drain).  Raises
-    ``ReproError`` on any typed failure — the caller maps it to an
-    HTTP status.
+    pass of the request (a parse and then the validation of the tree,
+    or a composed chain cast and its per-hop fallback).  ``validate``
+    is one kernel pass, a rejection's settle included.  ``cast`` and
+    ``cast-chain`` always byte-skim subsumed subtrees with the hardened
+    scanner: the library's ``stream_skip`` and ``trusted`` keywords are
+    not read from a request body, since a trusted skim would answer
+    ``valid`` for malformed text.  Raises ``ReproError`` on any typed
+    failure — the caller maps it to an HTTP status.
     """
     xml = require_str(request, "xml")
     started = time.perf_counter()
@@ -199,13 +203,7 @@ def perform_request(
             schema = pair.source if which == "source" else pair.target
             report = validate_text(schema, xml, limits=limits)
         elif kind == "cast":
-            report = cast_text(
-                pair,
-                xml,
-                limits=limits,
-                stream_skip=bool(request.get("stream_skip", True)),
-                trusted=bool(request.get("trusted", False)),
-            )
+            report = cast_text(pair, xml, limits=limits)
         elif kind == "cast-with-mods":
             program_wire = request.get("program")
             if program_wire is not None and request.get("mods"):
@@ -248,12 +246,7 @@ def perform_request(
                     f"pair {pair_name or fingerprint or '?'!r} is not an "
                     "evolution chain; POST /cast against it instead"
                 )
-            report = chain.cast_text(
-                xml,
-                limits=limits,
-                stream_skip=bool(request.get("stream_skip", True)),
-                trusted=bool(request.get("trusted", False)),
-            )
+            report = chain.cast_text(xml, limits=limits)
             extra["chain_length"] = len(chain.schemas)
         else:
             raise MalformedRequestError(f"unknown job kind {kind!r}")

@@ -15,6 +15,7 @@ every generated artifact is reproducible from a seed.
 
 from __future__ import annotations
 
+import math
 import random
 import string as _string
 from fractions import Fraction
@@ -79,7 +80,7 @@ def random_regex(
 
 def random_simple_type(rng: random.Random, name: str) -> SimpleType:
     """A random simple type from a palette of kinds and facets."""
-    choice = rng.randrange(6)
+    choice = rng.randrange(7)
     if choice == 0:
         return builtin("string")
     if choice == 1:
@@ -103,7 +104,21 @@ def random_simple_type(rng: random.Random, name: str) -> SimpleType:
             for _ in range(rng.randint(1, 4))
         )
         return restrict(builtin("string"), name, enumeration=members)
-    return builtin("decimal")
+    if choice == 5:
+        return builtin("decimal")
+    # A bounded decimal: negative and fractional bounds, each end
+    # inclusive or exclusive, now and then one end left open.  The
+    # window is never empty, since the upper bound is the larger.
+    low = Fraction(rng.randint(-500, 500), rng.choice([1, 2, 4, 10, 100]))
+    high = low + Fraction(rng.randint(1, 1000), rng.choice([1, 4, 10, 100]))
+    facets = {}
+    if rng.random() < 0.85:
+        facets["min_exclusive" if rng.random() < 0.5
+               else "min_inclusive"] = low
+    if not facets or rng.random() < 0.85:
+        facets["max_exclusive" if rng.random() < 0.5
+               else "max_inclusive"] = high
+    return restrict(builtin("decimal"), name, **facets)
 
 
 # -- random schemas -----------------------------------------------------------------
@@ -246,28 +261,53 @@ def random_text_for(rng: random.Random, declaration: SimpleType) -> str:
         return f"{rng.randint(1990, 2030)}-{rng.randint(1, 12):02d}-{rng.randint(1, 28):02d}"
     interval = declaration.interval()
     assert interval is not None
-    lower = interval.lower if interval.lower is not None else Fraction(-1000)
-    upper = interval.upper if interval.upper is not None else lower + 1000
-    import math
-
-    lo = math.ceil(lower) + (1 if interval.lower_open and
-                             Fraction(math.ceil(lower)) == lower else 0)
-    hi = math.floor(upper) - (1 if interval.upper_open and
-                              Fraction(math.floor(upper)) == upper else 0)
-    if lo > hi:
-        if declaration.kind is not AtomicKind.DECIMAL:
+    # An unbounded end stands in 1000 away from the other one.
+    if interval.lower is not None:
+        lower, lower_open = interval.lower, interval.lower_open
+    else:
+        upper = interval.upper if interval.upper is not None else 0
+        lower, lower_open = Fraction(upper) - 1000, False
+    if interval.upper is not None:
+        upper, upper_open = interval.upper, interval.upper_open
+    else:
+        upper, upper_open = lower + 1000, False
+    window = (lower, lower_open, upper, upper_open)
+    lo, hi = _grid(window, 1)
+    if declaration.kind is not AtomicKind.DECIMAL:
+        if lo > hi:
             # Unsatisfiable integral window — e.g. a perturbed bound
             # shifted below the minimum.  No conforming value exists;
             # return the nearest integer so sampling never crashes (the
             # document is simply invalid against this declaration).
             return str(lo)
-        # Non-integral window (decimal-only type): take the midpoint.
-        mid = (Fraction(lower) + Fraction(upper)) / 2
-        return f"{float(mid):.4f}"
-    value = rng.randint(lo, hi)
-    if declaration.kind is AtomicKind.DECIMAL and rng.random() < 0.5:
-        return f"{value}.{rng.randint(0, 99):02d}"
-    return str(value)
+        return str(rng.randint(lo, hi))
+    if lo <= hi and rng.random() < 0.5:
+        return str(rng.randint(lo, hi))
+    # A fractional value inside the window, with the fewest digits
+    # (two at least) that leave room for one.
+    for digits in range(2, 40):
+        lo, hi = _grid(window, 10 ** digits)
+        if lo <= hi:
+            units = rng.randint(lo, hi)
+            whole, fraction = divmod(abs(units), 10 ** digits)
+            sign = "-" if units < 0 else ""
+            return f"{sign}{whole}.{fraction:0{digits}d}"
+    # An empty window (a perturbed bound crossed the other one): the
+    # midpoint, well-formed but nonconforming.
+    return f"{float((lower + upper) / 2):.4f}"
+
+
+def _grid(window, scale: int) -> tuple[int, int]:
+    """The least and greatest integers ``k`` with ``k / scale`` inside
+    ``window`` (``(lower, lower_open, upper, upper_open)``)."""
+    lower, lower_open, upper, upper_open = window
+    lo = math.ceil(lower * scale)
+    if lower_open and lo == lower * scale:
+        lo += 1
+    hi = math.floor(upper * scale)
+    if upper_open and hi == upper * scale:
+        hi -= 1
+    return lo, hi
 
 
 class TreeSampler:

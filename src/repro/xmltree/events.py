@@ -3,8 +3,11 @@
 :func:`iterparse` yields start/text/end events without ever building a
 tree — the substrate of the reference event-walk cast
 (:func:`repro.core.reference.reference_cast`, the fused kernel's
-oracle) and of the well-formedness drain that follows a rejection in
-:func:`repro.core.validator.validate_text`.  The event stream matches
+oracle).  It stays public as ``repro.xmltree.iterparse``, but the
+product validates text with the fused kernel
+(:mod:`repro.core.castkernel`): no module of ``repro.core``,
+``repro.service`` or ``repro.cli`` but the oracle imports this one
+(``tests/test_oracle_isolation.py``).  The event stream matches
 the DOM parser's semantics exactly: same entity handling, same
 whitespace-only text suppression (unless ``keep_whitespace``), same
 error positions; a tree built from the events equals :func:`parse`'s.
@@ -39,7 +42,9 @@ from repro.xmltree.lexer import (
     TOK_START,
     TOK_TEXT,
     Scanner,
+    scan_attributes_slow,
     skip_prolog,
+    trailing_misc,
 )
 
 #: Shared empty attribute mapping for the (dominant) no-attribute case —
@@ -95,26 +100,7 @@ def iterparse(
     if not scanner.starts_with("<"):
         raise scanner.error("expected the root element")
     yield from _element_events(scanner, keep_whitespace, symbols)
-    _trailing_misc(scanner)
-
-
-def _trailing_misc(scanner: Scanner) -> None:
-    """Consume comments/PIs/whitespace after the root element, with the
-    tree parser's checks."""
-    while not scanner.at_end():
-        scanner.skip_whitespace()
-        if scanner.at_end():
-            break
-        if scanner.starts_with("<!--"):
-            scanner.advance(4)
-            body = scanner.read_until("-->", what="comment")
-            if "--" in body:
-                raise scanner.error("'--' is not allowed inside a comment")
-        elif scanner.starts_with("<?"):
-            scanner.advance(2)
-            scanner.read_until("?>", what="processing instruction")
-        else:
-            raise scanner.error("content after the root element")
+    trailing_misc(scanner)
 
 
 def _element_events(
@@ -262,12 +248,9 @@ def _replay_slow(scanner: Scanner, stack: list[str], flush_text):
         scanner.read_until("?>", what="processing instruction")
     else:
         yield from flush_text()
-        check_depth(len(stack) + 1, scanner.limits)
-        if scanner.deadline is not None:
-            scanner.deadline.tick()
         scanner.expect("<")
         name = scanner.read_name()
-        _attributes(scanner, name)
+        scan_attributes_slow(scanner, name)
         if not scanner.match("/>"):
             scanner.expect(">")
     raise AssertionError(
@@ -348,7 +331,7 @@ class PullParser:
             stack=self._stack,
             pull=self,
         )
-        _trailing_misc(scanner)
+        trailing_misc(scanner)
 
     def skip_subtree(self, *, trusted: bool = False) -> int:
         """Byte-skim past the element whose ``StartElement`` was just
@@ -388,28 +371,3 @@ class PullParser:
         self.subtrees_skipped += 1
         return skipped
 
-
-def _attributes(scanner: Scanner, element_name: str) -> dict[str, str]:
-    attributes: dict[str, str] = {}
-    while True:
-        had_space = scanner.skip_whitespace()
-        ch = scanner.peek()
-        if ch in (">", "/") or ch == "":
-            return attributes
-        if not had_space:
-            raise scanner.error(
-                f"expected whitespace before attribute in <{element_name}>"
-            )
-        attr_pos = scanner.pos
-        name = scanner.read_name()
-        scanner.skip_whitespace()
-        scanner.expect("=")
-        scanner.skip_whitespace()
-        value_pos = scanner.pos + 1
-        raw_value = scanner.read_quoted()
-        if name in attributes:
-            raise scanner.error(
-                f"duplicate attribute {name!r} in <{element_name}>",
-                attr_pos,
-            )
-        attributes[name] = scanner.decode_entities(raw_value, value_pos)

@@ -1,8 +1,9 @@
 """Regex-bulk scanner for the XML parser.
 
 The scanner owns the raw text and the position bookkeeping and exposes
-the primitives the parsing front-ends (:mod:`repro.xmltree.parser` and
-:mod:`repro.xmltree.events`) are built from.  Since the parse path is
+the primitives the parsing front-ends (:mod:`repro.xmltree.parser`,
+:mod:`repro.xmltree.events` and the fused kernel in
+:mod:`repro.core.castkernel`) are built from.  Since the parse path is
 the dominant cost of every validation mode, the primitives are built on
 compiled regular expressions that consume input in bulk slices instead
 of character-at-a-time Python loops:
@@ -646,6 +647,30 @@ def skip_prolog(scanner: Scanner) -> tuple[str, str]:
             return doctype_name, internal_subset
 
 
+def trailing_misc(scanner: Scanner) -> None:
+    """Consume the misc after the root element (whitespace, comments,
+    processing instructions) up to the end of the text, or raise.
+
+    Shared by the tree parser, the event parser, the token stream and
+    the fused kernel, so a comment holding ``--`` or content after the
+    root is an error in every one of them.
+    """
+    while True:
+        scanner.skip_whitespace()
+        if scanner.at_end():
+            return
+        if scanner.starts_with("<!--"):
+            scanner.advance(4)
+            body = scanner.read_until("-->", what="comment")
+            if "--" in body:
+                raise scanner.error("'--' is not allowed inside a comment")
+        elif scanner.starts_with("<?"):
+            scanner.advance(2)
+            scanner.read_until("?>", what="processing instruction")
+        else:
+            raise scanner.error("content after the root element")
+
+
 def _read_doctype(scanner: Scanner) -> tuple[str, str]:
     scanner.expect("<!DOCTYPE")
     scanner.skip_whitespace()
@@ -869,16 +894,4 @@ def iter_tokens(
         else:
             scanner.pos = pos
             yield TOK_PI, m.group("pi"), tok_pos
-    # Trailing misc after the root element.
-    while not scanner.at_end():
-        scanner.skip_whitespace()
-        if scanner.at_end():
-            break
-        if scanner.starts_with("<!--"):
-            scanner.advance(4)
-            scanner.read_until("-->", what="comment")
-        elif scanner.starts_with("<?"):
-            scanner.advance(2)
-            scanner.read_until("?>", what="processing instruction")
-        else:
-            raise scanner.error("content after the root element")
+    trailing_misc(scanner)

@@ -54,6 +54,7 @@ from repro.xmltree.lexer import (
     fail_at_markup,
     scan_attributes_slow,
     skip_prolog,
+    trailing_misc,
 )
 
 
@@ -82,20 +83,7 @@ def parse(
     if not scanner.starts_with("<"):
         raise scanner.error("expected the root element")
     root = _parse_tree(scanner, keep_whitespace, limits, symbols)
-    while not scanner.at_end():
-        scanner.skip_whitespace()
-        if scanner.at_end():
-            break
-        if scanner.starts_with("<!--"):
-            scanner.advance(4)
-            body = scanner.read_until("-->", what="comment")
-            if "--" in body:
-                raise scanner.error("'--' is not allowed inside a comment")
-        elif scanner.starts_with("<?"):
-            scanner.advance(2)
-            scanner.read_until("?>", what="processing instruction")
-        else:
-            raise scanner.error("content after the root element")
+    trailing_misc(scanner)
     return Document(root, doctype_name, internal_subset, symbols=symbols)
 
 

@@ -407,8 +407,7 @@ def reference_tokens(
         if scanner.at_end():
             break
         if scanner.starts_with("<!--"):
-            scanner.advance(4)
-            scanner.read_until("-->", what="comment")
+            _skip_comment(scanner)
         elif scanner.starts_with("<?"):
             scanner.advance(2)
             scanner.read_until("?>", what="processing instruction")

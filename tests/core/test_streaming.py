@@ -12,7 +12,7 @@ import random
 import pytest
 
 from repro.core.validator import validate_document, validate_text
-from repro.errors import DocumentTooDeepError, XMLSyntaxError
+from repro.errors import DocumentTooDeepError, ReproError, XMLSyntaxError
 from repro.guards import Limits
 from repro.schema.model import Schema, attribute, complex_type
 from repro.schema.pairkernel import K_PLAIN, K_SIMPLE
@@ -268,6 +268,78 @@ class TestWellFormednessWins:
             parse(text, limits=limits)
         with pytest.raises(DocumentTooDeepError):
             validate_text(PARITY_SCHEMA, text, limits=limits)
+
+
+#: ``R = (a, b*)``, ``B = (a, c?)``, ``C = (a*)`` over integer leaves.
+SETTLE_SCHEMA = Schema(
+    {
+        "R": complex_type("R", "(a, b*)", {"a": "I", "b": "B"}),
+        "B": complex_type("B", "(a, c?)", {"a": "I", "c": "C"}),
+        "C": complex_type("C", "(a*)", {"a": "I"}),
+        "I": builtin("integer"),
+    },
+    {"r": "R"},
+)
+DEEP = "<c>" * 12 + "</c>" * 12
+#: Faults after the kernel's first failure.  ``<b/>`` as the first
+#: child of ``b`` fails ``b``'s content while ``b`` is still open (the
+#: faults then sit in the failing element); ``<a>x</a>`` fails a value
+#: and closes (the faults then sit in an ancestor).  Each id names the
+#: fault and the answer both pipelines must give: a typed error, or a
+#: report at a Dewey path.
+SETTLE_FIXTURES = [
+    pytest.param("<r><a>1</a><b><b/><oops</b></r>", "XMLSyntaxError",
+                 id="element-syntax-error"),
+    pytest.param(f"<r><a>1</a><b><b/>{DEEP}</b></r>",
+                 "DocumentTooDeepError", id="element-depth-limit"),
+    pytest.param("<r><a>1</a><b><b/><c><b/></c></b></r>", "1",
+                 id="element-content-failure-below"),
+    pytest.param("<r><a>1</a><b><b/><zz/></b></r>", "1.1",
+                 id="element-unknown-label"),
+    pytest.param("<r><a>1</a><b><b/>stray</b></r>", "1.1",
+                 id="element-stray-text"),
+    pytest.param("<r><a>1</a><b><a>x</a></b><oops</r>", "XMLSyntaxError",
+                 id="ancestor-syntax-error"),
+    pytest.param(f"<r><a>1</a><b><a>x</a></b><b>{DEEP}</b></r>",
+                 "DocumentTooDeepError", id="ancestor-depth-limit"),
+    pytest.param("<r><a>1</a><b><a>x</a></b><a>2</a></r>", "",
+                 id="ancestor-content-failure"),
+    pytest.param("<r><a>1</a><b><a>x</a></b><zz/></r>", "2",
+                 id="ancestor-unknown-label"),
+    pytest.param("<r><a>1</a><b><a>x</a></b>stray</r>", "2",
+                 id="ancestor-stray-text"),
+    pytest.param("<r><a>1</a><b><b/>stray</b>stray</r>", "2",
+                 id="outer-fault-wins"),
+    pytest.param("<r><a>1</a><b><a>1</a><c><a>x</a></c>stray</b></r>",
+                 "1.2", id="middle-ancestor-stray-text"),
+    pytest.param("<r><a>1</a><b><a>x</a></b><b><a>y</a></b></r>", "1.0",
+                 id="later-value-failure-is-not-read"),
+]
+
+
+class TestSettle:
+    """The kernel settles its first failure in the same pass: what
+    follows it can still change the answer, and both pipelines agree
+    on it."""
+
+    @staticmethod
+    def outcome(validate):
+        try:
+            report = validate()
+        except ReproError as error:
+            return type(error).__name__
+        assert not report.valid
+        return report.path, report.reason
+
+    @pytest.mark.parametrize("text, expected", SETTLE_FIXTURES)
+    def test_fault_after_first_failure(self, text, expected):
+        limits = Limits(max_tree_depth=8)
+        dom = self.outcome(lambda: validate_document(
+            SETTLE_SCHEMA, parse(text, limits=limits), limits=limits))
+        kernel = self.outcome(
+            lambda: validate_text(SETTLE_SCHEMA, text, limits=limits))
+        assert kernel == dom
+        assert (dom if isinstance(dom, str) else dom[0]) == expected
 
 
 class TestSchemaKernel:

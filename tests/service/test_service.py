@@ -145,6 +145,23 @@ class TestEndpoints:
         assert status == 200
         assert payload["valid"] is True
 
+    @pytest.mark.parametrize(
+        "fields",
+        [{}, {"trusted": True}, {"stream_skip": False}],
+        ids=["plain", "trusted", "no-stream-skip"],
+    )
+    def test_cast_reads_no_skim_fields(self, demo_service, fields):
+        # Experiment 1 subsumes ``items``, so the cast skims it.  The
+        # hardened skim finds the broken tag; a trusted byte search
+        # would answer valid, so the body cannot ask for one.
+        xml = po_xml().replace("<items>", "<items><bogus <<", 1)
+        status, payload, _ = demo_service.post(
+            "/cast", {"pair": "po-exp1", "xml": xml, **fields}
+        )
+        assert status == 200
+        assert payload["valid"] is False
+        assert "not well-formed" in payload["diagnostics"][0]["message"]
+
     def test_cast_with_mods_rename(self, demo_service):
         # Experiment 1's schema change renames shipTo/billTo types; a
         # no-op mod list keeps the document valid.

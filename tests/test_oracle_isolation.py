@@ -7,6 +7,13 @@ against them.  An oracle the engine itself calls stops being an
 independent check, so no module under ``src/repro`` other than the two
 oracles may import either of them — directly, relatively, or by name
 through ``importlib``.
+
+The event parser (:mod:`repro.xmltree.events`) is the substrate of the
+event-walk oracle.  The product validates text with the fused kernel
+and trees with the tree parser, so no module under ``repro.core``,
+``repro.service`` or ``repro.cli`` other than the oracle may import it,
+or a name ``repro.xmltree`` re-exports from it (``iterparse`` stays
+public API of :mod:`repro.xmltree`).
 """
 
 from __future__ import annotations
@@ -15,9 +22,14 @@ import ast
 from pathlib import Path
 
 import repro
+import repro.xmltree
 
 ORACLES = ("repro.core.reference", "repro.xmltree.reference")
 PACKAGE = Path(repro.__file__).parent
+
+EVENT_PARSER = "repro.xmltree.events"
+#: Packages that may not use the event parser.
+PRODUCT_PACKAGES = ("repro.core", "repro.service", "repro.cli")
 
 
 def _module_name(path: Path) -> str:
@@ -57,6 +69,75 @@ def oracle_imports(source: str, module: str, *, is_package: bool = False):
             if name == oracle or name.startswith(oracle + ".")
         }
     )
+
+
+def event_parser_imports(source: str, module: str, *,
+                         is_package: bool = False):
+    """The event parser, its members, and the names ``repro.xmltree``
+    re-exports from it, as ``source`` imports them."""
+    banned = {EVENT_PARSER} | {
+        f"repro.xmltree.{name}"
+        for name in repro.xmltree.__all__
+        if getattr(getattr(repro.xmltree, name), "__module__", None)
+        == EVENT_PARSER
+    }
+    return sorted(
+        {
+            name
+            for name in imported_names(source, module,
+                                       is_package=is_package)
+            if name in banned or name.startswith(EVENT_PARSER + ".")
+        }
+    )
+
+
+def in_product_package(module: str) -> bool:
+    return module not in ORACLES and any(
+        module == package or module.startswith(package + ".")
+        for package in PRODUCT_PACKAGES
+    )
+
+
+def test_no_product_module_imports_the_event_parser():
+    offenders = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = _module_name(path)
+        if not in_product_package(module):
+            continue
+        found = event_parser_imports(
+            path.read_text(encoding="utf-8"),
+            module,
+            is_package=path.name == "__init__.py",
+        )
+        if found:
+            offenders[module] = found
+    assert not offenders, (
+        f"product modules import the event parser: {offenders}"
+    )
+
+
+def test_event_parser_detector_sees_every_spelling():
+    spellings = [
+        "from repro.xmltree.events import Characters, StartElement, "
+        "iterparse",
+        "import repro.xmltree.events",
+        "from repro.xmltree import events",
+        "from repro.xmltree import iterparse",
+        "from ..xmltree.events import PullParser",
+        "import importlib\n"
+        "importlib.import_module('repro.xmltree.events')",
+    ]
+    for source in spellings:
+        assert event_parser_imports(source, "repro.core.validator"), source
+    assert not event_parser_imports(
+        "from repro.xmltree import parse\n"
+        "from repro.xmltree.lexer import trailing_misc",
+        "repro.core.validator",
+    )
+    assert in_product_package("repro.cli")
+    assert in_product_package("repro.service.work")
+    assert not in_product_package("repro.core.reference")
+    assert not in_product_package("repro.xmltree.parser")
 
 
 def test_no_product_module_imports_an_oracle():

@@ -1,17 +1,18 @@
 """One deadline per request or document, shared across all its passes.
 
-Several entry points run a document through two passes: a file read
-and then a kernel pass, a parse and then a validation, a kernel pass
-and then the well-formedness drain that follows a rejection, or a
-composed chain cast and then a per-hop fallback.  The budget in ``Limits.deadline_seconds`` covers the whole
-unit of work, so a second pass must not start a fresh copy of it.
+Several entry points run a document in two stages: a file read and
+then a kernel pass, a parse and then a validation, a plain validation's
+kernel pass up to its first failure and then the settle that finishes
+it, or a composed chain cast and then a per-hop fallback.  The budget
+in ``Limits.deadline_seconds`` covers the whole unit of work, so a
+second stage must not start a fresh copy of it.
 
 Time is simulated: :mod:`repro.guards` reads a clock that moves only
 when a test moves it.  Each scenario replays the same split against a
-0.41 s budget: the first pass takes 0.36 s, and the second pass spends
-another 0.21 s before its next clock read.  Either pass alone fits the
-budget; together they overrun it, so the request must fail with
-``DeadlineExceededError`` instead of answering.
+0.41 s budget: the first stage takes 0.36 s, and the second stage
+spends another 0.21 s before its next clock read.  Either stage alone
+fits the budget; together they overrun it, so the request must fail
+with ``DeadlineExceededError`` instead of answering.
 """
 
 from __future__ import annotations
@@ -71,8 +72,8 @@ def clock(monkeypatch):
 
 
 def slow_first_call(monkeypatch, module, name, clock):
-    """Patch ``module.name`` so its first call ends with
-    :meth:`SimulatedClock.first_pass_done`."""
+    """Patch ``module.name`` (a module's function or a class's method)
+    so its first call ends with :meth:`SimulatedClock.first_pass_done`."""
     real = getattr(module, name)
     calls = []
 
@@ -92,7 +93,7 @@ def po_text() -> str:
 
 def rejected_po_text() -> str:
     """A purchase order the Experiment-2 target rejects at its first
-    item, so plain validation's kernel pass stops early."""
+    item, so plain validation settles almost the whole text."""
     return serialize(
         make_purchase_order(ITEMS, quantity_of=lambda i: 500 if i == 0
                             else 7),
@@ -103,9 +104,13 @@ def rejected_po_text() -> str:
 class TestService:
     def test_validate_shares_one_deadline(self, exp2_pair, clock,
                                           monkeypatch):
-        # The kernel pass rejects the document; the drain that follows
-        # (syntax and limit errors still win) is the second pass.
-        slow_first_call(monkeypatch, repro.core.castkernel, "run", clock)
+        # The kernel's first failure ends the first stage; the settle
+        # that reads the rest of the text (syntax and limit errors
+        # still win) is the second.
+        slow_first_call(
+            monkeypatch, repro.core.castkernel.ValidationReport, "failure",
+            clock,
+        )
         with pytest.raises(DeadlineExceededError):
             perform_request(
                 "validate", exp2_pair, {"xml": rejected_po_text()},

@@ -1,6 +1,7 @@
 """Tests for random schema/document generation."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -8,7 +9,7 @@ from repro.core.validator import validate_document, validate_element
 from repro.remodel.derivative import matches
 from repro.schema.model import ComplexType, Schema, complex_type
 from repro.schema.productive import is_fully_productive
-from repro.schema.simple import builtin
+from repro.schema.simple import AtomicKind, builtin, restrict
 from repro.workloads.generators import (
     TreeSampler,
     random_regex,
@@ -45,6 +46,50 @@ class TestRandomSimpleType:
             for _ in range(5):
                 text = random_text_for(rng, declaration)
                 assert declaration.validate(text), (declaration, text)
+
+
+    def test_every_sampled_value_conforms(self):
+        rng = random.Random(0xDEC1)
+        for i in range(1500):
+            declaration = random_simple_type(rng, f"T{i}")
+            for _ in range(10):
+                text = random_text_for(rng, declaration)
+                assert declaration.validate(text), (declaration, text)
+
+    def test_palette_draws_bounded_decimals(self):
+        rng = random.Random(0xB0)
+        bounds = []
+        for i in range(400):
+            declaration = random_simple_type(rng, f"T{i}")
+            if declaration.kind is AtomicKind.DECIMAL:
+                interval = declaration.interval()
+                bounds += [
+                    (bound, is_open)
+                    for bound, is_open in (
+                        (interval.lower, interval.lower_open),
+                        (interval.upper, interval.upper_open),
+                    )
+                    if bound is not None
+                ]
+        assert any(is_open for _, is_open in bounds)
+        assert any(not is_open for _, is_open in bounds)
+        assert any(bound < 0 for bound, _ in bounds)
+        assert any(bound.denominator > 1 for bound, _ in bounds)
+
+    @pytest.mark.parametrize("facets", [
+        {"min_inclusive": Fraction(0), "max_inclusive": Fraction(10)},
+        {"min_inclusive": Fraction(-3), "max_inclusive": Fraction(2)},
+        {"min_exclusive": Fraction(-3), "max_exclusive": Fraction(2)},
+        {"min_exclusive": Fraction(1, 100),
+         "max_exclusive": Fraction(2, 100)},
+        {"max_exclusive": Fraction(-7, 4)},
+    ], ids=["closed", "negative", "open", "narrow", "upper-only"])
+    def test_fractional_samples_stay_in_the_window(self, facets):
+        declaration = restrict(builtin("decimal"), "W", **facets)
+        rng = random.Random(0)
+        for _ in range(2000):
+            text = random_text_for(rng, declaration)
+            assert declaration.validate(text), text
 
 
 class TestRandomWord:

@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from repro.errors import XMLSyntaxError
 from repro.workloads.adversarial import (
     deep_document,
     entity_bomb,
@@ -104,7 +105,27 @@ MALFORMED = [
 ]
 
 
+#: Misc after the root element that the tree parser rejects.
+BAD_TRAILING_MISC = [
+    "<a/><!-- -- -->",
+    "<a></a>\n<!-- a -- b -->\n",
+    "<a/><?pi?>\n<!-- - - -- -->",
+    "<a/><!-- unterminated",
+    "<a/> x",
+]
+
+
 class TestFixedCorpora:
+    @pytest.mark.parametrize("text", BAD_TRAILING_MISC)
+    def test_trailing_misc_raises_where_parse_does(self, text):
+        with pytest.raises(XMLSyntaxError) as parsed:
+            parse(text)
+        for token_fn in (iter_tokens, reference_tokens):
+            with pytest.raises(XMLSyntaxError) as lexed:
+                list(token_fn(text))
+            assert str(lexed.value) == str(parsed.value), token_fn
+
+
     @pytest.mark.parametrize("text", WELL_FORMED)
     def test_well_formed(self, text):
         assert_same_stream(text)
