@@ -1,37 +1,30 @@
-"""Byte-level skip-scan: streaming-cast speedup from never tokenizing
-subsumed subtrees.
+"""Skip-scan: what the subsumed subtrees of a streaming cast cost.
 
-Two corpora, both purchase orders (Section 6 of the paper):
+The corpus is an Experiment-1 purchase order (Section 6 of the paper):
+the pair (billTo optional → required) subsumes every address and the
+whole ``items`` subtree, so the cast validates almost nothing.  Three
+executions of that cast are timed:
 
-1. **subsumption-heavy** — the Experiment-1 pair (billTo optional →
-   required): every address and the whole ``items`` subtree sit under
-   subsumed ``(τ, τ')`` pairs, so byte-skimming covers almost the whole
-   document.  Gate: the skip-scan streaming cast must be **≥ 3×** the
-   event-level streaming cast (:func:`repro.core.reference
-   .reference_cast` — the pipeline this gate was calibrated against
-   when skip-scan landed, now kept as the kernel's reference oracle;
-   the fused kernel has its own gate in ``bench_parse.py``) end to
-   end.  The
-   fused kernel's no-skip time is measured alongside, so the *marginal*
-   value of skipping stays visible: the hardened skim must still beat
-   it, and the trusted byte-search variant (the paper's source-validity
-   premise) must beat it **≥ 3×**.
-2. **zero-subsumption** — the Experiment-2 source against a target
-   whose every leaf simple type is strictly tightened
-   (:func:`target_schema_zero_subsumption`), so ``R_sub`` is empty over
-   the reachable pairs and *nothing* can be skipped.  Gate: the
-   skip-scan path must stay within **10 %** of the token-draining
-   kernel pass (ratio ≥ 0.90) — the skim channel may not tax corpora
-   it cannot help.
+* the event-level reference cast (:func:`repro.core.reference
+  .reference_cast`, the pipeline the first gate was calibrated against
+  when skip-scan landed, now kept as the kernel's reference oracle),
+  which drains the subsumed subtrees event by event;
+* the default cast (:func:`repro.core.cast.cast_text`): the fused
+  kernel drains them token by token with every well-formedness check;
+* the trusted cast (``trusted=True``, the paper's source-validity
+  premise): a byte search for each subsumed subtree's close tag.
+
+Gates: the default cast must be **≥ 3×** the event pipeline end to end
+(the fused kernel has its own gate in ``bench_parse.py``), and the
+trusted search **≥ 3×** the default cast's drain.
 
 Before timing anything, every benchmark document is cross-checked
 against the char-level reference pipeline
 (:mod:`repro.xmltree.reference`): token streams must match
-token-for-token, and the DOM cast on the reference parse, the
-event-level reference cast, the kernel's token-draining, skip-scan and
-trusted skip-scan casts must all agree on the verdict.  The zero-subsumption
-run additionally asserts ``subtrees_skipped == 0`` (the corpus really
-is skip-free) and the heavy run asserts byte skips actually happened.
+token-for-token, the DOM cast on the reference parse and the default
+and trusted casts must agree on the verdict, and the default cast's
+report must equal the event-level reference cast's.  The run also
+asserts that subtrees were skipped at all.
 
 Records merge into ``BENCH_cast.json`` at the repo root via
 :func:`repro.bench.reporting.update_bench_json`.
@@ -40,10 +33,8 @@ Run standalone (no pytest needed)::
 
     PYTHONPATH=src python benchmarks/bench_stream_skip.py [--quick]
 
-``--quick`` shrinks the corpora for CI and relaxes the floors to 1.5x
-(heavy) / 0.80 (zero-subsumption); the full run enforces the
-acceptance thresholds: heavy >= 3.0x, zero-subsumption ratio >= 0.90.
-Exit status 1 if any check fails.
+``--quick`` shrinks the corpus for CI and relaxes both floors to 1.5x;
+the full run enforces 3.0x.  Exit status 1 if any check fails.
 """
 
 from __future__ import annotations
@@ -61,9 +52,7 @@ from repro.schema.registry import SchemaPair
 from repro.workloads.purchase_orders import (
     make_purchase_order,
     source_schema_experiment1,
-    source_schema_zero_subsumption,
     target_schema_experiment1,
-    target_schema_zero_subsumption,
 )
 from repro.xmltree.lexer import iter_tokens
 from repro.xmltree.reference import reference_parse, reference_tokens
@@ -89,9 +78,9 @@ def check_equivalence(pair: SchemaPair, texts: list[str]) -> None:
     """Refuse to publish numbers for pipelines that disagree.
 
     Token streams must match the char-level reference lexer exactly,
-    and the verdict must be identical across the DOM cast on the
-    reference parse, the event-level reference cast, and the kernel's
-    token-draining, skip-scan and trusted skip-scan casts, for every
+    the verdict must be identical across the DOM cast on the reference
+    parse and the default and trusted casts, and the default cast's
+    report must equal the event-level reference cast's, for every
     corpus document.
     """
     dom = CastValidator(pair, collect_stats=False)
@@ -101,19 +90,18 @@ def check_equivalence(pair: SchemaPair, texts: list[str]) -> None:
         )
         reference_verdict = dom.validate(reference_parse(text))
         oracle = reference_cast(pair, text)
-        event = cast_text(pair, text, stream_skip=False)
-        skim = cast_text(pair, text)
+        drain = cast_text(pair, text)
         trusted = cast_text(pair, text, trusted=True)
         verdicts = {
-            report.valid
-            for report in (reference_verdict, oracle, event, skim, trusted)
+            report.valid for report in (reference_verdict, drain, trusted)
         }
         assert len(verdicts) == 1, "cast verdicts diverged across modes"
-        assert (skim.valid, skim.reason, skim.path) == (
-            event.valid,
-            event.reason,
-            event.path,
-        ), "skip-scan report diverged from the event-level cast"
+        assert (drain.valid, drain.reason, drain.path, drain.stats) == (
+            oracle.valid,
+            oracle.reason,
+            oracle.path,
+            oracle.stats,
+        ), "the default cast diverged from the event-level cast"
 
 
 def main(argv=None) -> int:
@@ -121,8 +109,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="small CI smoke run with relaxed floors "
-        "(heavy >= 1.5x, zero-subsumption ratio >= 0.80)",
+        help="small CI smoke run with relaxed floors (1.5x)",
     )
     parser.add_argument(
         "--json",
@@ -133,86 +120,42 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.quick:
-        items, reps = 150, 5
-        heavy_floor, parity_floor = 1.5, 0.80
+        items, reps, floor = 150, 5, 1.5
     else:
-        items, reps = 800, 10
-        heavy_floor, parity_floor = 3.0, 0.90
+        items, reps, floor = 800, 10, 3.0
 
-    heavy_pair = SchemaPair(
-        source_schema_experiment1(), target_schema_experiment1()
-    )
-    heavy_pair.warm()
-    zero_pair = SchemaPair(
-        source_schema_zero_subsumption(), target_schema_zero_subsumption()
-    )
-    zero_pair.warm()
+    pair = SchemaPair(source_schema_experiment1(), target_schema_experiment1())
+    pair.warm()
 
     text = serialize(make_purchase_order(items), indent="  ")
     small = serialize(make_purchase_order(max(2, items // 50)), indent="  ")
     corpus_bytes = len(text.encode("utf-8"))
     mb = corpus_bytes / 1e6
-    check_equivalence(heavy_pair, [text, small])
-    check_equivalence(zero_pair, [text, small])
+    check_equivalence(pair, [text, small])
 
-    # The corpora must be what they claim: the heavy pair byte-skips
-    # subtrees, the zero pair skips nothing at all.
-    heavy_stats = cast_text(heavy_pair, text).stats
-    assert heavy_stats.subtrees_byte_skipped > 0, (
-        "subsumption-heavy corpus produced no byte skips"
-    )
-    zero_stats = cast_text(zero_pair, text).stats
-    assert zero_stats.subtrees_skipped == 0, (
-        "zero-subsumption corpus skipped subtrees"
+    # The corpus must be what it claims: the pair skips subtrees.
+    stats = cast_text(pair, text, trusted=True).stats
+    assert stats.subtrees_skipped > 0, (
+        "subsumption-heavy corpus skipped no subtrees"
     )
 
-    # -- gate 1: subsumption-heavy speedup ----------------------------------
-    event_s = best_of(lambda: reference_cast(heavy_pair, text), reps)
-    fused_s = best_of(
-        lambda: cast_text(heavy_pair, text, stream_skip=False), reps
-    )
-    skim_s = best_of(lambda: cast_text(heavy_pair, text), reps)
-    trusted_s = best_of(
-        lambda: cast_text(heavy_pair, text, trusted=True), reps
-    )
-    heavy_speedup = event_s / skim_s
-    trusted_speedup = event_s / trusted_s
-    # Marginal value of skipping over the fused kernel's plain pass:
-    # the hardened skim must not lose to just validating everything,
-    # and the trusted byte search must clearly win.
-    skim_vs_fused = fused_s / skim_s
-    trusted_vs_fused = fused_s / trusted_s
+    event_s = best_of(lambda: reference_cast(pair, text), reps)
+    drain_s = best_of(lambda: cast_text(pair, text), reps)
+    trusted_s = best_of(lambda: cast_text(pair, text, trusted=True), reps)
+    speedup = event_s / drain_s
+    trusted_vs_drain = drain_s / trusted_s
 
-    # -- gate 2: zero-subsumption parity ------------------------------------
-    zero_event_s = best_of(
-        lambda: cast_text(zero_pair, text, stream_skip=False), reps
-    )
-    zero_skim_s = best_of(lambda: cast_text(zero_pair, text), reps)
-    parity = zero_event_s / zero_skim_s
-
-    skipped_fraction = heavy_stats.bytes_skipped / len(text)
+    skipped_fraction = stats.bytes_skipped / len(text)
+    print(f"{'event pipeline':<24} {event_s * 1e3:8.2f} ms")
     print(
-        f"{'heavy (event pipeline)':<28} {event_s * 1e3:8.2f} ms"
+        f"{'default cast (drain)':<24} {drain_s * 1e3:8.2f} ms  "
+        f"{speedup:6.2f}x  ({mb * reps / drain_s:7.1f} MB/s)"
     )
     print(
-        f"{'heavy (fused, no skips)':<28} {fused_s * 1e3:8.2f} ms  "
-        f"{event_s / fused_s:6.2f}x"
-    )
-    print(
-        f"{'heavy (byte skim)':<28} {skim_s * 1e3:8.2f} ms  "
-        f"{heavy_speedup:6.2f}x  ({mb * reps / skim_s:7.1f} MB/s, "
-        f"{skipped_fraction:.0%} of bytes skimmed)"
-    )
-    print(
-        f"{'heavy (trusted byte search)':<28} {trusted_s * 1e3:8.2f} ms  "
-        f"{trusted_speedup:6.2f}x  ({mb * reps / trusted_s:7.1f} MB/s)"
-    )
-    print(
-        f"{'zero-sub (event-level)':<28} {zero_event_s * 1e3:8.2f} ms"
-    )
-    print(
-        f"{'zero-sub (byte skim)':<28} {zero_skim_s * 1e3:8.2f} ms  "
-        f"ratio {parity:5.3f}"
+        f"{'trusted byte search':<24} {trusted_s * 1e3:8.2f} ms  "
+        f"{trusted_vs_drain:6.2f}x the drain  "
+        f"({mb * reps / trusted_s:7.1f} MB/s, "
+        f"{skipped_fraction:.0%} of bytes searched past)"
     )
 
     update_bench_json(
@@ -224,29 +167,15 @@ def main(argv=None) -> int:
                 "corpus_bytes": corpus_bytes,
                 "reps": reps,
                 "event_seconds": event_s,
-                "fused_seconds": fused_s,
-                "skim_seconds": skim_s,
+                "drain_seconds": drain_s,
                 "trusted_seconds": trusted_s,
-                "speedup": heavy_speedup,
-                "trusted_speedup": trusted_speedup,
-                "skim_speedup_vs_fused": skim_vs_fused,
-                "trusted_speedup_vs_fused": trusted_vs_fused,
-                "subtrees_byte_skipped": heavy_stats.subtrees_byte_skipped,
-                "bytes_skipped": heavy_stats.bytes_skipped,
+                "speedup": speedup,
+                "trusted_speedup_vs_drain": trusted_vs_drain,
+                "subtrees_skipped": stats.subtrees_skipped,
+                "bytes_skipped": stats.bytes_skipped,
                 "event_mb_per_s": mb * reps / event_s,
-                "skim_mb_per_s": mb * reps / skim_s,
+                "drain_mb_per_s": mb * reps / drain_s,
                 "trusted_mb_per_s": mb * reps / trusted_s,
-            },
-            "stream_skip_zero_subsumption": {
-                "corpus": "po-zero-subsumption",
-                "corpus_items": items,
-                "corpus_bytes": corpus_bytes,
-                "reps": reps,
-                "event_seconds": zero_event_s,
-                "skim_seconds": zero_skim_s,
-                "ratio": parity,
-                "event_mb_per_s": mb * reps / zero_event_s,
-                "skim_mb_per_s": mb * reps / zero_skim_s,
             },
         },
         source="bench_stream_skip.py",
@@ -254,24 +183,15 @@ def main(argv=None) -> int:
     print(f"wrote {os.path.normpath(args.json)}")
 
     failures = []
-    if heavy_speedup < heavy_floor:
+    if speedup < floor:
         failures.append(
-            f"subsumption-heavy speedup {heavy_speedup:.2f}x "
-            f"< {heavy_floor}x"
+            f"default cast speedup over the event pipeline "
+            f"{speedup:.2f}x < {floor}x"
         )
-    if skim_vs_fused < 1.0:
+    if trusted_vs_drain < floor:
         failures.append(
-            f"hardened skim loses to the fused no-skip pass "
-            f"({skim_vs_fused:.2f}x)"
-        )
-    if trusted_vs_fused < heavy_floor:
-        failures.append(
-            f"trusted skim speedup over the fused pass "
-            f"{trusted_vs_fused:.2f}x < {heavy_floor}x"
-        )
-    if parity < parity_floor:
-        failures.append(
-            f"zero-subsumption ratio {parity:.3f} < {parity_floor}"
+            f"trusted search speedup over the drain "
+            f"{trusted_vs_drain:.2f}x < {floor}x"
         )
     if failures:
         for failure in failures:

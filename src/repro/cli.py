@@ -9,7 +9,8 @@ driven without writing Python:
   (:func:`~repro.core.validator.validate_file`);
 * ``cast DOC... --source A --target B [--stats]`` — schema cast
   validation (documents promised valid under A): each file is cast by
-  one fused kernel pass, no tree, subsumed subtrees byte-skimmed
+  one fused kernel pass, no tree, subsumed subtrees drained with every
+  well-formedness check but never validated
   (:func:`~repro.core.cast.cast_file`).  Each DOC may be a directory,
   validated as a batch (``--jobs N`` parallelizes it over a resident
   worker fleet, shared across all the directories of one invocation;
@@ -72,9 +73,6 @@ def load_schema(path: str, *, roots: Optional[list[str]] = None) -> Schema:
 def _print_stats(stats) -> None:
     print(f"  nodes visited:          {stats.nodes_visited}")
     print(f"  subtrees skipped:       {stats.subtrees_skipped}")
-    if stats.subtrees_byte_skipped:
-        print(f"  byte-skipped subtrees:  {stats.subtrees_byte_skipped}")
-        print(f"  bytes skipped:          {stats.bytes_skipped}")
     print(f"  disjoint rejections:    {stats.disjoint_rejections}")
     print(f"  content symbols read:   {stats.content_symbols_scanned}")
     print(f"  early content verdicts: {stats.early_content_decisions}")
@@ -129,7 +127,7 @@ def _with_retries(action, retries: int):
 def _print_phase_profile(stats) -> None:
     """The ``--profile-parse`` breakdown: where the wall-clock went.
 
-    The kernel reads, lexes, skims and validates a file in one pass,
+    The kernel reads, lexes and validates a file in one pass,
     so it reports that pass as a single phase — billed to
     ``validate_seconds``, as batch workers do.
     """

@@ -147,8 +147,8 @@ def validate_batch(
     """Validate many documents against one schema pair.
 
     Each document is cast by :func:`repro.core.cast.cast_file`: one
-    fused kernel pass over the file, subsumed subtrees byte-skimmed,
-    no tree built.
+    fused kernel pass over the file, subsumed subtrees drained
+    (checked for well-formedness only), no tree built.
 
     Args:
         pair: the preprocessed pair; warmed here (once, in the parent)

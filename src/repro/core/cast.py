@@ -397,18 +397,18 @@ def cast_text(
     """DOM-free schema cast of raw XML text.
 
     One fused pass of :func:`repro.core.castkernel.run` parses and
-    cast-validates together; with ``stream_skip`` (the default)
-    subsumed subtrees are byte-skimmed — the lexer never tokenizes
-    them — otherwise their tokens are drained unchecked.
-    ``trusted=True`` additionally byte-searches for end tags, assuming
-    the document is well-formed (the paper's source-validity premise).
-    The verdict equals ``CastValidator(pair).validate(parse(text))``;
+    cast-validates together.  A subsumed subtree is never validated:
+    the kernel drains it with every well-formedness check, so the
+    verdict equals ``CastValidator(pair).validate(parse(text))`` and
     malformed input becomes a ``not well-formed`` failure report.
+    ``trusted=True`` byte-searches past subsumed subtrees instead,
+    assuming the document is well-formed (the paper's source-validity
+    premise); ``stream_skip=False`` turns that search off again.
     """
     try:
         return castkernel.run(
-            pair.kernel(), resolve_limits(limits), text, stream_skip,
-            trusted,
+            pair.kernel(), resolve_limits(limits), text,
+            stream_skip and trusted,
         )
     except XMLSyntaxError as error:
         return ValidationReport.failure(f"not well-formed: {error}")
@@ -427,7 +427,8 @@ def cast_file(
 
     The file is size-checked before it is read, and one deadline
     covers the read and the fused kernel pass (subsumed subtrees
-    byte-skimmed).  Unlike :func:`cast_text`, a malformed document
+    drained, or byte-searched past with ``trusted=True``, as in
+    :func:`cast_text`).  Unlike :func:`cast_text`, a malformed document
     raises :class:`~repro.errors.XMLSyntaxError`, as limit and
     deadline trips raise their typed errors.  The kernel stops at its
     first failure, so a document rejected before a later syntax error
@@ -438,6 +439,5 @@ def cast_file(
     deadline = limits.deadline()
     text = read_document(path, limits)
     return castkernel.run(
-        pair.kernel(), remaining_limits(limits, deadline), text, True,
-        trusted,
+        pair.kernel(), remaining_limits(limits, deadline), text, trusted
     )

@@ -19,7 +19,11 @@ On top of the fused walk sits the *leaf fast path*: an attribute-free
 element holding only entity- and bracket-free text (the dominant node
 shape of data-oriented XML) is consumed by a single C-level match
 (:data:`~repro.xmltree.lexer.LEAF_RE`) and validated in place — start
-tag, value and end tag never become separate tokens.
+tag, value and end tag never become separate tokens.  A leaf match
+leaves the lexer's master sweep behind, so the start or end tag after
+it is matched by its own arm of the master
+(:data:`~repro.xmltree.lexer.START_TAG_RE`,
+:data:`~repro.xmltree.lexer.END_TAG_RE`) instead of a reseeded sweep.
 
 Failure reports carry the DOM cast's reason and Dewey path (the
 offending node: an element for attribute, disjointness and value
@@ -34,11 +38,17 @@ and guard behaviour (document size, depth, entities, deadline ticks
 once per start tag) — asserted by
 ``tests/core/test_kernel_equivalence.py``.  The only tolerated
 divergence is wall-clock deadline *granularity* on skipped regions (the
-byte skim ticks per skimmed tag, the leaf path once per leaf).
+trusted byte search ticks per same-name tag, the leaf path once per
+leaf).  Syntax errors inside the root element carry the tree parser's
+messages and positions.
 
-Both skip modes are fused here: ``byte_skip`` skims subsumed subtrees
-at the byte level via :meth:`Scanner.skim_subtree`, otherwise the loop
-drains the subtree's tokens with well-formedness checks only.  Tables
+A subsumed subtree (Section 3.2) is never *validated*, but by default
+it is still *drained*: the loop reads its tokens with every
+well-formedness check and the depth, entity and deadline guards, and
+validates nothing, so malformed text is ``not well-formed`` wherever it
+sits.  ``trusted`` instead byte-searches for the subtree's close tag
+(:meth:`~repro.xmltree.lexer.Scanner.skim_subtree`), assuming the
+document is well-formed — the paper's source-validity premise.  Tables
 materialize on first touch, so an unwarmed pair works (it just pays
 for the records a document reaches).
 
@@ -74,6 +84,7 @@ from repro.schema.simple import compiled_checker
 from repro.xmltree.lexer import (
     END_TAG_RE,
     LEAF_RE,
+    START_TAG_RE,
     TOK_CDATA,
     TOK_COMMENT,
     TOK_END,
@@ -99,11 +110,12 @@ _LABEL = 5
 _POS = 6
 
 
-def run(kernel, limits, text, byte_skip, trusted):
+def run(kernel, limits, text, trusted):
     """The fused cast of ``text`` over ``kernel`` (a pair's
     :meth:`~repro.schema.registry.SchemaPair.kernel`, or a schema's
     :meth:`~repro.schema.model.Schema.kernel` for plain validation)
-    under ``limits``.
+    under ``limits``.  ``trusted`` byte-searches past subsumed subtrees
+    instead of draining them (see the module docstring).
 
     A malformed document raises :class:`~repro.errors.XMLSyntaxError`
     (batch workers record it as a typed per-document error;
@@ -134,6 +146,7 @@ def run(kernel, limits, text, byte_skip, trusted):
     start_tag_parts = scanner.start_tag_parts
     leaf_match = LEAF_RE.match
     ws_match = XML_WS_RE.match
+    start_match = START_TAG_RE.match
     end_match = END_TAG_RE.match
     # Depth guard, inlined to one compare per element: the full check
     # (with its exact error message) only runs once the bound is hit.
@@ -143,12 +156,21 @@ def run(kernel, limits, text, byte_skip, trusted):
 
     vstack = []          # validator frames (excludes skipped subtrees)
     parse_stack = []     # open labels for well-formedness and depth
+    open_at = []         # their start-tag offsets, for diagnostics
     text_parts = []      # pending character data, decoded
-    drain = 0            # event-skip depth (subsumed subtree, no skim)
+    drain = 0            # drain depth (a subsumed subtree, or a settle)
     failure = None       # the first failure; then the settled answer
 
     def _path(stack):
         return ".".join(str(frame[_POS]) for frame in stack[1:])
+
+    def _mismatch(close_name, at):
+        """The tree parser's diagnostic for a close tag that does not
+        close the innermost open element."""
+        expected = f" for <{parse_stack[-1]}>" if parse_stack else ""
+        return scanner.error(
+            f"mismatched close tag </{close_name}>{expected}", at
+        )
 
     def _content_fail(rec, label, path):
         return ValidationReport.failure(
@@ -289,8 +311,9 @@ def run(kernel, limits, text, byte_skip, trusted):
     while True:
         while True:
             pos = scanner.pos
+            hit = None
 
-            # -- leaf + end-tag fast path ----------------------------------
+            # -- leaf and one-arm tag fast paths ---------------------------
             if (vstack or drain) and pos < n:
                 lpos = pos
                 if src[pos] != "<" and (
@@ -430,8 +453,7 @@ def run(kernel, limits, text, byte_skip, trusted):
                             continue
                         if action == A_SUBSUME:
                             stats.subtrees_skipped += 1
-                            if byte_skip:
-                                stats.subtrees_byte_skipped += 1
+                            if trusted:
                                 stats.bytes_skipped += (
                                     leaf.end() - leaf.start(2)
                                 )
@@ -459,28 +481,29 @@ def run(kernel, limits, text, byte_skip, trusted):
                                 path=_path(vstack),
                             )
                         break
-                elif (
-                    lpos + 1 < n
-                    and src[lpos + 1] == "/"
-                    and (lpos != pos or scanner._finditer_pos != pos)
+                elif src[lpos] == "<" and (
+                    lpos != pos or scanner._finditer_pos != pos
                 ):
-                    # End-tag fast path, taken only when the master
+                    # One-arm tag fast paths, taken only when the master
                     # sweep is already stale (a leaf or skim moved the
                     # cursor out of band) or leading whitespace was
                     # swallowed — the cases where the sweep would have
-                    # to reseed anyway.
-                    em = end_match(src, lpos)
-                    if em is not None:
+                    # to reseed anyway.  A start tag goes on to the
+                    # general dispatch below; an end tag is closed here.
+                    if lpos + 1 < n and src[lpos + 1] != "/":
+                        sm = start_match(src, lpos)
+                        if sm is not None:
+                            hit = TOK_START, sm
+                    elif (em := end_match(src, lpos)) is not None:
                         if text_parts and (fault := flush()) is not None:
                             failure = fault
                             break
                         close_name = em.group("ename")
                         scanner.pos = em.end()
                         if not parse_stack or parse_stack[-1] != close_name:
-                            raise scanner.error(
-                                f"mismatched close tag </{close_name}>"
-                            )
+                            raise _mismatch(close_name, em.end("ename"))
                         parse_stack.pop()
+                        open_at.pop()
                         if drain:
                             drain -= 1
                             if len(parse_stack) < len(vstack):
@@ -496,7 +519,8 @@ def run(kernel, limits, text, byte_skip, trusted):
                             break
                         continue
 
-            hit = next_content_match()
+            if hit is None:
+                hit = next_content_match()
             if hit is None:
                 # EOF or markup the master regex declined: replay the
                 # event path's slow diagnostics (flush-before-tag
@@ -506,7 +530,8 @@ def run(kernel, limits, text, byte_skip, trusted):
                 if scanner.at_end():
                     if parse_stack:
                         raise scanner.error(
-                            f"unterminated element <{parse_stack[-1]}>"
+                            f"unterminated element <{parse_stack[-1]}>",
+                            open_at[-1],
                         )
                     break
                 if scanner.starts_with("</"):
@@ -515,12 +540,10 @@ def run(kernel, limits, text, byte_skip, trusted):
                         break
                     scanner.advance(2)
                     close_name = scanner.read_name()
+                    if not parse_stack or parse_stack[-1] != close_name:
+                        raise _mismatch(close_name, scanner.pos)
                     scanner.skip_whitespace()
                     scanner.expect(">")
-                    if not parse_stack or parse_stack[-1] != close_name:
-                        raise scanner.error(
-                            f"mismatched close tag </{close_name}>"
-                        )
                 elif scanner.starts_with("<!--"):
                     scanner.advance(4)
                     body = scanner.read_until("-->", what="comment")
@@ -584,11 +607,13 @@ def run(kernel, limits, text, byte_skip, trusted):
                     if not self_closing:
                         drain += 1
                         parse_stack.append(name)
+                        open_at.append(m.start())
                     continue
                 if not self_closing:
                     # Open before any check, so a failure here leaves
                     # the element for a settle to drain.
                     parse_stack.append(name)
+                    open_at.append(m.start())
                 sid = ids.get(name, -1)
                 if not vstack:
                     action = root_actions.get(name, A_NO_TARGET)
@@ -657,20 +682,17 @@ def run(kernel, limits, text, byte_skip, trusted):
 
                 if action == A_SUBSUME:
                     stats.subtrees_skipped += 1
-                    if byte_skip:
-                        stats.subtrees_byte_skipped += 1
                     if self_closing:
                         if not parse_stack:
                             break  # self-closed subsumed root
                         continue
-                    if byte_skip:
+                    if trusted:
                         start = scanner.pos
                         end = scanner.skim_subtree(
-                            label=name,
-                            base_depth=len(parse_stack),
-                            trusted=trusted,
+                            label=name, base_depth=len(parse_stack)
                         )
                         parse_stack.pop()
+                        open_at.pop()
                         stats.bytes_skipped += end - start
                         if not parse_stack:
                             break  # the skim closed the root
@@ -726,10 +748,9 @@ def run(kernel, limits, text, byte_skip, trusted):
                 close_name = m.group("ename")
                 scanner.pos = m.end()
                 if not parse_stack or parse_stack[-1] != close_name:
-                    raise scanner.error(
-                        f"mismatched close tag </{close_name}>"
-                    )
+                    raise _mismatch(close_name, m.end("ename"))
                 parse_stack.pop()
+                open_at.pop()
                 if drain:
                     drain -= 1
                     if len(parse_stack) < len(vstack):

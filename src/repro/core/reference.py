@@ -12,10 +12,10 @@ nothing else under ``repro`` imports it.
 
 The logic is Section 3.2 over an event stream.  A child whose
 (source, target) type pair is subsumed starts a skip region (its events
-are drained, or with ``byte_skip`` the lexer skims past it unparsed); a
-disjoint pair fails immediately; otherwise the child is pushed with a
-pair content-automaton state, which may decide early (IA/IR) while
-children stream past.
+are drained, or with ``trusted`` the lexer byte-searches past it
+unparsed); a disjoint pair fails immediately; otherwise the child is
+pushed with a pair content-automaton state, which may decide early
+(IA/IR) while children stream past.
 """
 
 from __future__ import annotations
@@ -60,16 +60,15 @@ def reference_cast(
     text: str,
     *,
     limits: Optional[Limits] = None,
-    byte_skip: bool = False,
     trusted: bool = False,
 ) -> ValidationReport:
     """Cast-validate ``text`` against ``pair`` through the event stream.
 
     Same contract as :func:`repro.core.cast.cast_text` — verdict,
     reason, Dewey path, :class:`ValidationStats` counters, and guard
-    exceptions — in every skip mode: ``byte_skip`` skims subsumed
-    subtrees at the byte level, ``trusted`` selects the byte-search
-    skim.  Malformed input becomes a ``not well-formed`` failure.
+    exceptions — in both skip modes: subsumed subtrees are drained
+    event by event, or with ``trusted`` byte-searched past.  Malformed
+    input becomes a ``not well-formed`` failure.
     """
     limits = resolve_limits(limits)
     max_depth = (
@@ -310,11 +309,8 @@ def reference_cast(
                 report = start(event)
                 if report == "skip":
                     stats.subtrees_skipped += 1
-                    if byte_skip:
-                        stats.subtrees_byte_skipped += 1
-                        stats.bytes_skipped += pull.skip_subtree(
-                            trusted=trusted
-                        )
+                    if trusted:
+                        stats.bytes_skipped += pull.skip_subtree()
                     else:
                         drain = 1
                     continue

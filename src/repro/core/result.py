@@ -8,8 +8,9 @@ A DOM walk counts only when handed a :class:`ValidationStats`
 (``collect_stats=True``, the default): each count sits behind a
 ``stats is not None`` test in the one walk that also serves uncounted
 runs.  The fused kernel always counts.  On every document both accept,
-the tree cast and the kernel agree on every counter but the byte-skim
-and memo ones (``tests/core/test_kernel_equivalence.py``).
+the tree cast and the kernel agree on every counter but
+``bytes_skipped`` and the memo ones
+(``tests/core/test_kernel_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -44,12 +45,10 @@ class ValidationStats:
             (:mod:`repro.core.memo`).
         memo_misses: memo lookups that found nothing.
         memo_evictions: LRU entries dropped to admit new verdicts.
-        subtrees_byte_skipped: the subset of ``subtrees_skipped`` that
-            was fast-forwarded at the *byte* level — the lexer skimmed
-            straight to the matching end tag without tokenizing the
-            subtree (streaming cast with ``byte_skip``).
-        bytes_skipped: source characters covered by byte-level skims
-            (never tokenized, entity-decoded, or interned).
+        bytes_skipped: source characters of subsumed subtrees that a
+            trusted text cast (``trusted=True``) byte-searched past
+            (never tokenized, entity-decoded, or interned); 0 when the
+            kernel drains them, as it does by default.
         parse_seconds: wall-clock time spent reading and parsing input
             to a tree, when the caller timed a separate parse (batch
             ``collect_stats`` runs on the ``memo_size`` DOM route);
@@ -77,7 +76,6 @@ class ValidationStats:
     memo_hits: int = 0
     memo_misses: int = 0
     memo_evictions: int = 0
-    subtrees_byte_skipped: int = 0
     bytes_skipped: int = 0
     #: Wall-clock fields are excluded from equality: two runs doing the
     #: same work (equal counters) compare equal regardless of timing.

@@ -130,9 +130,7 @@ def validate_text(
     """
     from repro.core import castkernel  # castkernel imports this module
 
-    return castkernel.run(
-        schema.kernel(), resolve_limits(limits), text, False, False
-    )
+    return castkernel.run(schema.kernel(), resolve_limits(limits), text, False)
 
 
 def validate_file(

@@ -21,7 +21,7 @@ runtime pays a single pass:
   intersection, simple types by :func:`~repro.schema.simple.intersect_simple`,
   attributes by declaration merge.  ``SchemaPair(S₁, M)`` then drives the
   ordinary fused kernel (:mod:`repro.core.castkernel`) unchanged, with
-  byte-skip intact.
+  its subtree skips intact.
 
 * **Relation join.**  The composed pair's ``R_sub``/``R_nondis`` are not
   recomputed by fixpoint; they are *joined* from the per-hop relations
@@ -282,7 +282,6 @@ class SchemaChain:
         text,
         *,
         limits=None,
-        stream_skip: bool = True,
         trusted: bool = False,
     ):
         """Cast a premise-valid document across the whole chain.
@@ -305,7 +304,6 @@ class SchemaChain:
             self.composed_pair(),
             text,
             limits=limits,
-            stream_skip=stream_skip,
             trusted=trusted,
         )
         if report.valid:
@@ -313,7 +311,6 @@ class SchemaChain:
         return self.sequential_cast_text(
             text,
             limits=remaining_limits(limits, deadline),
-            stream_skip=stream_skip,
             trusted=trusted,
         )
 
@@ -322,7 +319,6 @@ class SchemaChain:
         text,
         *,
         limits=None,
-        stream_skip: bool = True,
         trusted: bool = False,
     ):
         """The raw fused pass only — no sequential fallback.  Accepts are
@@ -333,7 +329,6 @@ class SchemaChain:
             self.composed_pair(),
             text,
             limits=limits,
-            stream_skip=stream_skip,
             trusted=trusted,
         )
 
@@ -342,7 +337,6 @@ class SchemaChain:
         text,
         *,
         limits=None,
-        stream_skip: bool = True,
         trusted: bool = False,
     ):
         """The n−1-pass baseline: cast hop by hop, first failure wins.
@@ -358,7 +352,6 @@ class SchemaChain:
                 hop,
                 text,
                 limits=remaining_limits(limits, deadline),
-                stream_skip=stream_skip,
                 trusted=trusted,
             )
             if not report.valid:

@@ -618,12 +618,12 @@ class Interval:
 
 
 def _max_bound(a, b):
+    """The tighter of two lower bounds ``(value, open)``; a missing
+    bound is ``(None, False)``, whatever flag came with it."""
     (va, oa), (vb, ob) = a, b
     if va is None:
-        return vb, ob
-    if vb is None:
-        return va, oa
-    if va > vb:
+        return (vb, ob) if vb is not None else (None, False)
+    if vb is None or va > vb:
         return va, oa
     if vb > va:
         return vb, ob
@@ -631,12 +631,11 @@ def _max_bound(a, b):
 
 
 def _min_bound(a, b):
+    """The tighter of two upper bounds; see :func:`_max_bound`."""
     (va, oa), (vb, ob) = a, b
     if va is None:
-        return vb, ob
-    if vb is None:
-        return va, oa
-    if va < vb:
+        return (vb, ob) if vb is not None else (None, False)
+    if vb is None or va < vb:
         return va, oa
     if vb < va:
         return vb, ob

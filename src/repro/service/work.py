@@ -183,11 +183,12 @@ def perform_request(
     pass of the request (a parse and then the validation of the tree,
     or a composed chain cast and its per-hop fallback).  ``validate``
     is one kernel pass, a rejection's settle included.  ``cast`` and
-    ``cast-chain`` always byte-skim subsumed subtrees with the hardened
-    scanner: the library's ``stream_skip`` and ``trusted`` keywords are
-    not read from a request body, since a trusted skim would answer
-    ``valid`` for malformed text.  Raises ``ReproError`` on any typed
-    failure — the caller maps it to an HTTP status.
+    ``cast-chain`` drain subsumed subtrees through the kernel, so
+    malformed text anywhere is answered ``not well-formed``: the
+    library's ``trusted`` keyword is not read from a request body,
+    since its byte search would answer ``valid`` for malformed text.
+    Raises ``ReproError`` on any typed failure — the caller maps it to
+    an HTTP status.
     """
     xml = require_str(request, "xml")
     started = time.perf_counter()

@@ -107,18 +107,18 @@ def _element_events(
     scanner: Scanner,
     keep_whitespace: bool,
     symbols=None,
-    stack: Optional[list[str]] = None,
+    stack: Optional[list[tuple[str, int]]] = None,
     pull: "Optional[PullParser]" = None,
 ) -> Iterator[Event]:
     """Iterative traversal: yields events for one element subtree.
 
     ``stack``/``pull`` wire the :class:`PullParser` skip channel in:
-    the open-element stack is shared with the pull handle (so a
-    mid-stream byte skim can pop the element it just fast-forwarded
-    past), ``pull._skippable`` is raised exactly while the generator is
-    suspended on a ``StartElement``, and a skim that closes the root
-    sets ``pull._root_done`` so the loop ends without ever seeing the
-    root's close tag.
+    the open-element stack of ``(label, start-tag offset)`` entries is
+    shared with the pull handle (so a mid-stream byte skim can pop the
+    element it just fast-forwarded past), ``pull._skippable`` is raised
+    exactly while the generator is suspended on a ``StartElement``, and
+    a skim that closes the root sets ``pull._root_done`` so the loop
+    ends without ever seeing the root's close tag.
     """
     ids = symbols.ids if symbols is not None else None
     deadline = scanner.deadline
@@ -185,7 +185,7 @@ def _element_events(
                 if not stack:
                     return
             else:
-                stack.append(name)
+                stack.append((name, pos))
                 if pull is not None:
                     pull._skippable = True
                 yield StartElement(name, event_attrs, sym)
@@ -196,8 +196,8 @@ def _element_events(
             yield from flush_text()
             close_name = m.group("ename")
             scanner.pos = m.end()
-            if not stack or stack[-1] != close_name:
-                raise scanner.error(f"mismatched close tag </{close_name}>")
+            if not stack or stack[-1][0] != close_name:
+                raise _mismatch(scanner, stack, close_name, m.end("ename"))
             stack.pop()
             yield EndElement(close_name)
             if not stack:
@@ -216,7 +216,18 @@ def _element_events(
             scanner.pos = m.end()
 
 
-def _replay_slow(scanner: Scanner, stack: list[str], flush_text):
+def _mismatch(scanner: Scanner, stack: list[tuple[str, int]],
+              close_name: str, pos: int):
+    """The tree parser's diagnostic for a close tag that does not close
+    the innermost open element."""
+    expected = f" for <{stack[-1][0]}>" if stack else ""
+    return scanner.error(
+        f"mismatched close tag </{close_name}>{expected}", pos
+    )
+
+
+def _replay_slow(scanner: Scanner, stack: list[tuple[str, int]],
+                 flush_text):
     """Re-diagnose a position the master regex declined, reproducing the
     historical character-level event loop's branches (and their event
     ordering: text flushes before close/start tags are consumed).
@@ -225,16 +236,17 @@ def _replay_slow(scanner: Scanner, stack: list[str], flush_text):
     """
     if scanner.at_end():
         if stack:
-            raise scanner.error(f"unterminated element <{stack[-1]}>")
+            label, start = stack[-1]
+            raise scanner.error(f"unterminated element <{label}>", start)
         return True
     if scanner.starts_with("</"):
         yield from flush_text()
         scanner.advance(2)
         close_name = scanner.read_name()
+        if not stack or stack[-1][0] != close_name:
+            raise _mismatch(scanner, stack, close_name, scanner.pos)
         scanner.skip_whitespace()
         scanner.expect(">")
-        if not stack or stack[-1] != close_name:
-            raise scanner.error(f"mismatched close tag </{close_name}>")
     elif scanner.starts_with("<!--"):
         scanner.advance(4)
         body = scanner.read_until("-->", what="comment")
@@ -267,15 +279,17 @@ class PullParser:
     :meth:`skip_subtree`: immediately after consuming a
     :class:`StartElement`, the consumer may declare the whole subtree
     uninteresting — the underlying :class:`~repro.xmltree.lexer.Scanner`
-    then *skims* straight to the matching end tag at the byte level
-    (:meth:`Scanner.skim_subtree`) without tokenizing, entity-decoding,
-    or interning anything in between, and iteration resumes after the
-    close tag.  No events are delivered for the skipped region, not
-    even the element's own :class:`EndElement`.
+    then byte-searches straight to the matching end tag
+    (:meth:`Scanner.skim_subtree`, which trusts the subtree to be
+    well-formed) without tokenizing, entity-decoding, or interning
+    anything in between, and iteration resumes after the close tag.  No
+    events are delivered for the skipped region, not even the element's
+    own :class:`EndElement`.
 
-    This is the validator→lexer control channel the streaming cast
-    uses: a subsumed ``(source, target)`` pair's subtree needs no
-    checks, so it need not be parsed either.
+    This is the validator→lexer control channel of the reference
+    cast's trusted mode: a subsumed ``(source, target)`` pair's subtree
+    needs no checks, so under the source-validity premise it need not
+    be parsed either.
 
     Attributes:
         bytes_skipped: source characters fast-forwarded over so far.
@@ -298,8 +312,9 @@ class PullParser:
         self.scanner = Scanner(text, limits=limits, deadline=deadline)
         self.bytes_skipped = 0
         self.subtrees_skipped = 0
-        #: Open-element labels, shared with the event generator.
-        self._stack: list[str] = []
+        #: Open elements as ``(label, start-tag offset)``, shared with
+        #: the event generator.
+        self._stack: list[tuple[str, int]] = []
         #: True exactly while the generator is suspended on a
         #: StartElement — the only moment a skip is well-defined.
         self._skippable = False
@@ -333,7 +348,7 @@ class PullParser:
         )
         trailing_misc(scanner)
 
-    def skip_subtree(self, *, trusted: bool = False) -> int:
+    def skip_subtree(self) -> int:
         """Byte-skim past the element whose ``StartElement`` was just
         consumed; returns the number of characters skipped.
 
@@ -341,9 +356,8 @@ class PullParser:
         :class:`StartElement` (otherwise raises ``ValueError`` — there
         is no well-defined subtree to skip).  For a self-closing tag
         the pending :class:`EndElement` is silently drained and the
-        skip is trivially 0 bytes.  ``trusted=True`` selects the
-        byte-search scanner (see :meth:`Scanner.skim_subtree` for the
-        well-formedness contract it assumes).
+        skip is trivially 0 bytes.  See :meth:`Scanner.skim_subtree` for
+        the well-formedness contract the skim assumes.
         """
         if not self._skippable:
             raise ValueError(
@@ -359,9 +373,7 @@ class PullParser:
         scanner = self.scanner
         start = scanner.pos
         end = scanner.skim_subtree(
-            label=self._stack[-1],
-            base_depth=len(self._stack),
-            trusted=trusted,
+            label=self._stack[-1][0], base_depth=len(self._stack)
         )
         self._stack.pop()
         if not self._stack:

@@ -85,20 +85,17 @@ MASTER_RE = re.compile(
     re.DOTALL,
 )
 
-#: Single-construct compilations of the master arms, byte-for-byte the
-#: same patterns (same group names, same acceptance), for callers that
-#: already dispatched on the construct kind — the fused validation
-#: kernel (:mod:`repro.core.castkernel`) branches on the character
-#: after ``<`` and then matches only the one arm that can apply,
-#: instead of running the full alternation.
+#: The start- and end-tag arms of the master, byte-for-byte the same
+#: patterns (same group names, same acceptance).  Where the master
+#: sweep is stale anyway (a leaf match moved the cursor out of band),
+#: the fused validation kernel (:mod:`repro.core.castkernel`) branches
+#: on the character after ``<`` and matches only the one arm that can
+#: apply, instead of reseeding the full alternation.
 START_TAG_RE = re.compile(
     r"<(?P<sname>" + NAME_PATTERN + r")(?P<attrs>(?:" + _ATTR_PATTERN +
     r")*)[ \t\r\n]*(?P<selfclose>/?)>"
 )
 END_TAG_RE = re.compile(r"</(?P<ename>" + NAME_PATTERN + r")[ \t\r\n]*>")
-COMMENT_RE = re.compile(r"<!--(?P<comment>.*?)-->", re.DOTALL)
-CDATA_RE = re.compile(r"<!\[CDATA\[(?P<cdata>.*?)\]\]>", re.DOTALL)
-PI_RE = re.compile(r"<\?(?P<pi>.*?)\?>", re.DOTALL)
 
 #: Leaf fast path: an attribute-free start tag, entity-free and
 #: bracket-free text, and the matching close tag — one C-level match
@@ -113,30 +110,6 @@ LEAF_RE = re.compile(
 #: with its fast paths: whitespace-only character data between markup
 #: is dropped (or drained) without ever becoming a text token.
 XML_WS_RE = re.compile(r"[ \t\r\n]+")
-
-#: The *skim* alternation: markup shapes only, no content capture.  The
-#: byte-level skip path (:meth:`Scanner.skim_subtree`) needs to know
-#: just four things about each construct — is it an open tag, a close
-#: tag, self-closing, or opaque (comment/CDATA/PI)?  Names are matched
-#: but never extracted (dispatch reads group *spans*, not strings), the
-#: attribute list is validated as a block without capturing pairs, and
-#: text between markup is jumped over with ``str.find('<')`` rather
-#: than matched at all.  The comment/CDATA/PI arms are the hardening
-#: against ``<``/``>`` inside those constructs: their lazy bodies
-#: consume to the real terminator, exactly like :data:`MASTER_RE`; a
-#: ``>`` inside an attribute value is covered by the quoted-value
-#: pattern in the open-tag arm.
-_SKIM_RE = re.compile(
-    r"<(?:"
-    r"(?P<skopen>" + NAME_PATTERN + r")(?:" + _ATTR_PATTERN +
-    r")*[ \t\r\n]*(?P<skself>/?)>"
-    r"|/(?P<skclose>" + NAME_PATTERN + r")[ \t\r\n]*>"
-    r"|!--(?P<skcomment>.*?)-->"
-    r"|!\[CDATA\[.*?\]\]>"
-    r"|\?.*?\?>"
-    r")",
-    re.DOTALL,
-)
 
 #: Capturing sub-regex used to pull the attributes out of a start tag
 #: that the master regex already validated in bulk.
@@ -330,8 +303,9 @@ class Scanner:
         does not start exactly at the cursor means the master declined
         at the cursor (malformed markup); the sweep is discarded and
         ``None`` returned, exactly as the anchored ``match`` would
-        have.  Any out-of-band cursor move (byte-level skims, slow-path
-        replays) simply reseeds the sweep on the next call.
+        have.  Any out-of-band cursor move (leaf and one-arm tag
+        matches, byte-level skims, slow-path replays) simply reseeds the
+        sweep on the next call.
         """
         pos = self.pos
         if self._finditer_pos != pos or self._finditer is None:
@@ -393,110 +367,32 @@ class Scanner:
         *,
         label: str,
         base_depth: int = 1,
-        trusted: bool = False,
     ) -> int:
-        """Fast-forward past the rest of an open element's subtree.
+        """Fast-forward past the rest of an open element's subtree,
+        assuming the subtree is well-formed (the *trusted* skim).
 
         The cursor (or ``pos``) must sit on the first content byte after
         the start tag of ``label``, which is still open; on return the
         cursor sits on the first byte after the matching ``</label>``
         and the new position is also returned.  Nothing in between is
-        tokenized: no token or event objects are allocated, no entities
-        are decoded, no names are interned — the subtree's *verdict* is
-        already known (a subsumed pair in the cast), so only its extent
-        matters.
+        tokenized, decoded or checked: the scan byte-searches for
+        ``</label`` / ``<label`` occurrences (with a name-boundary check
+        so ``<items`` never matches while skimming ``<item>``) and
+        tracks same-name nesting only.  It assumes the region hides no
+        ``</label`` inside comments, CDATA, PIs or attribute values, and
+        it answers nothing about malformed markup in between — the
+        caller's contract (the paper's source-validity premise).
+        Callers that do not hold that premise drain the subtree through
+        the full lexer instead.
 
-        The default scanner runs :data:`_SKIM_RE` — markup shapes only —
-        over every tag, jumping across text with ``str.find('<')`` and
-        counting depth.  It is hardened against ``<``/``>`` inside
-        comments, CDATA sections, PIs, and quoted attribute values (each
-        has a dedicated arm or pattern), and it still rejects ``]]>`` in
-        character data, ``--`` in comments, malformed tags, truncation,
-        and a final close tag whose name differs from ``label``.  It
-        does **not** match up intermediate open/close tag *names* (that
-        would mean extracting them) and never sees entity references,
-        so a malformed-but-balanced subtree can skim cleanly where the
-        full lexer would raise — acceptable under the paper's premise
-        that the input is valid w.r.t. the source schema.
-
-        ``trusted=True`` asserts well-formedness outright and
-        byte-searches for ``</label`` / ``<label`` occurrences (with a
-        name-boundary check so ``<items`` never matches while skimming
-        ``<item>``), tracking same-name nesting only.  It assumes the
-        skimmed region hides no ``</label`` inside comments, CDATA,
-        PIs, or attribute values — the caller's contract.
-
-        Resource guards stay live in both modes, advanced per skimmed
-        tag rather than per byte: the wall-clock deadline ticks on every
-        tag, and ``Limits.max_tree_depth`` is checked as depth grows
-        (``base_depth`` is the absolute depth of the skim root; trusted
-        mode can only see — and therefore only guards — same-name
-        nesting).  The document byte budget was enforced before any
-        scanning began.
+        Resource guards stay live, advanced per same-name tag rather
+        than per byte: the wall-clock deadline ticks on each, and
+        ``Limits.max_tree_depth`` is checked as same-name nesting grows
+        (``base_depth`` is the absolute depth of the skim root).  The
+        document byte budget was enforced before any scanning began.
         """
         if pos is None:
             pos = self.pos
-        if trusted:
-            return self._skim_trusted(pos, label, base_depth)
-        text = self.text
-        limits = self.limits
-        deadline = self.deadline
-        depth = 1
-        while True:
-            lt = text.find("<", pos)
-            if lt < 0:
-                self.pos = len(text)
-                raise self.error(f"unterminated element <{label}>", pos)
-            bad = text.find("]]>", pos, lt)
-            if bad >= 0:
-                raise self.error(
-                    "']]>' is not allowed in character data", bad
-                )
-            m = _SKIM_RE.match(text, lt)
-            if m is None:
-                raise self.error(
-                    "malformed markup inside byte-skipped subtree", lt
-                )
-            pos = m.end()
-            open_start = m.start("skopen")
-            if open_start >= 0:
-                if deadline is not None:
-                    deadline.tick()
-                if m.start("skself") == m.end("skself"):
-                    depth += 1
-                    check_depth(base_depth + depth - 1, limits)
-                continue
-            close_start = m.start("skclose")
-            if close_start >= 0:
-                if deadline is not None:
-                    deadline.tick()
-                depth -= 1
-                if depth == 0:
-                    close_end = m.end("skclose")
-                    if close_end - close_start != len(
-                        label
-                    ) or not text.startswith(label, close_start):
-                        raise self.error(
-                            "mismatched close tag "
-                            f"</{text[close_start:close_end]}> "
-                            f"for <{label}>",
-                            close_end,
-                        )
-                    self.pos = pos
-                    return pos
-                continue
-            body_start = m.start("skcomment")
-            if body_start >= 0 and text.find(
-                "--", body_start, m.end("skcomment")
-            ) >= 0:
-                raise self.error(
-                    "'--' is not allowed inside a comment", body_start
-                )
-            # CDATA / PI: opaque, fully consumed by their lazy arms.
-
-    def _skim_trusted(self, pos: int, label: str, base_depth: int) -> int:
-        """Byte-search skim: find ``</label``/``<label`` occurrences and
-        track same-name nesting.  See :meth:`skim_subtree`."""
         text = self.text
         n = len(text)
         close_pat = "</" + label

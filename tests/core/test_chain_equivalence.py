@@ -89,10 +89,10 @@ def test_skip_modes_agree():
     schemas, kinds = drift_chain(3, ["tighten", "rename", "tighten"])
     chain = SchemaChain(schemas)
     for text in chain_corpus(schemas, kinds):
-        plain = chain.cast_text(text, stream_skip=False)
-        skim = chain.cast_text(text, stream_skip=True)
-        assert (plain.valid, plain.reason, plain.path) == (
-            skim.valid,
-            skim.reason,
-            skim.path,
+        drained = chain.cast_text(text)
+        trusted = chain.cast_text(text, trusted=True)
+        assert (drained.valid, drained.reason, drained.path) == (
+            trusted.valid,
+            trusted.reason,
+            trusted.path,
         )

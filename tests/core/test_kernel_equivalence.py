@@ -74,40 +74,35 @@ from repro.xmltree.dom import Element, Text
 from repro.xmltree.parser import parse
 from repro.xmltree.serializer import serialize
 
-#: (byte_skip, trusted) — every skip mode of ``cast_text``.
+#: ``trusted`` — both skip modes of ``cast_text``: subsumed subtrees
+#: drained token by token, or byte-searched past.
 MODES = [
-    pytest.param((False, False), id="event"),
-    pytest.param((True, False), id="byte"),
-    pytest.param((True, True), id="byte-trusted"),
+    pytest.param(False, id="event"),
+    pytest.param(True, id="byte-trusted"),
 ]
 
 
-def outcome(pair, text, *, limits=None, byte_skip=False, trusted=False,
-            events=False):
+def outcome(pair, text, *, limits=None, trusted=False, events=False):
     """Everything observable about one validation run, exceptions
     included, as a comparable tuple."""
     try:
         if events:
             report = reference_cast(pair, text, limits=limits,
-                                    byte_skip=byte_skip, trusted=trusted)
+                                    trusted=trusted)
         else:
-            report = cast_text(pair, text, limits=limits,
-                               stream_skip=byte_skip, trusted=trusted)
+            report = cast_text(pair, text, limits=limits, trusted=trusted)
     except ReproError as error:
         return ("raise", type(error).__name__, str(error))
     return ("report", report.valid, report.reason, report.path,
             report.stats)
 
 
-def assert_equivalent(pair, text, mode, *, limits=None):
-    byte_skip, trusted = mode
-    fused = outcome(pair, text, limits=limits, byte_skip=byte_skip,
-                    trusted=trusted)
-    events = outcome(pair, text, limits=limits, byte_skip=byte_skip,
-                     trusted=trusted, events=True)
+def assert_equivalent(pair, text, trusted, *, limits=None):
+    fused = outcome(pair, text, limits=limits, trusted=trusted)
+    events = outcome(pair, text, limits=limits, trusted=trusted,
+                     events=True)
     assert fused == events, (
-        f"kernel diverged from the event pipeline "
-        f"(byte_skip={byte_skip}, trusted={trusted})\n"
+        f"kernel diverged from the event pipeline (trusted={trusted})\n"
         f"  fused:  {fused}\n  events: {events}\n  doc: {text[:200]!r}"
     )
 
@@ -278,8 +273,8 @@ class TestArtifactRoundTrip:
 #: Counters outside the comparison: byte skims exist only in the
 #: kernel, the memo only in the DOM cast, and seconds are not work.
 UNCOUNTED = frozenset({
-    "subtrees_byte_skipped", "bytes_skipped", "memo_hits", "memo_misses",
-    "memo_evictions", "parse_seconds", "validate_seconds",
+    "bytes_skipped", "memo_hits", "memo_misses", "memo_evictions",
+    "parse_seconds", "validate_seconds",
 })
 
 
@@ -469,8 +464,7 @@ class TestCheckerEquivalence:
             if interval is not None:
                 for bound in (interval.lower, interval.upper):
                     if bound is not None and not hasattr(bound, "year"):
-                        for delta in (-1, 0, 1):
-                            probes.append(str(bound + delta))
+                        probes += _bound_probes(bound)
             for text in probes:
                 assert check(text) == decl.validate(text), (
                     f"checker diverged on {decl!r} for {text!r}"
@@ -566,6 +560,14 @@ class TestCheckerEquivalence:
                 assert check(text) == decl.validate(text), (
                     f"checker diverged on {decl!r} for {text!r}"
                 )
+
+
+def _bound_probes(bound) -> list[str]:
+    """``bound`` and one last digit either side, written at the bound's
+    own scale: the fewest fraction digits that write it exactly."""
+    digits = next(d for d in range(20) if (bound * 10 ** d).denominator == 1)
+    scaled = int(bound * 10 ** digits)
+    return [_decimal_text(scaled + delta, digits) for delta in (-1, 0, 1)]
 
 
 def _decimal_probes(bound) -> list[str]:

@@ -1,26 +1,30 @@
-"""End-to-end skip-scan cast: byte skips through the full stack.
+"""End-to-end skip-scan cast: subsumed subtrees through the full stack.
 
-The skip-scan path (``cast_text(stream_skip=True)``, and every file
-cast: ``cast_file``, ``repro cast`` and batches) must be a pure
-performance move: identical
-verdicts, identical failure reasons, identical Dewey paths and
-line/column positions — it only changes *how much of the document is
-ever tokenized*.  Under test:
+Every text cast (``cast_text``, and every file cast: ``cast_file``,
+``repro cast`` and batches) skips *validating* subsumed subtrees and
+drains them through the lexer; ``trusted=True`` byte-searches past
+them instead.  Both must answer alike on well-formed text: identical
+verdicts, failure reasons, Dewey paths and line/column positions.
+Under test:
 
-* verdict/reason/path identity against the token-draining cast
-  (``stream_skip=False``) and the DOM cast, on the paper's experiment
-  pairs and random pairs;
-* error reporting *after* a skimmed region (the satellite regression:
-  positions must not drift when the newline index is consulted past
-  bytes the lexer never tokenized);
-* the new ``subtrees_byte_skipped`` / ``bytes_skipped`` counters;
-* resource guards (depth, size, deadline) firing inside a byte skim
-  through the ``cast_text`` entry point;
+* verdict/reason/path identity between the default cast, the trusted
+  byte search, ``stream_skip=False`` and the DOM cast, on the paper's
+  experiment pairs and random pairs;
+* error reporting *after* a skipped region (positions must not drift
+  when the newline index is consulted past bytes the lexer never
+  tokenized);
+* the ``subtrees_skipped`` / ``bytes_skipped`` counters;
+* resource guards (depth, size, deadline) firing inside a skipped
+  subtree through the ``cast_text`` entry point;
 * the zero-subsumption worst case: nothing skips, verdict unchanged;
-* batch and module-level ``cast_text``/``cast_file`` routing.
+* batch and module-level ``cast_text``/``cast_file`` routing;
+* well-formedness faults hidden in the subtrees the cast never
+  validates (:mod:`tests.skipfaults`): ``not well-formed`` from every
+  entry point.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -30,11 +34,14 @@ from repro.core.batch import (
     validate_directory,
 )
 from repro.core.cast import CastValidator, cast_file, cast_text
+from repro.core.validator import validate_text
 from repro.core.memo import DEFAULT_MEMO_SIZE
 from repro.errors import (
     DeadlineExceededError,
     DocumentTooDeepError,
     DocumentTooLargeError,
+    XMLSyntaxError,
+    error_code,
 )
 from repro.guards import Limits
 from repro.schema.dtd import parse_dtd
@@ -47,9 +54,14 @@ from repro.workloads.purchase_orders import (
     source_schema_zero_subsumption,
     target_schema_zero_subsumption,
 )
+from repro.xmltree.events import iterparse
 from repro.xmltree.parser import parse
 from repro.xmltree.serializer import serialize
 
+from tests.skipfaults import faulty_orders
+
+#: ``trusted`` — "hardened" is the default cast, which drains subsumed
+#: subtrees with every well-formedness check.
 MODES = [
     pytest.param(False, id="hardened"),
     pytest.param(True, id="trusted"),
@@ -67,23 +79,18 @@ class TestVerdictEquivalence:
         event = cast_text(exp1_pair, text, stream_skip=False)
         skim = cast_text(exp1_pair, text, trusted=trusted)
         assert event.valid and skim.valid
-        # Same skip decisions, only executed at the byte level.
-        assert (
-            skim.stats.subtrees_skipped == event.stats.subtrees_skipped
-        )
-        assert (
-            skim.stats.subtrees_byte_skipped
-            == skim.stats.subtrees_skipped
-        )
-        assert skim.stats.bytes_skipped > 0
-        assert event.stats.subtrees_byte_skipped == 0
+        # Same skip decisions and the same counted work; only the
+        # trusted search passes bytes by unread.
+        assert skim.stats.subtrees_skipped == 3
+        assert replace(skim.stats, bytes_skipped=0) == event.stats
+        assert (skim.stats.bytes_skipped > 0) == trusted
         assert event.stats.bytes_skipped == 0
 
     @pytest.mark.parametrize("trusted", MODES)
     def test_exp2_value_failure_identical(self, exp2_pair, trusted):
         # quantity 150 is valid under the source (<200) but not the
         # target (<100): the cast fails at a simple value *after*
-        # both address subtrees were byte-skipped.
+        # both address subtrees were skipped.
         text = po_text(4, quantity_of=lambda index: 150)
         dom = CastValidator(exp2_pair).validate(parse(text))
         event = cast_text(exp2_pair, text, stream_skip=False)
@@ -99,15 +106,15 @@ class TestVerdictEquivalence:
             event.reason,
             event.path,
         )
-        assert skim.stats.subtrees_byte_skipped > 0
+        assert skim.stats.subtrees_skipped > 0
 
     def test_identical_schemas_byte_skip_root(self, exp2_pair):
         pair = SchemaPair(exp2_pair.target, exp2_pair.target)
         text = po_text(50)
-        report = cast_text(pair, text)
+        report = cast_text(pair, text, trusted=True)
         assert report.valid
         assert report.stats.elements_visited == 0
-        assert report.stats.subtrees_byte_skipped == 1
+        assert report.stats.subtrees_skipped == 1
         # Everything but the root's own start tag was skimmed.
         assert report.stats.bytes_skipped >= len(text) - len(
             "<purchaseOrder>\n"
@@ -148,12 +155,12 @@ class TestVerdictEquivalence:
 
 
 class TestErrorReportingAfterSkip:
-    """Satellite regression: positions must not drift past a skim."""
+    """Positions must not drift past a skipped subtree."""
 
     @pytest.mark.parametrize("trusted", MODES)
     def test_dewey_path_after_skimmed_siblings(self, exp2_pair, trusted):
         # Items 0..2 fine, item 3 has the bad quantity: its Dewey path
-        # is computed after skimming shipTo and billTo (positions 0, 1)
+        # is computed after skipping shipTo and billTo (positions 0, 1)
         # and three full item subtrees.
         text = po_text(
             6, quantity_of=lambda index: 150 if index == 3 else 7
@@ -168,10 +175,10 @@ class TestErrorReportingAfterSkip:
 
     @pytest.mark.parametrize("trusted", MODES)
     def test_syntax_error_line_column_after_skim(self, exp1_pair, trusted):
-        # Corrupt the root's close tag: the skip-scan path reaches it
-        # having byte-skimmed every child subtree, yet must report the
-        # identical line/column (the newline index covers the whole
-        # document, tokenized or not).
+        # Corrupt the root's close tag: the cast reaches it having
+        # skipped every child subtree, yet must report the identical
+        # line/column (the newline index covers the whole document,
+        # tokenized or not).
         text = po_text(8).replace("</purchaseOrder>", "</purchaseOrderX>")
         event = cast_text(exp1_pair, text, stream_skip=False)
         skim = cast_text(exp1_pair, text, trusted=trusted)
@@ -181,13 +188,16 @@ class TestErrorReportingAfterSkip:
         assert skim.reason == event.reason
 
     def test_malformed_inside_skim_reports_position(self, exp1_pair):
-        # Malformed markup *inside* a skimmed region: the hardened skim
-        # still reports a typed, positioned syntax failure.
+        # Malformed markup *inside* a subsumed region: the drain
+        # reports parse's typed, positioned syntax failure.
         text = po_text(3).replace("<city>", "<city <", 1)
         skim = cast_text(exp1_pair, text)
         assert not skim.valid
         assert skim.reason.startswith("not well-formed:")
         assert "line" in skim.reason and "column" in skim.reason
+        with pytest.raises(XMLSyntaxError) as raised:
+            parse(text)
+        assert skim.reason == f"not well-formed: {raised.value}"
 
 
 class TestZeroSubsumption:
@@ -201,7 +211,6 @@ class TestZeroSubsumption:
         skim = cast_text(pair, text)
         assert event.valid and skim.valid
         assert skim.stats.subtrees_skipped == 0
-        assert skim.stats.subtrees_byte_skipped == 0
         assert skim.stats.bytes_skipped == 0
         assert (
             skim.stats.simple_values_checked
@@ -216,7 +225,8 @@ def _identical_dtd_pair(dtd: str, root: str) -> SchemaPair:
 
 
 class TestGuardsThroughTheStack:
-    """Limits must fire *inside* a byte skim via the entry points."""
+    """Limits must fire *inside* a skipped subtree via the entry
+    points."""
 
     @pytest.mark.parametrize("trusted", MODES)
     def test_depth_limit(self, trusted):
@@ -239,8 +249,8 @@ class TestGuardsThroughTheStack:
 
     @pytest.mark.parametrize("trusted", MODES)
     def test_deadline_fires_during_root_skim(self, trusted):
-        # The whole document is one skim (identical pair, subsumed
-        # root); only the per-skimmed-tag deadline ticks can stop it.
+        # The whole document is one skipped subtree (identical pair,
+        # subsumed root); only the ticks inside it can stop it.
         pair = _identical_dtd_pair("<!ELEMENT a (a?)>", "a")
         with pytest.raises(DeadlineExceededError):
             cast_text(pair, deep_document(600),
@@ -250,27 +260,34 @@ class TestGuardsThroughTheStack:
 
 class TestModuleEntryPoints:
     def test_cast_text_defaults_to_skip_scan(self, exp1_pair):
+        # Skipped, not validated — and drained, not byte-searched.
         report = cast_text(exp1_pair, po_text())
         assert report.valid
-        assert report.stats.subtrees_byte_skipped > 0
+        assert report.stats.subtrees_skipped == 3
+        assert report.stats.bytes_skipped == 0
 
     def test_cast_text_event_mode(self, exp1_pair):
-        report = cast_text(exp1_pair, po_text(), stream_skip=False)
+        # stream_skip=False turns the trusted byte search off.
+        report = cast_text(exp1_pair, po_text(), stream_skip=False,
+                           trusted=True)
         assert report.valid
-        assert report.stats.subtrees_byte_skipped == 0
+        assert report.stats.subtrees_skipped == 3
+        assert report.stats.bytes_skipped == 0
 
     def test_cast_file(self, exp1_pair, tmp_path):
         path = tmp_path / "po.xml"
         path.write_text(po_text(), encoding="utf-8")
         report = cast_file(exp1_pair, str(path))
         assert report.valid
-        assert report.stats.bytes_skipped > 0
+        assert report.stats.subtrees_skipped == 3
+        assert report.stats.bytes_skipped == 0
 
     def test_cast_file_trusted(self, exp1_pair, tmp_path):
         path = tmp_path / "po.xml"
         path.write_text(po_text(), encoding="utf-8")
         report = cast_file(exp1_pair, str(path), trusted=True)
         assert report.valid
+        assert report.stats.bytes_skipped > 0
 
 
 class TestBatchStreamSkip:
@@ -303,7 +320,7 @@ class TestBatchStreamSkip:
             (r.path, r.ok, r.reason, r.error_code) for r in skip.results
         ] == [(r.path, r.ok, r.reason, r.error_code) for r in dom.results]
         assert skip.valid_count == 3
-        assert skip.stats.subtrees_byte_skipped > 0
+        assert skip.stats.subtrees_skipped > 0
 
     def test_broken_document_is_a_per_document_error(
         self, exp1_pair, corpus
@@ -314,3 +331,89 @@ class TestBatchStreamSkip:
         assert not broken.ok
         assert broken.error_type  # typed error, not a crash
         assert by_name["ok0.xml"].ok  # neighbours unaffected
+
+
+FAULTY = faulty_orders()
+
+
+def parse_error(text: str) -> XMLSyntaxError:
+    with pytest.raises(XMLSyntaxError) as raised:
+        parse(text)
+    return raised.value
+
+
+class TestFaultsInSkippedSubtrees:
+    """A subsumed subtree is skipped, not trusted: a fault ``parse``
+    rejects is ``not well-formed`` wherever it hides."""
+
+    @pytest.mark.parametrize("name", sorted(FAULTY))
+    def test_cast_text_answers_as_parse(self, exp1_pair, name):
+        text = FAULTY[name]
+        report = cast_text(exp1_pair, text)
+        assert not report.valid
+        assert report.reason == f"not well-formed: {parse_error(text)}"
+
+    @pytest.mark.parametrize("name", sorted(FAULTY))
+    def test_cast_file_raises(self, exp1_pair, tmp_path, name):
+        path = tmp_path / "po.xml"
+        path.write_text(FAULTY[name], encoding="utf-8")
+        with pytest.raises(XMLSyntaxError) as raised:
+            cast_file(exp1_pair, str(path))
+        expected = parse_error(FAULTY[name])
+        assert type(raised.value) is type(expected)
+        assert str(raised.value) == str(expected)
+
+    def test_validate_batch_records_typed_errors(self, exp1_pair, tmp_path):
+        for name, text in FAULTY.items():
+            (tmp_path / f"{name}.xml").write_text(text, encoding="utf-8")
+        result = validate_batch(
+            exp1_pair, discover_documents(str(tmp_path))
+        )
+        assert len(result.results) == len(FAULTY)
+        for entry in result.results:
+            name = entry.path.rsplit("/", 1)[-1][: -len(".xml")]
+            assert not entry.ok, name
+            assert entry.error_code == error_code(
+                parse_error(FAULTY[name])
+            ), name
+
+
+#: Markup that breaks a document wherever it is spliced in.
+SPLICES = ["<", "</", "</x>", "&", "&bogus;", "&#xZZ;", "]]>",
+           "<!-- -- -->", "<a b='1' b='2'>", "<![CDATA[", "<?pi", ">",
+           "</item>", "<item>"]
+
+
+class TestDrainDiagnostics:
+    def test_kernel_and_events_report_as_parse(self, exp2_pair):
+        """Truncated and spliced orders: drained whole under an
+        identical pair (its root is subsumed), validated plainly, or
+        read by the event parser, each is answered with parse's message
+        at parse's line and column — a mismatched close tag names the
+        element it fails to close, an unterminated element is reported
+        where it starts."""
+        pair = SchemaPair(exp2_pair.target, exp2_pair.target)
+        rng = random.Random(0x5E7)
+        orders = [po_text(1), po_text(4)]
+        compared = 0
+        for _ in range(600):
+            text = rng.choice(orders)
+            cut = rng.randrange(1, len(text))
+            if rng.random() < 0.4:
+                text = text[:cut]
+            else:
+                text = text[:cut] + rng.choice(SPLICES) + text[cut:]
+            try:
+                parse(text)
+                continue
+            except XMLSyntaxError as error:
+                expected = str(error)
+            drained = cast_text(pair, text)
+            assert drained.reason == f"not well-formed: {expected}", text
+            with pytest.raises(XMLSyntaxError) as plain:
+                validate_text(exp2_pair.target, text)
+            with pytest.raises(XMLSyntaxError) as events:
+                list(iterparse(text))
+            assert str(plain.value) == str(events.value) == expected, text
+            compared += 1
+        assert compared > 300

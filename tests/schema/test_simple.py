@@ -319,6 +319,20 @@ class TestInterval:
         assert not a.intersects(b, integral=True)
         assert a.intersects(b, integral=False)
 
+    @pytest.mark.parametrize("name", ["decimal", "integer"])
+    def test_missing_bounds_carry_no_open_flag(self, name):
+        interval = builtin(name).interval()
+        assert (interval.lower, interval.lower_open) == (None, False)
+        assert (interval.upper, interval.upper_open) == (None, False)
+
+    def test_one_sided_exclusive_bound(self):
+        interval = restrict(
+            builtin("decimal"), "below", max_exclusive=Fraction(7, 2)
+        ).interval()
+        assert (interval.lower, interval.lower_open) == (None, False)
+        assert (interval.upper, interval.upper_open) == (Fraction(7, 2),
+                                                         True)
+
 
 class TestEmptyValueSpaces:
     def test_empty_integer_window(self):

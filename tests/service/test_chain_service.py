@@ -17,6 +17,9 @@ from repro.workloads.purchase_orders import (
 from repro.xmltree.serializer import serialize
 
 from tests.service.conftest import ServiceHandle
+from tests.skipfaults import faulty_orders
+
+FAULTY = faulty_orders()
 
 
 def po_xml(items: int = 3, **kwargs) -> str:
@@ -57,6 +60,19 @@ class TestCastChain:
         assert status == 200
         assert payload["valid"] is True
         assert payload["chain_length"] == 3
+
+    @pytest.mark.parametrize("name", sorted(FAULTY))
+    def test_hidden_faults_are_not_well_formed(self, chain_service, name):
+        # Faults in the subtrees Experiment 1 (and the chain's hops)
+        # never validate: both cast endpoints still read every token.
+        for path, pair in (("/cast", "po-exp1"), ("/cast-chain", "po-chain")):
+            status, payload, _ = chain_service.post(
+                path, {"pair": pair, "xml": FAULTY[name]}
+            )
+            assert status == 200, path
+            assert payload["valid"] is False, path
+            message = payload["diagnostics"][0]["message"]
+            assert message.startswith("not well-formed: "), path
 
     def test_invalid_document_reports_hop_diagnostics(self, chain_service):
         # billTo missing: legal at revision 0, required by the last hop.

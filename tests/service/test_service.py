@@ -151,9 +151,10 @@ class TestEndpoints:
         ids=["plain", "trusted", "no-stream-skip"],
     )
     def test_cast_reads_no_skim_fields(self, demo_service, fields):
-        # Experiment 1 subsumes ``items``, so the cast skims it.  The
-        # hardened skim finds the broken tag; a trusted byte search
-        # would answer valid, so the body cannot ask for one.
+        # Experiment 1 subsumes ``items``, so the cast drains it
+        # without validating it.  The drain finds the broken tag; a
+        # trusted byte search would answer valid, so the body cannot
+        # ask for one.
         xml = po_xml().replace("<items>", "<items><bogus <<", 1)
         status, payload, _ = demo_service.post(
             "/cast", {"pair": "po-exp1", "xml": xml, **fields}

@@ -5,8 +5,14 @@ import os
 import pytest
 
 from repro.cli import main
+from repro.errors import XMLSyntaxError, error_code
 from repro.workloads.purchase_orders import _po_xsd, make_purchase_order
+from repro.xmltree.parser import parse
 from repro.xmltree.serializer import write_file
+
+from tests.skipfaults import faulty_orders
+
+FAULTY = faulty_orders()
 
 
 @pytest.fixture()
@@ -215,8 +221,8 @@ class TestCast:
     def test_profile_parse_stream_skip_reports_fused_phase(
         self, workspace, capsys
     ):
-        # The profiled pass is the byte-skimming one: shipTo, billTo
-        # and items are subsumed and skimmed inside the one timed phase.
+        # The profiled pass is the fused one: shipTo, billTo and items
+        # are subsumed and drained inside the one timed phase.
         code = main([
             "cast", str(workspace / "po.xml"),
             "--source", str(workspace / "a.xsd"),
@@ -225,7 +231,7 @@ class TestCast:
         ])
         assert code == 0
         captured = capsys.readouterr()
-        assert "byte-skipped subtrees:  3\n" in captured.out
+        assert "subtrees skipped:       3\n" in captured.out
         assert "phase profile:" in captured.out
         assert "fused:" in captured.out
         assert "total:" in captured.out
@@ -235,7 +241,7 @@ class TestCast:
     def test_profile_parse_stream_skip_directory_reports_fused_phase(
         self, workspace, capsys
     ):
-        # Batch workers skim the same subtrees in the same one phase.
+        # Batch workers drain the same subtrees in the same one phase.
         batch_dir = workspace / "batch"
         batch_dir.mkdir()
         write_file(make_purchase_order(1), str(batch_dir / "one.xml"))
@@ -247,7 +253,7 @@ class TestCast:
         ])
         assert code == 0
         out = capsys.readouterr().out
-        assert "byte-skipped subtrees:  3\n" in out
+        assert "subtrees skipped:       3\n" in out
         assert "phase profile:" in out
         assert "fused:" in out
         assert "parse:" not in out
@@ -533,7 +539,6 @@ class TestStreamingFlags:
         assert (
             f"subtrees skipped:       {stats.subtrees_skipped}\n" in out
         )
-        assert f"bytes skipped:          {stats.bytes_skipped}\n" in out
 
     def test_streaming_cast_invalid(self, workspace, capsys):
         # The kernel prints the DOM cast's verdict line, reason included.
@@ -596,7 +601,7 @@ class TestStreamingFlags:
     ):
         # Every cast path rejects on the on-disk size, naming the file,
         # before the document is buffered ("stream-skip" is the plain
-        # ``cast FILE``, a byte-skimming kernel pass).  The bound sits
+        # ``cast FILE``, one kernel pass).  The bound sits
         # above the schema files (which load under the same limits).
         source, target = str(workspace / "a.xsd"), str(workspace / "b.xsd")
         doc = workspace / "big.xml"
@@ -629,11 +634,10 @@ class TestStreamingFlags:
         ])
         assert code == 0
         out = capsys.readouterr().out
-        assert "byte-skipped subtrees" in out
-        assert "bytes skipped" in out
+        assert "subtrees skipped:       3\n" in out
 
     def test_stream_skip_cast_invalid(self, workspace, capsys):
-        # shipTo and items are skimmed; the missing billTo rejects the
+        # shipTo and items are skipped; the missing billTo rejects the
         # order at its end tag.
         code = main([
             "cast", str(workspace / "po_nobill.xml"),
@@ -644,7 +648,26 @@ class TestStreamingFlags:
         assert code == 1
         out = capsys.readouterr().out
         assert "INVALID" in out
-        assert "byte-skipped subtrees:  2\n" in out
+        assert "subtrees skipped:       2\n" in out
+
+    @pytest.mark.parametrize("name", sorted(FAULTY))
+    def test_stream_skip_cast_hidden_fault_exits_2(
+        self, workspace, capsys, name
+    ):
+        # shipTo and items are subsumed, so never validated, yet a fault
+        # parse rejects there is a typed syntax error, exit status 2.
+        doc = workspace / "faulty.xml"
+        doc.write_text(FAULTY[name], encoding="utf-8")
+        with pytest.raises(XMLSyntaxError) as raised:
+            parse(FAULTY[name])
+        code = main([
+            "cast", str(doc),
+            "--source", str(workspace / "a.xsd"),
+            "--target", str(workspace / "b.xsd"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{raised.value} [{error_code(raised.value)}]" in err
 
     def test_stream_skip_directory(self, workspace, capsys):
         code = main([

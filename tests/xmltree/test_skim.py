@@ -1,37 +1,46 @@
-"""Byte-level subtree skimming: ``Scanner.skim_subtree`` + ``PullParser``.
+"""The two ways past a subsumed subtree: the kernel's drain and the
+trusted byte search (``Scanner.skim_subtree``, ``PullParser``).
 
-The skim is the lexer half of the skip-scan cast path: once a subtree's
-verdict is known (a subsumed pair), the scanner fast-forwards to the
-matching close tag without tokenizing anything in between.  Under test:
+A cast never *validates* a subtree whose type pair is subsumed
+(Section 3.2), but by default the fused kernel still drains it through
+the full lexer, so every well-formedness check holds there too; only
+``trusted=True`` byte-searches for the close tag instead.  Under test:
 
-* the skim lands exactly where the full event loop would (resume
-  parity with :func:`iterparse`);
-* markup hiding ``<``/``>``/``</label`` inside comments, CDATA
-  sections, processing instructions, and quoted attribute values does
-  not fool the depth counter (table-driven, adversarial corpus
-  included);
+* bodies hiding ``<``/``>``/``</label`` inside comments, CDATA
+  sections, processing instructions and quoted attribute values,
+  placed inside an Experiment 1 order's subsumed ``items``: the drain
+  answers exactly as parse-then-cast and as the event loop does;
+* syntax errors inside ``items``: the same message and line/column as
+  :func:`~repro.xmltree.parser.parse`;
 * resource guards — nesting depth and the wall-clock deadline — keep
-  firing *inside* a skim;
-* the trusted byte-search variant: name-boundary handling and the
-  well-formedness contract it assumes;
+  firing inside a subsumed subtree, drained or byte-searched;
+* the trusted byte search: name-boundary handling and the
+  well-formedness contract it assumes, against the drain;
 * the :class:`PullParser` skip channel: event parity, skip semantics
   for ordinary/self-closing/root elements, misuse errors, counters.
 """
 
+from dataclasses import replace
+
 import pytest
 
+from repro.core.cast import CastValidator, cast_text
+from repro.core.reference import reference_cast
 from repro.errors import (
     DeadlineExceededError,
     DocumentTooDeepError,
     XMLSyntaxError,
 )
 from repro.guards import Deadline, Limits, resolve_limits
+from repro.schema.dtd import parse_dtd
+from repro.schema.registry import SchemaPair
 from repro.workloads.adversarial import (
     deep_document,
     garbage_tail_document,
     truncated_document,
     wide_document,
 )
+from repro.workloads.purchase_orders import make_purchase_order
 from repro.xmltree.events import (
     Characters,
     EndElement,
@@ -40,31 +49,60 @@ from repro.xmltree.events import (
     iterparse,
 )
 from repro.xmltree.lexer import Scanner
+from repro.xmltree.parser import parse
+from repro.xmltree.serializer import serialize
 
 
 def skim(
     text: str,
     label: str = "a",
     *,
-    trusted: bool = False,
     limits: Limits = None,
     deadline: Deadline = None,
 ) -> int:
-    """Skim the first ``<label …>`` element's subtree; return the end
-    offset (first character after the matching close tag)."""
+    """Byte-search past the first ``<label …>`` element's subtree;
+    return the end offset (first character after the matching close
+    tag)."""
     scanner = Scanner(
         text, limits=resolve_limits(limits), deadline=deadline
     )
     start = text.index(">", text.index("<" + label)) + 1
-    end = scanner.skim_subtree(
-        start, label=label, base_depth=1, trusted=trusted
-    )
+    end = scanner.skim_subtree(start, label=label, base_depth=1)
     assert end == scanner.pos
     return end
 
 
-#: Subtree bodies that must skim cleanly in hardened (untrusted) mode —
-#: each hides markup delimiters where a naive depth counter would trip.
+#: An Experiment 1 order: ``shipTo``, ``billTo`` and ``items`` are
+#: subsumed, so the cast validates none of them.
+ORDER = serialize(make_purchase_order(3), indent="  ")
+#: Just after the first ``</item>``: a middle of the subsumed ``items``.
+IN_ITEMS = ORDER.index("</item>") + len("</item>")
+
+
+def in_items(fragment: str, *, truncate: bool = False) -> str:
+    """``ORDER`` with ``fragment`` inside its subsumed ``items`` (and
+    nothing after it when ``truncate``)."""
+    tail = "" if truncate else ORDER[IN_ITEMS:]
+    return ORDER[:IN_ITEMS] + fragment + tail
+
+
+def kernel_answer(pair, text, **options):
+    report = cast_text(pair, text, **options)
+    return report.valid, report.reason, report.path
+
+
+def dom_answer(pair, text):
+    """Parse-then-cast, a syntax error worded as ``cast_text`` words
+    it."""
+    try:
+        report = CastValidator(pair).validate(parse(text))
+    except XMLSyntaxError as error:
+        return False, f"not well-formed: {error}", ""
+    return report.valid, report.reason, report.path
+
+
+#: Subtree bodies that hide markup delimiters where a naive depth
+#: counter would trip; each is well-formed.
 HARDENED_BODIES = [
     ("plain-children", "<b>x</b><c>y</c>"),
     ("close-tag-in-comment", "<!-- a fake </a> close --><b/>"),
@@ -84,77 +122,86 @@ HARDENED_BODIES = [
 
 
 class TestHardenedSkim:
-    @pytest.mark.parametrize(
-        "body", [b for _, b in HARDENED_BODIES],
-        ids=[name for name, _ in HARDENED_BODIES],
-    )
-    def test_skims_to_the_matching_close(self, body):
-        text = f"<r><a>{body}</a><tail/></r>"
-        end = skim(text)
-        assert text[:end].endswith("</a>")
-        assert text[end:] == "<tail/></r>"
+    """The checked way past a subsumed subtree is the kernel's drain:
+    each body, wrapped in ``<a>`` inside the subsumed ``items``."""
 
     @pytest.mark.parametrize(
         "body", [b for _, b in HARDENED_BODIES],
         ids=[name for name, _ in HARDENED_BODIES],
     )
-    def test_agrees_with_the_full_event_loop(self, body):
-        """Resume parity: events after a skip are exactly the events
-        the full parser yields after the skipped element closes."""
-        text = f"<r><a>{body}</a><tail>z</tail></r>"
-        full = list(iterparse(text))
-        # Index of the skimmed element's *matching* close (same-name
-        # nesting means it need not be the first EndElement("a")).
-        depth, close = 1, 2
-        while depth:
-            event = full[close]
-            if isinstance(event, StartElement):
-                depth += 1
-            elif isinstance(event, EndElement):
-                depth -= 1
-            close += 1
-        close -= 1
-        pull = PullParser(text)
-        assert next(pull) == StartElement("r", {})
-        assert isinstance(next(pull), StartElement)  # <a>
-        pull.skip_subtree()
-        assert list(pull) == full[close + 1:]
+    def test_skims_to_the_matching_close(self, exp1_pair, body):
+        text = in_items(f"<a>{body}</a>")
+        assert kernel_answer(exp1_pair, text) == dom_answer(
+            exp1_pair, text
+        ) == (True, "", "")
+
+    @pytest.mark.parametrize(
+        "body", [b for _, b in HARDENED_BODIES],
+        ids=[name for name, _ in HARDENED_BODIES],
+    )
+    def test_agrees_with_the_full_event_loop(self, exp1_pair, body):
+        """The kernel's drain and the event loop's drain answer and
+        count alike."""
+        text = in_items(f"<a>{body}</a>")
+        kernel = cast_text(exp1_pair, text)
+        events = reference_cast(exp1_pair, text)
+        assert kernel.valid and events.valid
+        assert kernel.stats == events.stats
 
 
 class TestSkimErrors:
-    def test_truncated_subtree(self):
-        with pytest.raises(XMLSyntaxError, match="unterminated element"):
-            skim("<a><b>never closed")
+    """Syntax errors inside the subsumed ``items``: the drain answers
+    with parse's message and line/column."""
 
-    def test_truncated_adversarial_document(self):
-        # The corpus document is cut mid-tag; depending on where the
-        # cut lands the skim reports either diagnosis — both typed.
-        with pytest.raises(
-            XMLSyntaxError, match="unterminated|malformed"
-        ):
-            skim(truncated_document(depth=4))
+    @staticmethod
+    def assert_parse_answer(pair, text, match):
+        answer = kernel_answer(pair, text)
+        assert answer == dom_answer(pair, text)
+        valid, reason, _ = answer
+        assert not valid and reason.startswith("not well-formed: ")
+        assert match in reason and "line" in reason
 
-    def test_mismatched_final_close(self):
-        with pytest.raises(
-            XMLSyntaxError, match=r"mismatched close tag </x> for <a>"
-        ):
-            skim("<a><b></b></x>")
+    def test_truncated_subtree(self, exp1_pair):
+        self.assert_parse_answer(
+            exp1_pair, in_items("<a><b>never closed", truncate=True),
+            "unterminated element <b>",
+        )
 
-    def test_cdata_end_in_character_data(self):
-        with pytest.raises(XMLSyntaxError, match=r"']]>' is not allowed"):
-            skim("<a>text ]]> more</a>")
+    def test_truncated_adversarial_document(self, exp1_pair):
+        # The corpus document is cut mid-tag.
+        self.assert_parse_answer(
+            exp1_pair, in_items(truncated_document(depth=4), truncate=True),
+            "expected",
+        )
 
-    def test_double_hyphen_in_comment(self):
-        with pytest.raises(XMLSyntaxError, match="'--' is not allowed"):
-            skim("<a><!-- bad -- comment --></a>")
+    def test_mismatched_final_close(self, exp1_pair):
+        self.assert_parse_answer(
+            exp1_pair, in_items("<a><b></b></x>"),
+            "mismatched close tag </x> for <a>",
+        )
 
-    def test_malformed_markup(self):
-        with pytest.raises(XMLSyntaxError, match="malformed markup"):
-            skim("<a><b <c></a>")
+    def test_cdata_end_in_character_data(self, exp1_pair):
+        self.assert_parse_answer(
+            exp1_pair, in_items("<a>text ]]> more</a>"), "']]>' is not allowed"
+        )
 
-    def test_errors_carry_line_and_column(self):
-        with pytest.raises(XMLSyntaxError, match=r"line 3, column \d+"):
-            skim("<a>\n<b/>\n</x>")
+    def test_double_hyphen_in_comment(self, exp1_pair):
+        self.assert_parse_answer(
+            exp1_pair, in_items("<a><!-- bad -- comment --></a>"),
+            "'--' is not allowed",
+        )
+
+    def test_malformed_markup(self, exp1_pair):
+        self.assert_parse_answer(
+            exp1_pair, in_items("<a><b <c></a>"), "expected an XML name"
+        )
+
+    def test_errors_carry_line_and_column(self, exp1_pair):
+        text = in_items("<a>\n<b/>\n</x>")
+        line = text[: text.index("</x>")].count("\n") + 1
+        self.assert_parse_answer(
+            exp1_pair, text, f"(line {line}, column 4)"
+        )
 
 
 class TestTrustedSkim:
@@ -167,74 +214,106 @@ class TestTrustedSkim:
             "<a attr='v'>nested</a>",
         ],
     )
-    def test_agrees_with_hardened_mode(self, body):
-        text = f"<r><a>{body}</a><tail/></r>"
-        assert skim(text, trusted=True) == skim(text)
+    def test_agrees_with_hardened_mode(self, exp1_pair, body):
+        # On well-formed text the byte search answers as the drain
+        # does and counts the same work, bytes skipped aside.
+        text = in_items(f"<a>{body}</a>")
+        drained = cast_text(exp1_pair, text)
+        trusted = cast_text(exp1_pair, text, trusted=True)
+        assert kernel_answer(exp1_pair, text, trusted=True) == (
+            kernel_answer(exp1_pair, text)
+        ) == (True, "", "")
+        assert drained.stats.bytes_skipped == 0
+        assert trusted.stats.bytes_skipped > 0
+        assert replace(trusted.stats, bytes_skipped=0) == drained.stats
 
     def test_name_boundary_longer_close(self):
         # </items> must not close <item>.
         text = "<item><items><item/></items></item>rest"
-        end = skim(text, "item", trusted=True)
+        end = skim(text, "item")
         assert text[end:] == "rest"
-        assert end == skim(text, "item")
 
     def test_name_boundary_longer_open(self):
         # <items …> must not count as a nested <item>.
         text = "<item><items>x</items></item>rest"
-        end = skim(text, "item", trusted=True)
+        end = skim(text, "item")
         assert text[end:] == "rest"
 
     def test_self_closing_same_name(self):
         text = "<a><a/><a />t</a>rest"
-        end = skim(text, trusted=True)
+        end = skim(text)
         assert text[end:] == "rest"
 
     def test_unterminated(self):
         with pytest.raises(XMLSyntaxError, match="unterminated element"):
-            skim("<a><a>never", trusted=True)
+            skim("<a><a>never")
 
-    def test_contract_violation_is_the_callers_problem(self):
-        # A same-name close hidden in a comment is exactly what trusted
-        # mode does NOT defend against (its documented contract): it
-        # stops at the hidden close while the hardened skim reads on to
-        # the real one.  This is why trusted is opt-in.
+    def test_contract_violation_is_the_callers_problem(self, exp1_pair):
+        # A same-name close hidden in a comment is exactly what the
+        # byte search does NOT defend against (its documented
+        # contract): it stops at the hidden close, while the drain
+        # reads on to the real one.  This is why trusted is opt-in.
         text = "<r><a><!-- </a> --><b/></a><tail/></r>"
-        hardened = skim(text)
-        assert text[hardened:] == "<tail/></r>"
-        assert skim(text, trusted=True) < hardened
+        assert text[skim(text):] == " --><b/></a><tail/></r>"
+        hidden = in_items("<!-- </items> -->")
+        assert kernel_answer(exp1_pair, hidden) == (True, "", "")
+        assert not cast_text(exp1_pair, hidden, trusted=True).valid
+
+
+def _dtd_pair(source: str, target: str) -> SchemaPair:
+    return SchemaPair(parse_dtd(source, roots=["a"]),
+                      parse_dtd(target, roots=["a"]))
+
+
+#: ``a`` nests itself on both sides: the pair subsumes the root, so a
+#: whole ``deep_document`` is one subsumed subtree.
+NESTED = _dtd_pair("<!ELEMENT a (a?)>", "<!ELEMENT a (a?)>")
+#: The same for ``wide_document``'s flat fan-out.
+FLAT = _dtd_pair("<!ELEMENT a (b*)><!ELEMENT b (#PCDATA)>",
+                 "<!ELEMENT a (b*)><!ELEMENT b (#PCDATA)>")
+#: ``a`` loses ``c`` in the target, so the cast checks every ``a``;
+#: ``b`` chains are subsumed.
+CHECKED_ABOVE_SUBSUMED = _dtd_pair(
+    "<!ELEMENT a (a|b|c)><!ELEMENT b (b?)><!ELEMENT c EMPTY>",
+    "<!ELEMENT a (a|b)><!ELEMENT b (b?)>",
+)
 
 
 class TestGuardsDuringSkim:
+    """Guards fire inside a subsumed subtree, drained (``trusted``
+    false) or byte-searched."""
+
     @pytest.mark.parametrize("trusted", [False, True])
     def test_depth_limit_fires_inside_a_skim(self, trusted):
-        text = deep_document(300)
         with pytest.raises(DocumentTooDeepError):
-            skim(text, limits=Limits(max_tree_depth=50), trusted=trusted)
+            cast_text(NESTED, deep_document(300),
+                      limits=Limits(max_tree_depth=50), trusted=trusted)
 
     @pytest.mark.parametrize("trusted", [False, True])
     def test_depth_limit_counts_from_base_depth(self, trusted):
-        # base_depth is the absolute depth of the skim root: a shallow
-        # subtree under a deep ancestor chain must still trip.
-        text = deep_document(30)
-        scanner = Scanner(text, limits=Limits(max_tree_depth=40))
+        # Depth is absolute: a shallow subsumed subtree under a deep
+        # checked ancestor chain must still trip.
+        text = "<a>" * 20 + deep_document(25, "b") + "</a>" * 20
         with pytest.raises(DocumentTooDeepError):
-            scanner.skim_subtree(
-                text.index(">") + 1, label="a", base_depth=20,
-                trusted=trusted,
-            )
+            cast_text(CHECKED_ABOVE_SUBSUMED, text,
+                      limits=Limits(max_tree_depth=40), trusted=trusted)
+        assert cast_text(CHECKED_ABOVE_SUBSUMED, text,
+                         limits=Limits(max_tree_depth=45),
+                         trusted=trusted).valid
 
     @pytest.mark.parametrize("trusted", [False, True])
     def test_deadline_fires_inside_a_skim(self, trusted):
-        # >2x the tick stride of same-name tags, so even the trusted
-        # scanner (which only sees same-name nesting) reads the clock.
-        text = deep_document(2 * Deadline.stride + 10)
+        # >2x the tick stride of same-name tags, so even the byte
+        # search (which only sees same-name nesting) reads the clock.
         with pytest.raises(DeadlineExceededError):
-            skim(text, deadline=Deadline.start(1e-9), trusted=trusted)
+            cast_text(NESTED, deep_document(2 * Deadline.stride + 10),
+                      limits=Limits(deadline_seconds=1e-9),
+                      trusted=trusted)
 
     def test_deadline_fires_on_flat_fanout(self):
-        text = wide_document(2 * Deadline.stride + 10)
         with pytest.raises(DeadlineExceededError):
-            skim(text, deadline=Deadline.start(1e-9))
+            cast_text(FLAT, wide_document(2 * Deadline.stride + 10),
+                      limits=Limits(deadline_seconds=1e-9))
 
 
 class TestPullParser:
