@@ -11,11 +11,13 @@ the Experiment-2 purchase-order corpus:
 2. **end-to-end cast** — ``reference_parse`` + compiled cast against
    ``parse(symbols=pair.symbols)`` + the same cast, i.e. the whole
    revalidation pipeline a batch worker runs per document;
-3. **fused kernel (hardened event path)** — the fused parse+validate
-   loop of :mod:`repro.core.castkernel` (``cast_text`` with
-   ``stream_skip=False``, no byte skips) against the event pipeline it
-   replaced, kept as its reference oracle
-   (:func:`repro.core.reference.reference_cast`).
+3. **fused kernel** — the fused parse+validate loop of
+   :mod:`repro.core.castkernel` (``cast_text`` with
+   ``stream_skip=False``: subsumed subtrees drained, never
+   byte-searched; each ``item`` taken whole by the record path) against
+   the event pipeline it replaced, kept as its reference oracle
+   (:func:`repro.core.reference.reference_cast`).  Its record keeps the
+   name ``kernel_fused_hardened``.
 
 Before timing anything, the pipelines are cross-checked: token streams
 must match element-for-element, the DOM and streaming cast verdicts on

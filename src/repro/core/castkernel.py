@@ -25,6 +25,25 @@ it is matched by its own arm of the master
 (:data:`~repro.xmltree.lexer.START_TAG_RE`,
 :data:`~repro.xmltree.lexer.END_TAG_RE`) instead of a reseeded sweep.
 
+Beside it sits the *record path*: at a ``<`` in a complex frame with no
+pending text and no drain, the parent record's flat-record table
+(:meth:`~repro.schema.pairkernel.PairKernel.flatten`, built on the
+record's first frame) tries one match over a whole *flat* child — an
+attribute-free element of text-only leaves, such as a purchase order's
+``item``, from its start tag to its close tag.  A hit names the word of
+leaves it read, whose plan holds the loop's own work on it (the
+child's content steps, each leaf's action, the counters), so the
+record costs the parent's content step, its value checks and one cursor
+move.  The guards stay exact: the match is taken only when its deepest
+elements, the leaves at the open depth plus two, fit under
+``max_tree_depth`` (so none of its elements could fail the per-element
+depth check), and the deadline ticks once per start tag it consumed,
+as the per-tag loop ticks.  Anything else — no hit, a failing
+parent step, a failing value — changes nothing and falls through, at
+the record's start tag, to the leaf path and the per-tag loop, so
+every failure report, syntax error and guard error still comes from
+them.
+
 Failure reports carry the DOM cast's reason and Dewey path (the
 offending node: an element for attribute, disjointness and value
 failures, the text node for stray character data, the parent for a
@@ -92,6 +111,7 @@ from repro.xmltree.lexer import (
     TOK_TEXT,
     XML_WS_RE,
     Scanner,
+    expect_root,
     scan_attributes_slow,
     skip_prolog,
     trailing_misc,
@@ -128,8 +148,7 @@ def run(kernel, limits, text, trusted):
     deadline = limits.deadline()
     scanner = Scanner(text, limits=limits, deadline=deadline)
     skip_prolog(scanner)
-    if not scanner.starts_with("<"):
-        raise scanner.error("expected the root element")
+    expect_root(scanner)
 
     # Locals-hoisted lookups: every per-token attribute access the loop
     # would repeat is bound once here.
@@ -138,6 +157,7 @@ def run(kernel, limits, text, trusted):
     ids = kernel.symbols.ids
     records = kernel.records
     materialize = kernel.materialize
+    flatten = kernel.flatten
     root_actions = kernel.root_actions
     target_schema = kernel.target
     plain = kernel.pair is None
@@ -332,6 +352,58 @@ def run(kernel, limits, text, trusted):
                         if wend < n and src[wend] == "<":
                             lpos = wend
                 if src[lpos] == "<":
+                    # -- record path: a flat child in one match --------
+                    if (
+                        not drain
+                        and not text_parts
+                        and (flat := vstack[-1][_REC].flat) is not None
+                        and len(parse_stack) + 2 <= depth_limit
+                        and (rm := flat(src, lpos)) is not None
+                    ):
+                        top = vstack[-1]
+                        rec_p = top[_REC]
+                        (sid, checks, skips, visited, scanned, early,
+                         skipped, ticks) = rec_p.plans[rm.lastindex]
+                        # The parent's content step, unapplied: 0 none
+                        # (decided), 1 IA, 2 a transition, -1 a failure.
+                        step = 0
+                        if not top[_DECIDED]:
+                            state = top[_STATE]
+                            bits = rec_p.flags[state]
+                            if bits & 2:  # IA
+                                step = 1
+                            elif bits & 4:  # IR
+                                step = -1
+                            else:
+                                ns = rec_p.table[state * rec_p.width + sid]
+                                step = 2 if ns >= 0 else -1
+                        if step >= 0 and (texts := _texts(rm, checks)) >= 0:
+                            if deadline is not None:
+                                for _ in range(ticks):
+                                    deadline.tick()
+                            top[_CHILDREN] += 1
+                            if step == 1:
+                                top[_DECIDED] = True
+                                early += 1
+                            elif step == 2:
+                                top[_STATE] = ns
+                                scanned += 1
+                            # The record and its checked leaves.
+                            stats.elements_visited += visited
+                            stats.simple_values_checked += visited - 1
+                            stats.text_nodes_visited += texts
+                            stats.content_symbols_scanned += scanned
+                            stats.early_content_decisions += early
+                            if skipped:
+                                stats.subtrees_skipped += skipped
+                                if trusted:
+                                    for group in skips:
+                                        stats.bytes_skipped += (
+                                            src.index(">", rm.end(group))
+                                            + 1 - rm.start(group)
+                                        )
+                            scanner.pos = rm.end()
+                            continue
                     leaf = leaf_match(src, lpos)
                 else:
                     leaf = None
@@ -527,13 +599,11 @@ def run(kernel, limits, text, trusted):
                 # ordering kept — in a cast a text failure beats the
                 # syntax error, exactly as the suspended event generator
                 # never got to raise; a settle reads on to the error).
-                if scanner.at_end():
-                    if parse_stack:
-                        raise scanner.error(
-                            f"unterminated element <{parse_stack[-1]}>",
-                            open_at[-1],
-                        )
-                    break
+                if scanner.at_end():  # the root is still open
+                    raise scanner.error(
+                        f"unterminated element <{parse_stack[-1]}>",
+                        open_at[-1],
+                    )
                 if scanner.starts_with("</"):
                     if (fault := flush()) is not None:
                         failure = fault
@@ -580,12 +650,6 @@ def run(kernel, limits, text, trusted):
                     raise scanner.error(
                         "']]>' is not allowed in character data", pos + bad
                     )
-                if not parse_stack:
-                    if raw.strip():
-                        raise scanner.error(
-                            "character data outside the root"
-                        )
-                    continue
                 if "&" in raw:
                     raw = scanner.decode_entities(raw, pos)
                 text_parts.append(raw)
@@ -739,6 +803,8 @@ def run(kernel, limits, text, trusted):
                     if failure is not None or not parse_stack:
                         break  # a failure, or a self-closed root
                 else:
+                    if rec.plans is None:  # the record's first frame
+                        flatten(rec)
                     vstack.append(frame)
 
             elif kind == TOK_END:
@@ -799,3 +865,20 @@ def run(kernel, limits, text, trusted):
         return ValidationReport.success(stats)
     failure.stats = stats
     return failure
+
+
+def _texts(match, checks):
+    """The record path's value checks over a flat-record match: the
+    number of non-blank checked values (``text_nodes_visited``), or -1
+    when one does not conform and the exact loop must read the record
+    to report it."""
+    texts = 0
+    for group, check in checks:
+        value = match[group]
+        if value.strip():
+            texts += 1
+        else:
+            value = ""
+        if not check(value):
+            return -1
+    return texts

@@ -42,6 +42,7 @@ from repro.xmltree.lexer import (
     TOK_START,
     TOK_TEXT,
     Scanner,
+    expect_root,
     scan_attributes_slow,
     skip_prolog,
     trailing_misc,
@@ -97,8 +98,7 @@ def iterparse(
         deadline = limits.deadline()
     scanner = Scanner(text, limits=limits, deadline=deadline)
     skip_prolog(scanner)
-    if not scanner.starts_with("<"):
-        raise scanner.error("expected the root element")
+    expect_root(scanner)
     yield from _element_events(scanner, keep_whitespace, symbols)
     trailing_misc(scanner)
 
@@ -110,7 +110,9 @@ def _element_events(
     stack: Optional[list[tuple[str, int]]] = None,
     pull: "Optional[PullParser]" = None,
 ) -> Iterator[Event]:
-    """Iterative traversal: yields events for one element subtree.
+    """Iterative traversal: yields events for the root element's
+    subtree, from its start tag at the cursor
+    (:func:`~repro.xmltree.lexer.expect_root`).
 
     ``stack``/``pull`` wire the :class:`PullParser` skip channel in:
     the open-element stack of ``(label, start-tag offset)`` entries is
@@ -140,11 +142,8 @@ def _element_events(
             return
         pos = scanner.pos
         hit = scanner.next_content_match()
-        if hit is None:
-            done = yield from _replay_slow(scanner, stack, flush_text)
-            if done:
-                return
-            continue
+        if hit is None:  # EOF or malformed markup: diagnose, raise
+            yield from _replay_slow(scanner, stack, flush_text)
         kind, m = hit
 
         if kind == TOK_TEXT:
@@ -155,10 +154,6 @@ def _element_events(
                 raise scanner.error(
                     "']]>' is not allowed in character data", pos + bad
                 )
-            if not stack:
-                if raw.strip():
-                    raise scanner.error("character data outside the root")
-                continue
             if "&" in raw:
                 raw = scanner.decode_entities(raw, pos)
             text_parts.append(raw)
@@ -232,13 +227,11 @@ def _replay_slow(scanner: Scanner, stack: list[tuple[str, int]],
     historical character-level event loop's branches (and their event
     ordering: text flushes before close/start tags are consumed).
 
-    Returns truthy when the traversal is complete; otherwise raises.
+    Always raises.
     """
-    if scanner.at_end():
-        if stack:
-            label, start = stack[-1]
-            raise scanner.error(f"unterminated element <{label}>", start)
-        return True
+    if scanner.at_end():  # the root is still open
+        label, start = stack[-1]
+        raise scanner.error(f"unterminated element <{label}>", start)
     if scanner.starts_with("</"):
         yield from flush_text()
         scanner.advance(2)
@@ -337,8 +330,7 @@ class PullParser:
     def _run(self) -> Iterator[Event]:
         scanner = self.scanner
         skip_prolog(scanner)
-        if not scanner.starts_with("<"):
-            raise scanner.error("expected the root element")
+        expect_root(scanner)
         yield from _element_events(
             scanner,
             self._keep_whitespace,

@@ -543,6 +543,31 @@ def skip_prolog(scanner: Scanner) -> tuple[str, str]:
             return doctype_name, internal_subset
 
 
+def expect_root(scanner: Scanner) -> None:
+    """Raise unless the cursor, past the prolog, holds a start tag: the
+    root must be an element.  Anything else there — CDATA, a close
+    tag, a malformed tag — is replayed with the character-level
+    primitives for the tree parser's diagnostic ("expected an XML
+    name" right after the ``<`` of a CDATA section or close tag).
+
+    Shared by the tree parser, the event parser and the fused kernel,
+    so a document without a root element fails the same way in each.
+    """
+    if not scanner.starts_with("<"):
+        raise scanner.error("expected the root element")
+    if START_TAG_RE.match(scanner.text, scanner.pos) is not None:
+        return
+    scanner.expect("<")
+    name = scanner.read_name()
+    scan_attributes_slow(scanner, name)
+    if not scanner.match("/>"):
+        scanner.expect(">")
+    raise AssertionError(
+        "master regex rejected a root tag the character-level scanner "
+        f"accepts at offset {scanner.pos}"
+    )
+
+
 def trailing_misc(scanner: Scanner) -> None:
     """Consume the misc after the root element (whitespace, comments,
     processing instructions) up to the end of the text, or raise.

@@ -51,8 +51,8 @@ from repro.xmltree.lexer import (
     TOK_START,
     TOK_TEXT,
     Scanner,
+    expect_root,
     fail_at_markup,
-    scan_attributes_slow,
     skip_prolog,
     trailing_misc,
 )
@@ -80,8 +80,7 @@ def parse(
         deadline = limits.deadline()
     scanner = Scanner(text, limits=limits, deadline=deadline)
     doctype_name, internal_subset = skip_prolog(scanner)
-    if not scanner.starts_with("<"):
-        raise scanner.error("expected the root element")
+    expect_root(scanner)
     root = _parse_tree(scanner, keep_whitespace, limits, symbols)
     trailing_misc(scanner)
     return Document(root, doctype_name, internal_subset, symbols=symbols)
@@ -131,9 +130,9 @@ def _parse_tree(
 ) -> Element:
     """Parse the root element and its subtree at the cursor.
 
-    Only the first loop iteration can see an empty open-element stack
-    (the function returns as soon as the root closes), so the
-    ``not elements`` branches are the root-must-be-an-element checks.
+    The cursor holds the root's start tag (:func:`~repro.xmltree.lexer
+    .expect_root`), and the function returns as soon as the root
+    closes, so the open-element stack is never empty inside the loop.
     """
     ids = symbols.ids if symbols is not None else None
     deadline = scanner.deadline
@@ -150,8 +149,6 @@ def _parse_tree(
         pos = scanner.pos
         hit = scanner.next_content_match()
         if hit is None:
-            if not elements:
-                _fail_at_root(scanner)
             fail_at_markup(scanner, elements[-1]._label, open_positions[-1])
         kind, m = hit
 
@@ -194,8 +191,6 @@ def _parse_tree(
                 text_buffers.append([])
 
         elif kind == TOK_END:
-            if not elements:
-                _fail_at_root(scanner)
             node = elements[-1]
             name = m.group("ename")
             if name != node._label:
@@ -222,38 +217,16 @@ def _parse_tree(
             _attach(elements[-1], node)
 
         elif kind == TOK_COMMENT:
-            if not elements:
-                _fail_at_root(scanner)
             scanner.pos = m.end()
             if "--" in m.group("comment"):
                 raise scanner.error("'--' is not allowed inside a comment")
 
         elif kind == TOK_CDATA:
-            if not elements:
-                _fail_at_root(scanner)
             scanner.pos = m.end()
             text_buffers[-1].append(m.group("cdata"))
 
         else:  # TOK_PI
-            if not elements:
-                _fail_at_root(scanner)
             scanner.pos = m.end()
-
-
-def _fail_at_root(scanner: Scanner) -> None:
-    """Replay a non-start-tag construct at the root position with the
-    character-level primitives for the historical diagnostic (the root
-    must be an element; comments/PIs/DOCTYPE were consumed as prolog).
-    Always raises."""
-    scanner.expect("<")
-    name = scanner.read_name()
-    scan_attributes_slow(scanner, name)
-    if not scanner.match("/>"):
-        scanner.expect(">")
-    raise AssertionError(
-        "master regex rejected a root tag the character-level scanner "
-        f"accepts at offset {scanner.pos}"
-    )
 
 
 def _attach(parent: Element, child) -> None:

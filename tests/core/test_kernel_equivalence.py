@@ -8,9 +8,10 @@ counters, and — when a guard or the well-formedness layer raises — the
 same exception type and message as the event pipeline kept as its
 reference oracle (:func:`repro.core.reference.reference_cast`).  This
 fuzzer drives workload corpora (the paper's purchase orders, random
-schema pairs with valid, promise-violating and mutilated documents) and
-the adversarial corpus through both pipelines and asserts exactly that,
-in every skip mode.
+schema pairs with valid, promise-violating and mutilated documents,
+random pairs of flat records — the shape the kernel's record path
+takes in one match) and the adversarial corpus through both pipelines
+and asserts exactly that, in every skip mode.
 
 In validation mode the same loop runs over one schema's kernel
 (:func:`repro.core.validator.validate_text`), and the oracle is the
@@ -35,16 +36,20 @@ from __future__ import annotations
 import math
 import pickle
 import random
+import re
 
 import pytest
 
+from repro.core import castkernel
 from repro.core.cast import CastValidator, cast_text
 from repro.core.reference import reference_cast
 from repro.core.updates import UpdateSession
 from repro.core.validator import validate_document, validate_text
 from repro.errors import ReproError, SchemaError, error_code
 from repro.guards import Limits
+from repro.remodel.ast import alt, opt, seq, star, sym
 from repro.schema.dtd import parse_dtd
+from repro.schema.model import ComplexType, Schema
 from repro.schema.registry import SchemaPair
 from repro.schema.simple import compiled_checker
 from repro.workloads.adversarial import (
@@ -246,6 +251,145 @@ class TestAdversarial:
         pair = chain_pair()
         for text in adversarial_corpus():
             assert_equivalent(pair, text, mode, limits=self.LIMITS)
+
+
+#: Leaf labels of the flat-record family.
+FLAT_LEAVES = [f"l{index}" for index in range(6)]
+
+#: Leaf values outside most facets of ``random_simple_type``.
+OUT_OF_RANGE = ["999999999", "-999999999", "0", "", "  ", "zz", "1.5",
+                "x" * 40]
+
+_FLAT_LEAF_RE = re.compile(r"<(l\d)>([^<]*)</\1>")
+
+
+def flat_content(rng, labels):
+    """A finite content model using each label once: sequences, choices
+    and optionals."""
+    if len(labels) == 1:
+        leaf = sym(labels[0])
+        return opt(leaf) if rng.random() < 0.3 else leaf
+    cut = rng.randint(1, len(labels) - 1)
+    combine = seq if rng.random() < 0.6 else alt
+    expression = combine(flat_content(rng, labels[:cut]),
+                         flat_content(rng, labels[cut:]))
+    return opt(expression) if rng.random() < 0.2 else expression
+
+
+def flat_record_schema(rng, name, simple_types):
+    """A root holding any number of flat records ``x<i>`` (each a
+    ``flat_content`` over 2-5 leaves typed from ``simple_types``),
+    directly or inside a ``w`` wrapper."""
+    types = dict(simple_types)
+    records = {}
+    for index in range(rng.randint(2, 3)):
+        labels = rng.sample(FLAT_LEAVES, rng.randint(2, 5))
+        types[f"R{index}"] = ComplexType(
+            f"R{index}", flat_content(rng, labels),
+            {label: rng.choice(sorted(simple_types)) for label in labels},
+        )
+        records[f"x{index}"] = f"R{index}"
+    either = alt(*(sym(label) for label in records))
+    types["W"] = ComplexType("W", star(either), records)
+    types["Root"] = ComplexType(
+        "Root", star(alt(either, sym("w"))), {**records, "w": "W"}
+    )
+    return Schema(types, {"root": "Root"}, name=name)
+
+
+def flat_record_pairs(rng, count):
+    """``count`` flat-record pairs: the target keeps the source's shape
+    with some leaf types redrawn, and now and then one more bound or
+    facet perturbed."""
+    for made in range(count):
+        simple = {f"S{index}": random_simple_type(rng, f"S{index}")
+                  for index in range(4)}
+        source = flat_record_schema(rng, f"flat{made}", simple)
+        target_types = dict(source.types)
+        for type_name in simple:
+            if rng.random() < 0.4:
+                target_types[type_name] = random_simple_type(rng, type_name)
+        target = Schema(target_types, dict(source.roots),
+                        name=f"flat{made}-target")
+        if rng.random() < 0.5:
+            target = perturb_schema(rng, target)
+        yield SchemaPair(source, target)
+
+
+def flat_record_documents(rng, schema):
+    """Two sampled valid documents, each followed by a copy with a leaf
+    value out of range and a truncated or spliced copy."""
+    for _ in range(2):
+        document = sample_document(rng, schema, max_depth=5)
+        if document is None:
+            return
+        text = serialize(document, indent=rng.choice(["", "  ", None]))
+        yield text
+        leaves = list(_FLAT_LEAF_RE.finditer(text))
+        if leaves:
+            leaf = rng.choice(leaves)
+            yield (text[:leaf.start(2)] + rng.choice(OUT_OF_RANGE)
+                   + text[leaf.end(2):])
+        if rng.random() < 0.5:
+            yield text[: rng.randrange(1, len(text) + 1)]
+        else:
+            cut = rng.randrange(len(text))
+            yield text[:cut] + rng.choice(SPLICES) + text[cut:]
+
+
+@pytest.fixture()
+def records_taken(monkeypatch):
+    """Counts the kernel's record-path matches that reach their value
+    checks (:func:`repro.core.castkernel._texts`)."""
+    taken = []
+    texts = castkernel._texts
+
+    def counting(match, checks):
+        taken.append(match.lastindex)
+        return texts(match, checks)
+
+    monkeypatch.setattr(castkernel, "_texts", counting)
+    return taken
+
+
+def flat_tables(kernel) -> int:
+    return sum(1 for record in kernel.records if record.flat is not None)
+
+
+class TestFlatRecords:
+    """Random schemas of flat records, the shape the kernel takes whole
+    in one match (``PairKernel.flatten``), which ``random_schema``
+    rarely yields."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_random_flat_record_casts(self, mode, records_taken):
+        rng = random.Random(0xF1A7)
+        tables = documents = 0
+        for pair in flat_record_pairs(rng, 24):
+            for schema in (pair.source, pair.target):
+                for text in flat_record_documents(rng, schema):
+                    assert_equivalent(pair, text, mode)
+                    documents += 1
+            tables += flat_tables(pair.kernel())
+        # 245-254 documents, 21-32 tables and 71-163 records taken
+        # over hash seeds 0-3, 7 and 11.
+        assert documents >= 150
+        assert tables >= 10  # record tables were built ...
+        assert len(records_taken) >= 30  # ... and taken
+
+    def test_random_flat_record_validation(self, records_taken):
+        rng = random.Random(0xF1A8)
+        tables = 0
+        for pair in flat_record_pairs(rng, 24):
+            for schema in (pair.source, pair.target):
+                for text in flat_record_documents(rng, schema):
+                    for validated in (pair.source, pair.target):
+                        assert_validates_alike(validated, text)
+            tables += flat_tables(pair.source.kernel())
+            tables += flat_tables(pair.target.kernel())
+        # 73-86 tables and 641-886 records taken, same seeds.
+        assert tables >= 40
+        assert len(records_taken) >= 300
 
 
 class TestArtifactRoundTrip:
