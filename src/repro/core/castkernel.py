@@ -15,34 +15,36 @@ child element the hot path is: one dict lookup (label → symbol id),
 one flat-table load (parent content step), one action-row load (child
 record / skip / fail), and a list push.
 
-On top of the fused walk sits the *leaf fast path*: an attribute-free
-element holding only entity- and bracket-free text (the dominant node
-shape of data-oriented XML) is consumed by a single C-level match
-(:data:`~repro.xmltree.lexer.LEAF_RE`) and validated in place — start
-tag, value and end tag never become separate tokens.  A leaf match
-leaves the lexer's master sweep behind, so the start or end tag after
-it is matched by its own arm of the master
-(:data:`~repro.xmltree.lexer.START_TAG_RE`,
-:data:`~repro.xmltree.lexer.END_TAG_RE`) instead of a reseeded sweep.
-
-Beside it sits the *record path*: at a ``<`` in a complex frame with no
-pending text and no drain, the parent record's flat-record table
-(:meth:`~repro.schema.pairkernel.PairKernel.flatten`, built on the
-record's first frame) tries one match over a whole *flat* child — an
-attribute-free element of text-only leaves, such as a purchase order's
-``item``, from its start tag to its close tag.  A hit names the word of
-leaves it read, whose plan holds the loop's own work on it (the
-child's content steps, each leaf's action, the counters), so the
-record costs the parent's content step, its value checks and one cursor
-move.  The guards stay exact: the match is taken only when its deepest
-elements, the leaves at the open depth plus two, fit under
+On top of the fused walk sits the *record path*: at a ``<`` in a
+complex frame with no pending text and no drain, the parent record's
+flat-record table (:meth:`~repro.schema.pairkernel.PairKernel.flatten`,
+built on the record's first frame) tries one match over a whole *flat*
+child — an attribute-free element of text-only leaves, such as a
+purchase order's ``item``, from its start tag to its close tag.  A hit
+names the word of leaves it read, whose plan holds the loop's own work
+on it (the child's content steps, each leaf's action, the counters), so
+the record costs the parent's content step, its value checks and one
+cursor move.  The guards stay exact: the match is taken only when its
+deepest elements, the leaves at the open depth plus two, fit under
 ``max_tree_depth`` (so none of its elements could fail the per-element
 depth check), and the deadline ticks once per start tag it consumed,
-as the per-tag loop ticks.  Anything else — no hit, a failing
-parent step, a failing value — changes nothing and falls through, at
-the record's start tag, to the leaf path and the per-tag loop, so
-every failure report, syntax error and guard error still comes from
-them.
+as the per-tag loop ticks.  Anything else — no hit, a failing parent
+step, a failing value — changes nothing and falls through, at the
+record's start tag, to the per-tag loop, so every failure report,
+syntax error and guard error still comes from it.
+
+A drain has a fast path of its own: an attribute-free leaf holding
+only entity- and bracket-free text is read by one C-level match
+(:data:`~repro.xmltree.lexer.LEAF_RE`), with nothing in it validated.
+A record hit or a drained leaf leaves the lexer's master sweep behind,
+so the tag after it is matched by its own arm of the master
+(:data:`~repro.xmltree.lexer.START_TAG_RE`,
+:data:`~repro.xmltree.lexer.END_TAG_RE`) instead of a reseeded sweep
+and goes on to the general start- or end-tag branch.  Markup the
+master declines is replayed by the tree parser's
+:func:`~repro.xmltree.lexer.fail_at_markup`, once the pending text is
+delivered where the replay reads a tag: in a cast a failure on that
+text beats the syntax error, as in the event path.
 
 Failure reports carry the DOM cast's reason and Dewey path (the
 offending node: an element for attribute, disjointness and value
@@ -56,10 +58,10 @@ reasons, paths, :class:`~repro.core.result.ValidationStats` counters
 and guard behaviour (document size, depth, entities, deadline ticks
 once per start tag) — asserted by
 ``tests/core/test_kernel_equivalence.py``.  The only tolerated
-divergence is wall-clock deadline *granularity* on skipped regions (the
-trusted byte search ticks per same-name tag, the leaf path once per
-leaf).  Syntax errors inside the root element carry the tree parser's
-messages and positions.
+divergence is wall-clock deadline *granularity* on skipped regions
+under ``trusted`` (the byte search ticks per same-name tag, the record
+path once per start tag).  Syntax errors inside the root element carry
+the tree parser's messages and positions.
 
 A subsumed subtree (Section 3.2) is never *validated*, but by default
 it is still *drained*: the loop reads its tokens with every
@@ -111,8 +113,9 @@ from repro.xmltree.lexer import (
     TOK_TEXT,
     XML_WS_RE,
     Scanner,
+    at_tag,
     expect_root,
-    scan_attributes_slow,
+    fail_at_markup,
     skip_prolog,
     trailing_misc,
 )
@@ -183,14 +186,6 @@ def run(kernel, limits, text, trusted):
 
     def _path(stack):
         return ".".join(str(frame[_POS]) for frame in stack[1:])
-
-    def _mismatch(close_name, at):
-        """The tree parser's diagnostic for a close tag that does not
-        close the innermost open element."""
-        expected = f" for <{parse_stack[-1]}>" if parse_stack else ""
-        return scanner.error(
-            f"mismatched close tag </{close_name}>{expected}", at
-        )
 
     def _content_fail(rec, label, path):
         return ValidationReport.failure(
@@ -333,7 +328,7 @@ def run(kernel, limits, text, trusted):
             pos = scanner.pos
             hit = None
 
-            # -- leaf and one-arm tag fast paths ---------------------------
+            # -- drained leaf, record path and one-arm tag matches -------
             if (vstack or drain) and pos < n:
                 lpos = pos
                 if src[pos] != "<" and (
@@ -352,14 +347,26 @@ def run(kernel, limits, text, trusted):
                         if wend < n and src[wend] == "<":
                             lpos = wend
                 if src[lpos] == "<":
-                    # -- record path: a flat child in one match --------
-                    if (
-                        not drain
-                        and not text_parts
+                    if drain:
+                        # -- drained leaf: one match, nothing validated
+                        if (leaf := leaf_match(src, lpos)) is not None:
+                            if len(parse_stack) >= depth_limit:
+                                check_depth(len(parse_stack) + 1, limits_)
+                            if deadline is not None:
+                                deadline.tick()
+                            if len(parse_stack) == len(vstack):  # settling
+                                failure = feed(leaf.group(1), failure)
+                            else:
+                                del text_parts[:]
+                            scanner.pos = leaf.end()
+                            continue
+                    elif (
+                        not text_parts
                         and (flat := vstack[-1][_REC].flat) is not None
                         and len(parse_stack) + 2 <= depth_limit
                         and (rm := flat(src, lpos)) is not None
                     ):
+                        # -- record path: a flat child in one match ----
                         top = vstack[-1]
                         rec_p = top[_REC]
                         (sid, checks, skips, visited, scanned, early,
@@ -404,242 +411,37 @@ def run(kernel, limits, text, trusted):
                                         )
                             scanner.pos = rm.end()
                             continue
-                    leaf = leaf_match(src, lpos)
-                else:
-                    leaf = None
-                    lpos = pos
-                if leaf is not None:
-                    if drain:
-                        if len(parse_stack) >= depth_limit:
-                            check_depth(len(parse_stack) + 1, limits_)
-                        if deadline is not None:
-                            deadline.tick()
-                        if len(parse_stack) == len(vstack):  # settling
-                            failure = feed(leaf.group(1), failure)
+                    if lpos != pos or scanner._finditer_pos != pos:
+                        # One-arm tag matches, taken only when the master
+                        # sweep is already stale (a record hit or a
+                        # drained leaf moved the cursor out of band) or
+                        # leading whitespace was swallowed — the cases
+                        # where the sweep would have to reseed anyway.
+                        # Either tag goes on to the general dispatch.
+                        if lpos + 1 < n and src[lpos + 1] != "/":
+                            sm = start_match(src, lpos)
+                            if sm is not None:
+                                hit = TOK_START, sm
                         else:
-                            del text_parts[:]
-                        scanner.pos = leaf.end()
-                        continue
-                    top = vstack[-1]
-                    rec_p = top[_REC]
-                    if rec_p.kind != K_SIMPLE:
-                        if text_parts and (fault := flush()) is not None:
-                            failure = fault
-                            break
-                        if len(parse_stack) >= depth_limit:
-                            check_depth(len(parse_stack) + 1, limits_)
-                        if deadline is not None:
-                            deadline.tick()
-                        name, value = leaf.group(1, 2)
-                        scanner.pos = leaf.end()
-                        sid = ids.get(name, -1)
-                        position = top[_CHILDREN]
-                        top[_CHILDREN] = position + 1
-                        if not top[_DECIDED]:
-                            state = top[_STATE]
-                            bits = rec_p.flags[state]
-                            if bits & 2:  # IA
-                                top[_DECIDED] = True
-                                stats.early_content_decisions += 1
-                            elif bits & 4:  # IR
-                                stats.early_content_decisions += 1
-                                failure = _content_fail(
-                                    rec_p, top[_LABEL], _path(vstack)
-                                )
-                                break
-                            elif sid < 0 or (
-                                (ns := rec_p.table[
-                                    state * rec_p.width + sid
-                                ]) < 0
-                            ):
-                                failure = _label_fail(
-                                    top, name, sid, position
-                                )
-                                break
-                            else:
-                                top[_STATE] = ns
-                                stats.content_symbols_scanned += 1
-                        action = (
-                            rec_p.action[sid] if sid >= 0 else A_NO_TARGET
-                        )
-                        if action >= 0:
-                            rec = records[action]
-                            if not rec.ready:
-                                materialize(rec)
-                            stats.elements_visited += 1
-                            if rec.has_attrs:
-                                violation = attribute_violation_parts(
-                                    target_schema, rec.target_decl, name,
-                                    None,
-                                )
-                                if violation:
-                                    failure = ValidationReport.failure(
-                                        violation,
-                                        path=_child_path(position),
-                                    )
-                                    break
-                            if rec.kind == K_SIMPLE:
-                                if value.strip():
-                                    stats.text_nodes_visited += 1
-                                else:
-                                    value = ""
-                                stats.simple_values_checked += 1
-                                check = rec.check
-                                if check is None:  # pickled artifact
-                                    check = rec.check = compiled_checker(
-                                        rec.simple_decl
-                                    )
-                                if not check(value):
-                                    failure = ValidationReport.failure(
-                                        f"value {value!r} does not "
-                                        "conform to simple type "
-                                        f"{rec.simple_decl.name!r}",
-                                        path=_child_path(position),
-                                    )
-                                    break
-                            elif value.strip():
-                                # Reported at the text node, as the DOM
-                                # cast does.
-                                stats.text_nodes_visited += 1
-                                failure = ValidationReport.failure(
-                                    f"complex type {rec.target_type!r} "
-                                    "does not allow character data",
-                                    path=f"{_child_path(position)}.0",
-                                )
-                                break
-                            else:
-                                # Empty content against the child
-                                # machine.
-                                if rec.always_accepts:
-                                    stats.early_content_decisions += 1
-                                else:
-                                    bits = rec.flags[rec.start]
-                                    if bits & 2:  # IA
-                                        stats.early_content_decisions += 1
-                                    elif not bits & 1:
-                                        failure = _content_fail(
-                                            rec, name,
-                                            _child_path(position),
-                                        )
-                                        break
-                            continue
-                        if action == A_SUBSUME:
-                            stats.subtrees_skipped += 1
-                            if trusted:
-                                stats.bytes_skipped += (
-                                    leaf.end() - leaf.start(2)
-                                )
-                            continue
-                        if action == A_DISJOINT:
-                            stats.disjoint_rejections += 1
-                            c_source, c_target = kernel.child_types(
-                                rec_p, sid
-                            )
-                            failure = ValidationReport.failure(
-                                f"source type {c_source!r} is disjoint "
-                                f"from target type {c_target!r}",
-                                path=_child_path(position),
-                            )
-                        elif action == A_NO_TARGET:
-                            # A label the target content model never
-                            # mentions fails the parent's content model.
-                            failure = _content_fail(
-                                rec_p, top[_LABEL], _path(vstack)
-                            )
-                        else:  # A_NO_SOURCE
-                            failure = ValidationReport.failure(
-                                f"no source type for label {name!r} "
-                                "(promise violated)",
-                                path=_path(vstack),
-                            )
-                        break
-                elif src[lpos] == "<" and (
-                    lpos != pos or scanner._finditer_pos != pos
-                ):
-                    # One-arm tag fast paths, taken only when the master
-                    # sweep is already stale (a leaf or skim moved the
-                    # cursor out of band) or leading whitespace was
-                    # swallowed — the cases where the sweep would have
-                    # to reseed anyway.  A start tag goes on to the
-                    # general dispatch below; an end tag is closed here.
-                    if lpos + 1 < n and src[lpos + 1] != "/":
-                        sm = start_match(src, lpos)
-                        if sm is not None:
-                            hit = TOK_START, sm
-                    elif (em := end_match(src, lpos)) is not None:
-                        if text_parts and (fault := flush()) is not None:
-                            failure = fault
-                            break
-                        close_name = em.group("ename")
-                        scanner.pos = em.end()
-                        if not parse_stack or parse_stack[-1] != close_name:
-                            raise _mismatch(close_name, em.end("ename"))
-                        parse_stack.pop()
-                        open_at.pop()
-                        if drain:
-                            drain -= 1
-                            if len(parse_stack) < len(vstack):
-                                failure = close_watched(failure)
-                            else:
-                                del text_parts[:]
-                            if not parse_stack:
-                                break
-                            continue
-                        frame = vstack.pop()
-                        failure = end_frame(frame, vstack)
-                        if failure is not None or not parse_stack:
-                            break
-                        continue
+                            em = end_match(src, lpos)
+                            if em is not None:
+                                hit = TOK_END, em
 
             if hit is None:
                 hit = next_content_match()
             if hit is None:
-                # EOF or markup the master regex declined: replay the
-                # event path's slow diagnostics (flush-before-tag
-                # ordering kept — in a cast a text failure beats the
-                # syntax error, exactly as the suspended event generator
-                # never got to raise; a settle reads on to the error).
-                if scanner.at_end():  # the root is still open
-                    raise scanner.error(
-                        f"unterminated element <{parse_stack[-1]}>",
-                        open_at[-1],
-                    )
-                if scanner.starts_with("</"):
-                    if (fault := flush()) is not None:
-                        failure = fault
-                        break
-                    scanner.advance(2)
-                    close_name = scanner.read_name()
-                    if not parse_stack or parse_stack[-1] != close_name:
-                        raise _mismatch(close_name, scanner.pos)
-                    scanner.skip_whitespace()
-                    scanner.expect(">")
-                elif scanner.starts_with("<!--"):
-                    scanner.advance(4)
-                    body = scanner.read_until("-->", what="comment")
-                    if "--" in body:
-                        raise scanner.error(
-                            "'--' is not allowed inside a comment"
-                        )
-                elif scanner.starts_with("<![CDATA["):
-                    scanner.advance(9)
-                    scanner.read_until("]]>", what="CDATA section")
-                elif scanner.starts_with("<?"):
-                    scanner.advance(2)
-                    scanner.read_until("?>", what="processing instruction")
-                else:
-                    if (fault := flush()) is not None:
-                        failure = fault
-                        break
-                    scanner.expect("<")
-                    name = scanner.read_name()
-                    scan_attributes_slow(scanner, name)
-                    if not scanner.match("/>"):
-                        scanner.expect(">")
-                raise AssertionError(
-                    "master regex rejected markup the character-level "
-                    f"scanner accepts at offset {scanner.pos}"
-                )
+                # EOF or markup the master regex declined.  Pending text
+                # is delivered first at a tag, as the event path flushes
+                # before a tag: in a cast a text failure beats the
+                # syntax error (a settle reads on to the error).
+                if (
+                    text_parts
+                    and at_tag(scanner)
+                    and (fault := flush()) is not None
+                ):
+                    failure = fault
+                    break
+                fail_at_markup(scanner, parse_stack[-1], open_at[-1])
             kind, m = hit
 
             if kind == TOK_TEXT:
@@ -813,8 +615,12 @@ def run(kernel, limits, text, trusted):
                     break
                 close_name = m.group("ename")
                 scanner.pos = m.end()
-                if not parse_stack or parse_stack[-1] != close_name:
-                    raise _mismatch(close_name, m.end("ename"))
+                if parse_stack[-1] != close_name:
+                    raise scanner.error(
+                        f"mismatched close tag </{close_name}> for "
+                        f"<{parse_stack[-1]}>",
+                        m.end("ename"),
+                    )
                 parse_stack.pop()
                 open_at.pop()
                 if drain:

@@ -14,8 +14,10 @@ error positions; a tree built from the events equals :func:`parse`'s.
 
 Like the tree parser, the event loop runs on the bulk master regex
 (:data:`repro.xmltree.lexer.MASTER_RE`) — one C-level match per tag or
-text run — and replays malformed markup through the character-level
-scanner primitives so diagnostics are unchanged from the historical
+text run — and replays malformed markup through the tree parser's
+character-level replay (:func:`repro.xmltree.lexer.fail_at_markup`),
+after the pending text's event when the replay reads a tag, so
+diagnostics and event order are unchanged from the historical
 implementation.  Pass ``symbols=`` to intern element labels as they are
 lexed: ``StartElement.sym`` then carries the label's dense id in that
 table (``-1`` otherwise), so an event consumer can skip per-event
@@ -42,8 +44,9 @@ from repro.xmltree.lexer import (
     TOK_START,
     TOK_TEXT,
     Scanner,
+    at_tag,
     expect_root,
-    scan_attributes_slow,
+    fail_at_markup,
     skip_prolog,
     trailing_misc,
 )
@@ -143,7 +146,10 @@ def _element_events(
         pos = scanner.pos
         hit = scanner.next_content_match()
         if hit is None:  # EOF or malformed markup: diagnose, raise
-            yield from _replay_slow(scanner, stack, flush_text)
+            if at_tag(scanner):  # text flushes before a tag is read
+                yield from flush_text()
+            label, start = stack[-1]
+            fail_at_markup(scanner, label, start)
         kind, m = hit
 
         if kind == TOK_TEXT:
@@ -191,8 +197,12 @@ def _element_events(
             yield from flush_text()
             close_name = m.group("ename")
             scanner.pos = m.end()
-            if not stack or stack[-1][0] != close_name:
-                raise _mismatch(scanner, stack, close_name, m.end("ename"))
+            if stack[-1][0] != close_name:
+                raise scanner.error(
+                    f"mismatched close tag </{close_name}> for "
+                    f"<{stack[-1][0]}>",
+                    m.end("ename"),
+                )
             stack.pop()
             yield EndElement(close_name)
             if not stack:
@@ -209,59 +219,6 @@ def _element_events(
 
         else:  # TOK_PI
             scanner.pos = m.end()
-
-
-def _mismatch(scanner: Scanner, stack: list[tuple[str, int]],
-              close_name: str, pos: int):
-    """The tree parser's diagnostic for a close tag that does not close
-    the innermost open element."""
-    expected = f" for <{stack[-1][0]}>" if stack else ""
-    return scanner.error(
-        f"mismatched close tag </{close_name}>{expected}", pos
-    )
-
-
-def _replay_slow(scanner: Scanner, stack: list[tuple[str, int]],
-                 flush_text):
-    """Re-diagnose a position the master regex declined, reproducing the
-    historical character-level event loop's branches (and their event
-    ordering: text flushes before close/start tags are consumed).
-
-    Always raises.
-    """
-    if scanner.at_end():  # the root is still open
-        label, start = stack[-1]
-        raise scanner.error(f"unterminated element <{label}>", start)
-    if scanner.starts_with("</"):
-        yield from flush_text()
-        scanner.advance(2)
-        close_name = scanner.read_name()
-        if not stack or stack[-1][0] != close_name:
-            raise _mismatch(scanner, stack, close_name, scanner.pos)
-        scanner.skip_whitespace()
-        scanner.expect(">")
-    elif scanner.starts_with("<!--"):
-        scanner.advance(4)
-        body = scanner.read_until("-->", what="comment")
-        if "--" in body:
-            raise scanner.error("'--' is not allowed inside a comment")
-    elif scanner.starts_with("<![CDATA["):
-        scanner.advance(len("<![CDATA["))
-        scanner.read_until("]]>", what="CDATA section")
-    elif scanner.starts_with("<?"):
-        scanner.advance(2)
-        scanner.read_until("?>", what="processing instruction")
-    else:
-        yield from flush_text()
-        scanner.expect("<")
-        name = scanner.read_name()
-        scan_attributes_slow(scanner, name)
-        if not scanner.match("/>"):
-            scanner.expect(">")
-    raise AssertionError(
-        "master regex rejected markup the character-level scanner accepts "
-        f"at offset {scanner.pos}"
-    )
 
 
 class PullParser:

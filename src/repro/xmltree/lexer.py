@@ -87,20 +87,26 @@ MASTER_RE = re.compile(
 
 #: The start- and end-tag arms of the master, byte-for-byte the same
 #: patterns (same group names, same acceptance).  Where the master
-#: sweep is stale anyway (a leaf match moved the cursor out of band),
-#: the fused validation kernel (:mod:`repro.core.castkernel`) branches
-#: on the character after ``<`` and matches only the one arm that can
-#: apply, instead of reseeding the full alternation.
+#: sweep is stale anyway (a record hit or a drained leaf moved the
+#: cursor out of band), the fused validation kernel
+#: (:mod:`repro.core.castkernel`) branches on the character after
+#: ``<`` and matches only the one arm that can apply, instead of
+#: reseeding the full alternation; the match goes on to the kernel's
+#: general start- or end-tag branch.
 START_TAG_RE = re.compile(
     r"<(?P<sname>" + NAME_PATTERN + r")(?P<attrs>(?:" + _ATTR_PATTERN +
     r")*)[ \t\r\n]*(?P<selfclose>/?)>"
 )
 END_TAG_RE = re.compile(r"</(?P<ename>" + NAME_PATTERN + r")[ \t\r\n]*>")
 
-#: Leaf fast path: an attribute-free start tag, entity-free and
+#: Drained leaf: an attribute-free start tag, entity-free and
 #: bracket-free text, and the matching close tag — one C-level match
-#: consumes a whole leaf element.  ``]`` is excluded from the text so
-#: the ``]]>``-in-character-data check stays on the general path; a
+#: consumes a whole leaf element.  The fused kernel matches it only
+#: inside a drain (a subsumed subtree, or the rest of a plain
+#: validation being settled), where a leaf is read for well-formedness
+#: alone; a validated leaf goes through the general branches, or whole
+#: with its record.  ``]`` is excluded from the text so the
+#: ``]]>``-in-character-data check stays on the general path; a
 #: declined match costs one failed anchor and falls through.
 LEAF_RE = re.compile(
     r"<(" + NAME_PATTERN + r")>([^<&\]]*)</\1[ \t\r\n]*>"
@@ -303,9 +309,9 @@ class Scanner:
         does not start exactly at the cursor means the master declined
         at the cursor (malformed markup); the sweep is discarded and
         ``None`` returned, exactly as the anchored ``match`` would
-        have.  Any out-of-band cursor move (leaf and one-arm tag
-        matches, byte-level skims, slow-path replays) simply reseeds the
-        sweep on the next call.
+        have.  Any out-of-band cursor move (record, drained-leaf and
+        one-arm tag matches, byte-level skims) simply reseeds the sweep
+        on the next call.
         """
         pos = self.pos
         if self._finditer_pos != pos or self._finditer is None:
@@ -550,8 +556,9 @@ def expect_root(scanner: Scanner) -> None:
     primitives for the tree parser's diagnostic ("expected an XML
     name" right after the ``<`` of a CDATA section or close tag).
 
-    Shared by the tree parser, the event parser and the fused kernel,
-    so a document without a root element fails the same way in each.
+    Shared by the tree parser, the token stream, the event parser and
+    the fused kernel, so a document without a root element fails the
+    same way in each.
     """
     if not scanner.starts_with("<"):
         raise scanner.error("expected the root element")
@@ -640,13 +647,34 @@ def _read_internal_subset(scanner: Scanner) -> str:
             scanner.advance()
 
 
+#: The markup :func:`fail_at_markup` reads as no tag.
+_NOT_TAGS = ("<!--", "<![CDATA[", "<?")
+
+
+def at_tag(scanner: Scanner) -> bool:
+    """Whether :func:`fail_at_markup` reads a tag at the cursor, not the
+    end of the text, a comment, a CDATA section or a PI.  A caller with
+    pending character data delivers it first there, as the
+    character-level loops did before a tag, so a failure on the text
+    beats the tag's syntax error."""
+    return not scanner.at_end() and not scanner.text.startswith(
+        _NOT_TAGS, scanner.pos
+    )
+
+
 def fail_at_markup(scanner: Scanner, open_label: str, open_pos: int) -> None:
-    """Diagnose a master-regex mismatch inside element content.
+    """Diagnose a master-regex mismatch inside element content, where
+    ``open_label`` (opened at ``open_pos``) is the innermost open
+    element.
 
     The bulk arms decline to match malformed markup; this routine
     re-scans the cursor position with the character-level primitives,
     reproducing exactly the diagnostics of the pre-regex
-    implementation.  It always raises.
+    implementation.  It always raises.  It is the one replay behind
+    the tree parser, the token stream, the event parser and the fused
+    kernel, so malformed markup fails the same way in each (the event
+    parser and the kernel deliver pending text first at a tag; see
+    :func:`at_tag`).
     """
     if scanner.at_end():
         raise scanner.error(f"unterminated element <{open_label}>", open_pos)
@@ -740,11 +768,11 @@ def iter_tokens(
     """
     scanner = Scanner(text, limits=limits, deadline=deadline)
     skip_prolog(scanner)
-    if not scanner.starts_with("<"):
-        raise scanner.error("expected the root element")
-    depth = 0
-    open_labels = [""]
-    open_positions = [0]
+    expect_root(scanner)
+    # Open elements; the root's start tag comes first and the stream
+    # ends when it closes, so the stacks are never empty below.
+    open_labels: list[str] = []
+    open_positions: list[int] = []
     # The master sweep runs in generator locals: one C-level
     # ``finditer`` drives the whole token stream, with gap detection (a
     # hit that does not start at the cursor means the master declined
@@ -783,10 +811,9 @@ def iter_tokens(
                 tok_pos,
             )
             if not self_closing:
-                depth += 1
                 open_labels.append(name)
                 open_positions.append(tok_pos)
-            elif depth == 0:
+            elif not open_labels:
                 break
         elif kind == TOK_END:
             name = m.group("ename")
@@ -798,10 +825,9 @@ def iter_tokens(
                 )
             scanner.pos = pos
             yield TOK_END, name, tok_pos
-            depth -= 1
             open_labels.pop()
             open_positions.pop()
-            if depth == 0:
+            if not open_labels:
                 break
         elif kind == TOK_COMMENT:
             body = m.group("comment")

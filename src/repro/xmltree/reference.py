@@ -327,6 +327,11 @@ def reference_tokens(
     _skip_prolog(scanner)
     if not scanner.starts_with("<"):
         raise scanner.error("expected the root element")
+    if scanner.peek(1) not in _NAME_START:
+        # No start tag (a close tag or CDATA section, say): the root
+        # must be an element, and reading one fails on its name.
+        scanner.advance(1)
+        scanner.read_name()
     depth = 0
     open_labels = [""]
     open_positions = [0]

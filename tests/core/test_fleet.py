@@ -74,11 +74,14 @@ class TestFleetReuse:
 
     def test_memo_persists_across_batches(self, exp2_fresh_pair, tmp_path):
         # The same corpus twice over one fleet: the second batch should
-        # hit the workers' resident memos, proof the worker state (not
-        # just the processes) survives between calls.
+        # hit the worker's resident memo, proof the worker state (not
+        # just the process) survives between calls.  One worker, so the
+        # split of the documents over workers cannot vary the counts:
+        # the first order fills the memo, the three identical orders
+        # after it hit it, and the second batch hits all four.
         paths = write_corpus(tmp_path, 4)
         with WorkerFleet(
-            exp2_fresh_pair, 2, config=FleetConfig(memo_size=4096)
+            exp2_fresh_pair, 1, config=FleetConfig(memo_size=4096)
         ) as fleet:
             first = validate_batch(
                 exp2_fresh_pair, paths, fleet=fleet, memo_size=4096
@@ -87,6 +90,8 @@ class TestFleetReuse:
                 exp2_fresh_pair, paths, fleet=fleet, memo_size=4096
             )
         assert second.stats.memo_hits > first.stats.memo_hits
+        assert (first.stats.memo_hits, first.stats.memo_misses) == (3, 6)
+        assert (second.stats.memo_hits, second.stats.memo_misses) == (4, 0)
 
     def test_closed_fleet_rejects_validate(self, exp2_fresh_pair, tmp_path):
         paths = write_corpus(tmp_path, 2)

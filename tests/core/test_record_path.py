@@ -168,6 +168,13 @@ def reordered_leaves(record: str) -> str:
             + record[second.end():])
 
 
+def after(text: str):
+    """Append ``text`` to the record, where a record-path hit leaves the
+    cursor: the next tag is read by the one-arm matches, and markup the
+    master declines is replayed there."""
+    return lambda record: record + text
+
+
 #: Out of range for every leaf type of both pairs: longer than
 #: ``maxLength`` 100, above every decimal bound, not a date.
 TOO_BIG = "9" * 101
@@ -206,6 +213,20 @@ NEAR_MISSES = {
     "out-of-range-first": set_value(0, TOO_BIG),
     "out-of-range-middle": set_value(1, TOO_BIG),
     "out-of-range-last": set_value(-1, TOO_BIG),
+    # After the record: a cast answers the stray text's failure before a
+    # tag or ``<!x>``, and the syntax error before an unterminated
+    # comment, CDATA section or PI.
+    "parent-wrong-close-after": after("</itemz>"),
+    "malformed-start-after": after("<item a=>"),
+    "open-comment-after": after("<!-- c"),
+    "open-cdata-after": after("<![CDATA[x"),
+    "open-pi-after": after("<?pi x"),
+    "text-parent-wrong-close-after": after("x</itemz>"),
+    "text-malformed-start-after": after("x<item a=>"),
+    "text-open-comment-after": after("x<!-- c"),
+    "text-open-cdata-after": after("x<![CDATA[x"),
+    "text-open-pi-after": after("x<?pi x"),
+    "text-bad-markup-after": after("x<!x>"),
 }
 
 

@@ -4,10 +4,11 @@ way through every entry point.
 Past the prolog (XML declaration, comments, PIs, DOCTYPE) the next
 construct must be the root element.  A CDATA section or a close tag
 there is not one: ``parse`` answers "expected an XML name" right after
-its ``<``, and the event parser, the fused kernel (cast and plain
-validation), the reference cast, the file cast and the service must
-give the same diagnostic at the same position — never a ``valid``
-verdict, a different message, or an unhandled exception.
+its ``<``, and the token stream and its character-level oracle, the
+event parser, the fused kernel (cast and plain validation), the
+reference cast, the file cast and the service must give the same
+diagnostic at the same position — never a ``valid`` verdict, a
+different message, or an unhandled exception.
 """
 
 from __future__ import annotations
@@ -24,7 +25,9 @@ from repro.workloads.purchase_orders import (
     target_schema_experiment2,
 )
 from repro.xmltree.events import iterparse
+from repro.xmltree.lexer import iter_tokens
 from repro.xmltree.parser import parse
+from repro.xmltree.reference import reference_tokens
 
 from tests.service.conftest import boot
 
@@ -62,6 +65,16 @@ def test_parse(text):
     error = raised(lambda: parse(text))
     assert str(error) == expected(text)
     assert (error.line, error.column) == (1, ROOTLESS[text])
+
+
+@TEXTS
+def test_iter_tokens(text):
+    assert str(raised(lambda: list(iter_tokens(text)))) == expected(text)
+
+
+@TEXTS
+def test_reference_tokens(text):
+    assert str(raised(lambda: list(reference_tokens(text)))) == expected(text)
 
 
 @TEXTS
