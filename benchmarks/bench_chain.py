@@ -238,6 +238,7 @@ def main(argv=None) -> int:
             },
         },
         source="bench_chain.py",
+        quick=args.quick,
         chain_length=len(chain.schemas),
     )
     update_bench_json(
@@ -255,6 +256,7 @@ def main(argv=None) -> int:
             },
         },
         source="bench_chain.py",
+        quick=args.quick,
     )
     print(f"wrote {os.path.normpath(args.json)}")
 

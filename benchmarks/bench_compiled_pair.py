@@ -177,6 +177,7 @@ def main(argv=None) -> int:
             },
         },
         source="bench_compiled_pair.py",
+        quick=args.quick,
     )
     print(f"wrote {os.path.normpath(args.json)}")
 

@@ -279,6 +279,7 @@ def main(argv=None) -> int:
             },
         },
         source="bench_fleet.py",
+        quick=args.quick,
     )
     print(f"wrote {os.path.normpath(args.json)}")
 

@@ -207,6 +207,7 @@ def main(argv=None) -> int:
             },
         },
         source="bench_memo_cast.py",
+        quick=args.quick,
     )
     print(f"wrote {os.path.normpath(args.json)}")
 

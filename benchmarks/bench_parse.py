@@ -251,6 +251,7 @@ def main(argv=None) -> int:
             },
         },
         source="bench_parse.py",
+        quick=args.quick,
     )
     print(f"wrote {os.path.normpath(args.json)}")
 

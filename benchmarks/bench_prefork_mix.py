@@ -136,7 +136,7 @@ def main(argv=None) -> int:
         "correct": tally.correct,
         "attempted": tally.attempted,
         "failed": tally.failed,
-    }}, source="bench_prefork_mix.py")
+    }}, source="bench_prefork_mix.py", quick=False)
     print(f"speedup {speedup}x at 2 processes (bar {BAR}x, "
           f"cpu_count={cpu_count}); {tally.attempted} answers checked, "
           f"{tally.failed} failed")

@@ -639,7 +639,8 @@ def main(argv=None) -> int:
                 f"the {floor}x floor (cpu_count={cpu_count})"
             )
 
-    update_bench_json(args.json, entries, source="bench_service.py")
+    update_bench_json(args.json, entries, source="bench_service.py",
+                      quick=args.quick)
     print(f"wrote {os.path.normpath(args.json)}")
 
     if failures:

@@ -179,6 +179,7 @@ def main(argv=None) -> int:
             },
         },
         source="bench_stream_skip.py",
+        quick=args.quick,
     )
     print(f"wrote {os.path.normpath(args.json)}")
 

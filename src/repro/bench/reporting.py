@@ -70,15 +70,18 @@ def update_bench_json(
     entries: Mapping[str, Mapping[str, object]],
     *,
     source: str,
+    quick: bool,
     chain_length: Optional[int] = None,
 ) -> str:
     """Merge benchmark records into the machine-readable results file.
 
     ``entries`` maps a benchmark name to its JSON-serializable record;
     each record is stamped with ``source`` (the emitting script),
-    ``cpu_count`` (``os.cpu_count()`` of the measuring machine, so a
-    scaling number can never be read without its hardware context), and
-    ``kernel_backend`` (always ``py``; older records may say
+    ``quick`` (whether the script ran its ``--quick`` smoke scale, so a
+    smoke record merged into a shared file never passes for a full
+    one), ``cpu_count`` (``os.cpu_count()`` of the measuring machine, so
+    a scaling number can never be read without its hardware context),
+    and ``kernel_backend`` (always ``py``; older records may say
     ``compiled``, from a since-removed C backend).
     The file layout is ``{"version": 1, "results": {name: record}}``;
     records for benchmarks not named in ``entries`` are preserved, so
@@ -102,6 +105,7 @@ def update_bench_json(
         stamped = {
             **record,
             "source": source,
+            "quick": quick,
             "cpu_count": os.cpu_count(),
             "kernel_backend": backend_name(),
         }

@@ -2,26 +2,35 @@
 
 Validates the Δ-encoded tree ``T'`` of an :class:`UpdateSession` against
 the target schema, exploiting source-validity of the original tree ``T``
-wherever the ``modified`` predicate says a subtree is untouched.  The
-four cases of the paper:
+wherever the ``modified`` predicate says a subtree is untouched.  Each
+node falls in one of the paper's four cases, and each case has one walk:
 
-1. unmodified subtree → hand off to the no-modifications cast validator
+1. unmodified subtree → the no-modifications cast,
+   :meth:`CastValidator._walk <repro.core.cast.CastValidator._walk>`
    (Section 3.2);
 2. ``Δ^a_ε`` (deleted) → nothing to validate;
-3. ``Δ^ε_b`` (inserted) → no source knowledge, full target validation of
-   the subtree;
-4. otherwise → check the node's content string under ``Proj_new``
-   against ``regexp_τ'`` — here the Section 4.3 *string cast with
-   modifications* applies, since the ``Proj_old`` string is known to be
-   in ``L(regexp_τ)`` — then recurse with the child-type pairs derived
-   from the two projections.
+3. ``Δ^ε_b`` (inserted) → no source knowledge, so full target
+   validation of the subtree by the plain validator,
+   :func:`repro.core.validator._walk`, on the raw tree: an inserted
+   subtree holds only inserted nodes, so no tombstone lies below it;
+4. otherwise (a marked original node) → this module's :meth:`_walk
+   <CastWithModificationsValidator._walk>` checks the node's content
+   string under ``Proj_new`` against ``regexp_τ'`` — here the Section
+   4.3 *string cast with modifications* applies, since the ``Proj_old``
+   string is known to be in ``L(regexp_τ)`` — then routes each child by
+   its Δ-label and its mark.
+
+A node the source assigns no type (a broken promise) has no source
+knowledge either: marked, it still goes to :meth:`_walk
+<CastWithModificationsValidator._walk>`, which then checks its content
+with a plain target scan; unmarked, it goes to the plain validator.
 
 The walk enters only marked nodes (a touched node or an ancestor of
 one).  At each of them a child costs one Δ lookup, which gives both
 projections, and one mark lookup; an unmarked child goes straight to
-:meth:`CastValidator._walk <repro.core.cast.CastValidator._walk>`, so it
-costs what it costs in the Section 3.2 cast.  Like that walk, this one
-returns ``None`` on success and allocates a report only on failure.
+the Section 3.2 cast, so it costs what it costs there.  Like those
+walks, this one returns ``None`` on success and allocates a report only
+on failure.
 """
 
 from __future__ import annotations
@@ -33,6 +42,7 @@ from repro.core.cast import CastValidator
 from repro.core.memo import ValidationMemo
 from repro.core.result import ValidationReport, ValidationStats
 from repro.core.updates import UpdateSession
+from repro.core.validator import _walk as _validate_subtree
 from repro.core.validator import attribute_violation
 from repro.errors import DocumentTooDeepError
 from repro.guards import Deadline, Limits, resolve_limits
@@ -45,10 +55,13 @@ from repro.xmltree.dom import Element, Text
 class CastWithModificationsValidator:
     """Revalidates an edited, originally S-valid document against S'.
 
-    ``collect_stats=False`` runs the same walk (including the embedded
-    no-modifications cast of case 1) with the counters left out.  Both
-    modes check content on the compiled dense tables, except the
-    Section 4.3 string cast with modifications
+    Three walks serve the four cases of Section 3.3: the embedded
+    no-modifications cast (case 1, untouched subtrees), the plain
+    validator (case 3, inserted subtrees) and :meth:`_walk` (case 4,
+    marked original nodes); a deleted node (case 2) is skipped.
+    ``collect_stats=False`` runs the same walks with the counters left
+    out.  All of them check content on the compiled dense tables, except
+    the Section 4.3 string cast with modifications
     (:meth:`~repro.automata.stringcast.StringCastValidator.validate_modified`).
     """
 
@@ -75,7 +88,6 @@ class CastWithModificationsValidator:
         # the embedded cast validator) — modified subtrees never reach
         # it, and the update session invalidates structural hashes along
         # every Δ's Dewey path, so stale fingerprints cannot survive.
-        self._memo = memo
         self._cast = CastValidator(
             pair,
             use_string_cast=use_string_cast,
@@ -85,16 +97,11 @@ class CastWithModificationsValidator:
         )
 
     def validate(self, session: UpdateSession) -> ValidationReport:
-        memo_base = (
-            self._memo.snapshot() if self._memo is not None else None
-        )
+        cast = self._cast
+        memo = cast._memo
+        memo_base = memo.snapshot() if memo is not None else None
         report = self._validate_session(session)
-        if memo_base is not None:
-            assert self._memo is not None
-            hits, misses, evictions = self._memo.snapshot()
-            report.stats.memo_hits += hits - memo_base[0]
-            report.stats.memo_misses += misses - memo_base[1]
-            report.stats.memo_evictions += evictions - memo_base[2]
+        cast._fill_memo_stats(memo_base, report.stats)
         return report
 
     def _validate_session(self, session: UpdateSession) -> ValidationReport:
@@ -117,24 +124,20 @@ class CastWithModificationsValidator:
                 "target schema"
             )
         stats = ValidationStats() if self.collect_stats else None
-        old_label = session.proj_old(root)
-        source_type = (
-            self.pair.source.root_type(old_label)
-            if old_label is not None
-            else None
-        )
-        if source_type is None:
-            # An inserted root (not reachable through UpdateSession) or
-            # a broken promise: no source knowledge at all.
-            failure = self._full_validate_live(
-                session, target_type, root, stats
-            )
-        elif session.modified(root):
+        # The root is never inserted, so it has an old label; the source
+        # assigns it no type only under a broken promise.
+        source_type = self.pair.source.root_type(session.proj_old(root))
+        if session.modified(root):
             failure = self._walk(
                 session, source_type, target_type, root, stats
             )
-        else:
+        elif source_type is not None:
             failure = cast._walk(source_type, target_type, root, stats)
+        else:
+            failure = _validate_subtree(
+                self.pair.target, target_type, root, stats, 0,
+                self._max_depth, self._deadline, False,
+            )
         report = ValidationReport.success() if failure is None else failure
         if stats is not None:
             report.stats = stats
@@ -145,13 +148,22 @@ class CastWithModificationsValidator:
     def _walk(
         self,
         session: UpdateSession,
-        source_type: str,
+        source_type: Optional[str],
         target_type: str,
         element: Element,
         stats: Optional[ValidationStats],
         depth: int = 0,
     ) -> Optional[ValidationReport]:
-        """Cases 2–4 at a marked ``element``; ``None`` means valid."""
+        """Case 4 at a marked original ``element``; ``None`` means valid.
+
+        ``source_type`` is ``None`` when the source assigns the element
+        no type (a broken promise); its content then gets the plain
+        target scan, as under a simple source type.  Each live child is
+        routed by its Δ-label and its mark: an inserted child (case 3)
+        to the plain validator, a marked one back here, an unmarked one
+        to the Section 3.2 cast (case 1), or to the plain validator when
+        the source assigns it no type.  Tombstones (case 2) are skipped.
+        """
         if depth > self._max_depth:
             raise DocumentTooDeepError(
                 f"element tree deeper than {self._max_depth} levels"
@@ -165,8 +177,9 @@ class CastWithModificationsValidator:
             # Unlike the untouched case, subsumption of τ by τ' says
             # nothing about a modified subtree, so no skip here.
             stats.elements_visited += 1
-        target_decl = self.pair.target.type(target_type)
-        violation = attribute_violation(self.pair.target, target_decl, element)
+        target = self.pair.target
+        target_decl = target.type(target_type)
+        violation = attribute_violation(target, target_decl, element)
         if violation:
             return ValidationReport.failure(
                 violation, path=str(element.dewey())
@@ -175,7 +188,7 @@ class CastWithModificationsValidator:
             return self._simple_value(session, target_decl, element, stats)
         assert isinstance(target_decl, ComplexType)
 
-        alphabet = self.pair.target.alphabet
+        alphabet = target.alphabet
         old_labels: list[str] = []
         new_labels: list[str] = []
         live: list[Element] = []
@@ -214,12 +227,11 @@ class CastWithModificationsValidator:
                 new_labels.append(new)
                 live.append(child)
 
-        source_decl = self.pair.source.type(source_type)
-        source_children = (
-            source_decl.child_types
-            if isinstance(source_decl, ComplexType)
-            else None
-        )
+        source_children = None
+        if source_type is not None:
+            source_decl = self.pair.source.type(source_type)
+            if isinstance(source_decl, ComplexType):
+                source_children = source_decl.child_types
         if not self._content_accepts(
             source_type,
             target_type,
@@ -255,101 +267,23 @@ class CastWithModificationsValidator:
                 if source_children is not None and old is not None
                 else None
             )
-            if child_source is None:
-                # Case 3 (inserted) or no usable source type ("if τ is
-                # not a complex type, we must validate each t_i
-                # explicitly"): full target validation of the subtree,
-                # through the live view (tombstones skipped).
-                failure = self._full_validate_live(
-                    session, child_target, child, stats, depth + 1
-                )
-            elif marked:
+            if marked and old is not None:  # case 4
                 failure = self._walk(
                     session, child_source, child_target, child, stats,
                     depth + 1,
                 )
-            else:  # case 1
+            elif child_source is not None:  # case 1
                 failure = cast_walk(
                     child_source, child_target, child, stats, depth + 1
                 )
-            if failure is not None:
-                return failure
-        return None
-
-    def _full_validate_live(
-        self,
-        session: UpdateSession,
-        type_name: str,
-        element: Element,
-        stats: Optional[ValidationStats],
-        depth: int = 0,
-    ) -> Optional[ValidationReport]:
-        """Full target validation of a subtree through the session's
-        live view (deleted tombstones are invisible); ``None`` means
-        valid."""
-        if depth > self._max_depth:
-            raise DocumentTooDeepError(
-                f"element tree deeper than {self._max_depth} levels"
-            )
-        if self._deadline is not None:
-            self._deadline.tick()
-        if stats is not None:
-            stats.elements_visited += 1
-        declaration = self.pair.target.type(type_name)
-        violation = attribute_violation(self.pair.target, declaration, element)
-        if violation:
-            return ValidationReport.failure(
-                violation, path=str(element.dewey())
-            )
-        if isinstance(declaration, SimpleType):
-            return self._simple_value(session, declaration, element, stats)
-        assert isinstance(declaration, ComplexType)
-        live = session.live_children(element)
-        labels: list[str] = []
-        for child in live:
-            if isinstance(child, Text):
-                if child.value.strip() == "":
-                    continue
-                if stats is not None:
-                    stats.text_nodes_visited += 1
-                return ValidationReport.failure(
-                    f"complex type {type_name!r} does not allow "
-                    "character data",
-                    path=str(child.dewey()),
+            else:
+                # Case 3 (inserted: only inserted nodes below, so the raw
+                # subtree is the live one) or an untouched subtree with
+                # no source knowledge: full target validation.
+                failure = _validate_subtree(
+                    target, child_target, child, stats, depth + 1,
+                    self._max_depth, self._deadline, False,
                 )
-            if child.label not in self.pair.target.alphabet:
-                return ValidationReport.failure(
-                    f"label {child.label!r} does not occur in the "
-                    "target schema",
-                    path=str(child.dewey()),
-                )
-            labels.append(child.label)
-        immed = self.pair.target_immed_compiled(type_name)
-        syms = self.pair.symbols.encode(labels)
-        if stats is None:
-            accepted = immed.decide(syms)
-        else:
-            accepted, scanned, _, _ = immed.scan(syms)
-            stats.content_symbols_scanned += scanned
-        if not accepted:
-            return ValidationReport.failure(
-                f"children of {element.label!r} do not match content "
-                f"model {declaration.content.to_source()} of type "
-                f"{type_name!r}",
-                path=str(element.dewey()),
-            )
-        for child in live:
-            if isinstance(child, Text):
-                continue
-            child_type = declaration.child_types.get(child.label)
-            if child_type is None:
-                return ValidationReport.failure(
-                    f"no type assigned to label {child.label!r}",
-                    path=str(child.dewey()),
-                )
-            failure = self._full_validate_live(
-                session, child_type, child, stats, depth + 1
-            )
             if failure is not None:
                 return failure
         return None
@@ -358,7 +292,7 @@ class CastWithModificationsValidator:
 
     def _content_accepts(
         self,
-        source_type: str,
+        source_type: Optional[str],
         target_type: str,
         old_labels: Optional[list[str]],
         new_labels: list[str],

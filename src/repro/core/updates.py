@@ -201,10 +201,6 @@ class UpdateSession:
     def is_touched(self, node: Node) -> bool:
         return id(node) in self._deltas
 
-    def live_children(self, element: Element) -> list[Node]:
-        """Children that exist in the updated tree (tombstones skipped)."""
-        return [c for c in element.children if not self.is_deleted(c)]
-
     # -- the modified() predicate ---------------------------------------------
 
     def modified(self, node: Node) -> bool:

@@ -10,7 +10,10 @@ Property-based tests and the ablation benchmarks need three samplers:
 * :func:`random_word` — a random member of a DFA's language.
 
 All randomness flows through an explicit ``random.Random`` instance so
-every generated artifact is reproducible from a seed.
+every generated artifact is reproducible from a seed.  No draw depends
+on the iteration order of a set or of a dict filled from one (sorted
+order is used instead), so a seed gives the same artifacts under every
+``PYTHONHASHSEED``.
 """
 
 from __future__ import annotations
@@ -150,7 +153,7 @@ def random_schema(
         expression = random_regex(rng, used) if used else EPSILON
         child_types = {
             label: rng.choice(all_names)
-            for label in expression.symbols()
+            for label in sorted(expression.symbols())
         }
         attributes = {}
         if simple_names and rng.random() < 0.3:
@@ -221,7 +224,7 @@ def random_word(
             return word
         options = [
             (symbol, dst)
-            for symbol, dst in dfa.transitions[state].items()
+            for symbol, dst in sorted(dfa.transitions[state].items())
             if dst in distance
         ]
         if len(word) >= max_length:

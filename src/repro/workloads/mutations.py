@@ -110,7 +110,7 @@ def perturb_schema(
     exists (degenerate schemas).
     """
     types = dict(schema.types)
-    candidates = list(types)
+    candidates = sorted(types)
     rng.shuffle(candidates)
     for type_name in candidates:
         declaration = types[type_name]

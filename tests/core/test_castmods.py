@@ -5,7 +5,7 @@ import pytest
 from repro.core.castmods import CastWithModificationsValidator
 from repro.core.updates import UpdateSession
 from repro.core.validator import validate_document
-from repro.schema.model import Schema, complex_type
+from repro.schema.model import Schema, attribute, complex_type
 from repro.schema.registry import SchemaPair
 from repro.schema.simple import builtin, restrict
 from repro.workloads.purchase_orders import make_purchase_order
@@ -263,3 +263,197 @@ class TestUnsoundSkipFails:
         assert session.delta(inserted) is None
         assert not session.modified(session.document.root)
         assert _outcome(validator.validate(session)) == baseline
+
+
+def assert_answers_as_full(pair, session):
+    """Counted and uncounted runs both answer ``(valid, reason, path)``
+    exactly as full validation of the materialized result document."""
+    full = validate_document(pair.target, session.result_document())
+    expected = (full.valid, full.reason, full.path)
+    for collect_stats in (True, False):
+        report = CastWithModificationsValidator(
+            pair, collect_stats=collect_stats
+        ).validate(session)
+        assert (report.valid, report.reason, report.path) == expected
+    return full
+
+
+def insert_item(session, fields):
+    """Insert a fresh ``item`` as the second child of ``items``, with one
+    inserted leaf per ``(label, text)`` field (no text when ``None``)."""
+    items = session.document.root.find("items")
+    item = session.insert_element(items, 1, "item")
+    for label, text in fields:
+        leaf = session.insert_element(item, len(item.children), label)
+        if text is not None:
+            session.insert_text(leaf, 0, text)
+    return item
+
+
+VALID_ITEM = [("productName", "p"), ("quantity", "3"), ("USPrice", "1.5")]
+
+
+class TestInsertedSubtreesAnswerAsFullValidation:
+    """Case 3: an inserted subtree goes through the plain validator, so a
+    fault inside it answers with full validation's reason and path."""
+
+    def test_valid_inserted_item(self, exp2_pair):
+        session = UpdateSession(make_purchase_order(4))
+        insert_item(session, VALID_ITEM)
+        assert assert_answers_as_full(exp2_pair, session).valid
+
+    def test_undeclared_label_two_levels_down(self, exp2_pair):
+        # items (marked) > item (inserted) > shipDay: the target never
+        # declares shipDay, and the scan of the inserted item's content
+        # finds it.
+        session = UpdateSession(make_purchase_order(4))
+        insert_item(session, VALID_ITEM + [("shipDay", "Monday")])
+        full = assert_answers_as_full(exp2_pair, session)
+        assert not full.valid
+        assert full.reason == (
+            "unexpected element 'shipDay' in content of 'Item'"
+        )
+        assert full.path == "2.1.3"
+
+    def test_bad_value_in_inserted_leaf(self, exp2_pair):
+        session = UpdateSession(make_purchase_order(4))
+        insert_item(session, [("productName", "p"), ("quantity", "150"),
+                              ("USPrice", "1.5")])
+        full = assert_answers_as_full(exp2_pair, session)
+        assert not full.valid
+        assert "150" in full.reason
+        assert full.path == "2.1.1"
+
+    def test_character_data_in_inserted_complex_element(self, exp2_pair):
+        session = UpdateSession(make_purchase_order(4))
+        item = insert_item(session, VALID_ITEM)
+        session.insert_text(item, 1, "stray")
+        full = assert_answers_as_full(exp2_pair, session)
+        assert not full.valid
+        assert "does not allow character data" in full.reason
+        assert full.path == "2.1.1"
+
+    def test_missing_required_child(self, exp2_pair):
+        session = UpdateSession(make_purchase_order(4))
+        insert_item(session, [("productName", "p"), ("USPrice", "1.5")])
+        full = assert_answers_as_full(exp2_pair, session)
+        assert not full.valid
+        assert "do not match content model" in full.reason
+        assert full.path == "2.1"
+
+
+@pytest.fixture()
+def group_pair():
+    """Source and target ``t: (a*, g*)`` with ``g: (a, b)``; the target
+    declares an optional ``id`` attribute on ``g`` and narrows ``b``."""
+
+    def build(b_type, g_attributes, name):
+        return Schema(
+            {
+                "T": complex_type("T", "(a*,g*)", {"a": "Str", "g": "G"}),
+                "G": complex_type(
+                    "G", "(a,b)", {"a": "Str", "b": "B"}, g_attributes
+                ),
+                "Str": builtin("string"),
+                "B": b_type,
+            },
+            {"t": "T"},
+            name=name,
+        )
+
+    source = build(builtin("integer"), {}, "src")
+    target = build(
+        restrict(builtin("integer"), "B", min_inclusive=1),
+        {"id": attribute("id", "Str")},
+        "tgt",
+    )
+    return SchemaPair(source, target)
+
+
+class TestEditedInsertedSubtree:
+    @pytest.mark.parametrize("name, valid", [("id", True), ("ref", False)])
+    def test_renamed_attributed_and_pruned(self, group_pair, name, valid):
+        """An inserted subtree renamed, given an attribute and stripped
+        of one inserted child answers as full validation does."""
+        session = UpdateSession(parse("<t><a>x</a></t>"))
+        group = session.insert_element(session.document.root, 1, "h")
+        for label, text in [("a", "y"), ("a", "extra"), ("b", "4")]:
+            leaf = session.insert_element(
+                group, len(group.children), label
+            )
+            session.insert_text(leaf, 0, text)
+        session.rename(group, "g")
+        session.set_attribute(group, name, "g1")
+        extra = group.children[1]
+        session.delete(extra.children[0])
+        session.delete(extra)
+        assert session.delta(extra) is None  # removed outright
+        full = assert_answers_as_full(group_pair, session)
+        assert full.valid is valid
+
+
+@pytest.fixture()
+def promise_pair():
+    """``b`` is simple in the source and complex in the target, so a
+    ``b`` holding elements breaks the source's promise."""
+    source = Schema(
+        {
+            "T": complex_type("T", "(a,b)", {"a": "Str", "b": "Str"}),
+            "Str": builtin("string"),
+        },
+        {"t": "T"},
+        name="src",
+    )
+    target = Schema(
+        {
+            "T": complex_type("T", "(a,b)", {"a": "Str", "b": "B"}),
+            "B": complex_type("B", "(c,d?)", {"c": "C", "d": "Str"}),
+            "C": complex_type("C", "(e)", {"e": "Pos"}),
+            "Str": builtin("string"),
+            "Pos": builtin("positiveInteger"),
+        },
+        {"t": "T"},
+        name="tgt",
+    )
+    return SchemaPair(source, target)
+
+
+BROKEN_PROMISE = "<t><a>x</a><b><c><e>1</e></c><d>y</d></b></t>"
+
+
+class TestMarkedNodeWithoutSourceType:
+    """An edit below a node the source types as simple: the edited path
+    below ``b`` is marked, and the source assigns it no type at all."""
+
+    @pytest.mark.parametrize("value, valid", [("7", True), ("-5", False)])
+    def test_edit_below_simple_source_type(
+        self, promise_pair, value, valid
+    ):
+        session = UpdateSession(parse(BROKEN_PROMISE))
+        e = session.document.root.find("b").find("c").find("e")
+        session.replace_text(e.children[0], value)
+        full = assert_answers_as_full(promise_pair, session)
+        assert full.valid is valid
+        if not valid:
+            assert full.path == "1.0.0"
+
+    def test_rename_below_simple_source_type(self, promise_pair):
+        # The content check of a marked node words its reason as the
+        # updated children; verdict and path are full validation's.
+        session = UpdateSession(parse(BROKEN_PROMISE))
+        session.rename(session.document.root.find("b").find("c").find("e"),
+                       "d")
+        full = validate_document(
+            promise_pair.target, session.result_document()
+        )
+        counted, uncounted = (
+            CastWithModificationsValidator(
+                promise_pair, collect_stats=collect_stats
+            ).validate(session)
+            for collect_stats in (True, False)
+        )
+        outcome = (counted.valid, counted.reason, counted.path)
+        assert (uncounted.valid, uncounted.reason, uncounted.path) == outcome
+        assert (counted.valid, counted.path) == (full.valid, full.path)
+        assert full.path == "1.0"
+        assert counted.reason == "updated " + full.reason

@@ -486,7 +486,7 @@ class TestCounterOracle:
                         document, indent=rng.choice(["", "  ", None])
                     )
                     compared += counts_alike(pair, text)
-        assert compared >= 300  # 480 to 871 over hash seeds 0-19
+        assert compared >= 300  # 480, under every hash seed
 
 
 def validation_outcome(schema, text, *, limits=None, tree=False):

@@ -3,6 +3,8 @@
 import json
 import os
 
+import pytest
+
 from repro.bench.reporting import (
     render_csv,
     render_table,
@@ -99,13 +101,14 @@ class TestUpdateBenchJson:
     def test_creates_fresh_file(self, tmp_path):
         path = tmp_path / "bench.json"
         update_bench_json(
-            str(path), {"a": {"speedup": 2.0}}, source="s.py"
+            str(path), {"a": {"speedup": 2.0}}, source="s.py", quick=False
         )
         data = json.loads(path.read_text())
         assert data["version"] == 1
         assert data["results"]["a"] == {
             "speedup": 2.0,
             "source": "s.py",
+            "quick": False,
             "cpu_count": os.cpu_count(),
             "kernel_backend": "py",
         }
@@ -116,17 +119,34 @@ class TestUpdateBenchJson:
         # backend, unconditionally.
         path = tmp_path / "bench.json"
         update_bench_json(
-            str(path), {"a": {"x": 1}, "b": {"y": 2}}, source="s.py"
+            str(path), {"a": {"x": 1}, "b": {"y": 2}}, source="s.py",
+            quick=False,
         )
         results = json.loads(path.read_text())["results"]
         for record in results.values():
             assert record["cpu_count"] == os.cpu_count()
             assert record["kernel_backend"] == "py"
 
+    def test_every_record_says_whether_it_is_a_smoke_run(self, tmp_path):
+        # A --quick record merged into the shared file beside a full one
+        # must never pass for it, so the writer has no default.
+        path = tmp_path / "bench.json"
+        update_bench_json(str(path), {"full": {"x": 1}}, source="s.py",
+                          quick=False)
+        update_bench_json(str(path), {"smoke": {"x": 2}}, source="s.py",
+                          quick=True)
+        results = json.loads(path.read_text())["results"]
+        assert results["full"]["quick"] is False
+        assert results["smoke"]["quick"] is True
+        with pytest.raises(TypeError):
+            update_bench_json(str(path), {"c": {"x": 3}}, source="s.py")
+
     def test_merge_preserves_other_records(self, tmp_path):
         path = tmp_path / "bench.json"
-        update_bench_json(str(path), {"a": {"x": 1}}, source="one.py")
-        update_bench_json(str(path), {"b": {"y": 2}}, source="two.py")
+        update_bench_json(str(path), {"a": {"x": 1}}, source="one.py",
+                          quick=False)
+        update_bench_json(str(path), {"b": {"y": 2}}, source="two.py",
+                          quick=False)
         results = json.loads(path.read_text())["results"]
         assert results["a"]["x"] == 1
         assert results["a"]["source"] == "one.py"
@@ -135,25 +155,30 @@ class TestUpdateBenchJson:
 
     def test_rewrite_overwrites_same_record(self, tmp_path):
         path = tmp_path / "bench.json"
-        update_bench_json(str(path), {"a": {"x": 1}}, source="s.py")
-        update_bench_json(str(path), {"a": {"x": 9}}, source="s.py")
+        update_bench_json(str(path), {"a": {"x": 1}}, source="s.py",
+                          quick=False)
+        update_bench_json(str(path), {"a": {"x": 9}}, source="s.py",
+                          quick=False)
         results = json.loads(path.read_text())["results"]
         assert results["a"]["x"] == 9
 
     def test_corrupt_file_started_fresh(self, tmp_path):
         path = tmp_path / "bench.json"
         path.write_text("{not json")
-        update_bench_json(str(path), {"a": {"x": 1}}, source="s.py")
+        update_bench_json(str(path), {"a": {"x": 1}}, source="s.py",
+                          quick=False)
         data = json.loads(path.read_text())
         assert data["results"]["a"]["x"] == 1
 
     def test_wrong_shape_started_fresh(self, tmp_path):
         path = tmp_path / "bench.json"
         path.write_text(json.dumps(["not", "a", "dict"]))
-        update_bench_json(str(path), {"a": {"x": 1}}, source="s.py")
+        update_bench_json(str(path), {"a": {"x": 1}}, source="s.py",
+                          quick=False)
         assert json.loads(path.read_text())["results"]["a"]["x"] == 1
 
     def test_no_temp_files_left_behind(self, tmp_path):
         path = tmp_path / "bench.json"
-        update_bench_json(str(path), {"a": {"x": 1}}, source="s.py")
+        update_bench_json(str(path), {"a": {"x": 1}}, source="s.py",
+                          quick=False)
         assert [p.name for p in tmp_path.iterdir()] == ["bench.json"]

@@ -1,7 +1,11 @@
 """Tests for random schema/document generation."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -209,3 +213,57 @@ class TestTreeSampling:
                 node.depth() for node in tree.iter_nodes()
             )
             assert deepest <= 5
+
+
+#: Draws the corpus of ``TestCounterOracle.test_random_pairs`` (random
+#: pairs, then documents sampled from each schema) and edits the first
+#: document of each schema, printing every schema, document and edited
+#: result.
+_CORPUS_SCRIPT = """
+import random
+from repro.core.updates import UpdateSession
+from repro.workloads.generators import sample_document
+from repro.workloads.mutations import random_edits
+from repro.xmltree.serializer import serialize
+from tests.core.test_kernel_equivalence import random_pairs
+
+rng = random.Random(0x5EED)
+for pair in random_pairs(rng, 12):
+    for schema in (pair.source, pair.target):
+        print(sorted((name, repr(t)) for name, t in schema.types.items()))
+        print(sorted(schema.roots.items()))
+        for index in range(60):
+            document = sample_document(rng, schema, max_depth=5)
+            if document is None:
+                break
+            print(serialize(document))
+            if index == 0:
+                session = UpdateSession(document)
+                random_edits(rng, session, 4,
+                             labels=sorted(pair.source.alphabet))
+                print(serialize(session.result_document()))
+"""
+
+
+def _corpus_under_hash_seed(hash_seed: str) -> list[str]:
+    root = Path(__file__).resolve().parents[2]
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+               PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
+    result = subprocess.run(
+        [sys.executable, "-c", _CORPUS_SCRIPT], env=env, cwd=root,
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    return result.stdout.splitlines()
+
+
+class TestHashSeedIndependence:
+    """A seed names one corpus in every process: no draw may depend on
+    the iteration order of a set, which moves with ``PYTHONHASHSEED``."""
+
+    def test_corpus_equal_under_two_hash_seeds(self):
+        first = _corpus_under_hash_seed("0")
+        second = _corpus_under_hash_seed("21")
+        assert len(first) > 300
+        for number, (one, other) in enumerate(zip(first, second)):
+            assert one == other, f"line {number} differs"
+        assert len(first) == len(second)
