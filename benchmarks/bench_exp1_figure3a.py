@@ -6,14 +6,23 @@ of ``item`` elements, for the schema cast validator and the full
 **constant** in document size (it decides at the purchaseOrder content
 model), the full validator's time is **linear**.
 
-Run ``python benchmarks/bench_exp1_figure3a.py`` for the printed series,
-or ``pytest benchmarks/bench_exp1_figure3a.py --benchmark-only`` for
+On text, the product's route, the default ``cast_text`` validates the
+root alone and drains the three subsumed subtrees (both addresses and
+``items``) at every size; ``test_text_cast_constant`` checks that
+untimed, and CI runs it with ``--benchmark-disable``.
+
+Run ``python benchmarks/bench_exp1_figure3a.py`` for the printed series
+(DOM walks and text routes), or
+``pytest benchmarks/bench_exp1_figure3a.py --benchmark-only`` for
 statistics per point.
 """
 
 import pytest
 
+from repro.core.cast import cast_text
+from repro.core.validator import validate_text
 from repro.workloads.purchase_orders import PAPER_ITEM_COUNTS, make_purchase_order
+from repro.xmltree.serializer import serialize
 
 DOCS = {}
 
@@ -39,6 +48,18 @@ def test_full_validator(benchmark, exp1_full, items):
     report = benchmark(exp1_full.validate, doc)
     assert report.valid
     assert report.stats.nodes_visited == doc.size()
+
+
+@pytest.mark.parametrize("items", PAPER_ITEM_COUNTS)
+def test_text_cast_constant(exp1_pair, items):
+    """Untimed: the text cast visits one element and drains three
+    subtrees whatever the size, and agrees with ``validate_text``."""
+    text = serialize(_doc(items), indent="  ")
+    report = cast_text(exp1_pair, text)
+    assert report.valid
+    assert report.stats.elements_visited == 1
+    assert report.stats.subtrees_skipped == 3
+    assert validate_text(exp1_pair.target, text).valid == report.valid
 
 
 if __name__ == "__main__":

@@ -21,14 +21,15 @@ from typing import Callable, Sequence
 
 from repro.baselines.full import FullValidator
 from repro.baselines.preprocessed import PreprocessedIncrementalValidator
-from repro.core.cast import CastValidator
+from repro.core.cast import CastValidator, cast_text
 from repro.core.castmods import CastWithModificationsValidator
 from repro.core.dtdcast import DTDCastValidator
 from repro.core.updates import UpdateSession
-from repro.core.validator import validate_document
+from repro.core.validator import validate_document, validate_text
 from repro.schema.dtd import parse_dtd
 from repro.schema.registry import SchemaPair
 from repro.workloads import purchase_orders as po
+from repro.xmltree.serializer import serialize
 from repro.bench.reporting import render_table
 
 
@@ -42,41 +43,90 @@ def time_call(fn: Callable[[], object], *, repeat: int = 5) -> float:
     return best
 
 
-# -- E1: Figure 3a ---------------------------------------------------------------
+# -- E1/E2: Figures 3a and 3b -----------------------------------------------------
 
-def run_experiment1(
-    item_counts: Sequence[int] = po.PAPER_ITEM_COUNTS, *, repeat: int = 5
-):
-    """Figure 3a: validation time vs item count, billTo optional→required."""
-    pair = SchemaPair(
-        po.source_schema_experiment1(), po.target_schema_experiment1()
-    )
+def _run_figure3(pair: SchemaPair, item_counts: Sequence[int], repeat: int):
+    """One Figure 3 series over ``pair``: the DOM walks on the built
+    order (the paper's setting) and the text routes on the serialized
+    order, bytes in to verdict out (what the product runs) — the
+    default ``cast_text``, ``cast_text(trusted=True)`` and
+    ``validate_text`` under the target."""
     pair.warm()
     cast = CastValidator(pair)
     full = FullValidator(pair.target)
+
+    def timed(fn):
+        return time_call(fn, repeat=repeat) * 1e3
+
     rows = []
     for count in item_counts:
         doc = po.make_purchase_order(count)
+        text = serialize(doc, indent="  ")
         cast_report = cast.validate(doc)
         full_report = full.validate(doc)
         assert cast_report.valid and full_report.valid
+        assert cast_text(pair, text).valid
+        assert cast_text(pair, text, trusted=True).valid
+        assert validate_text(pair.target, text).valid
         rows.append(
             {
                 "items": count,
-                "cast_ms": time_call(lambda: cast.validate(doc),
-                                     repeat=repeat) * 1e3,
-                "full_ms": time_call(lambda: full.validate(doc),
-                                     repeat=repeat) * 1e3,
+                "cast_ms": timed(lambda: cast.validate(doc)),
+                "full_ms": timed(lambda: full.validate(doc)),
                 "cast_nodes": cast_report.stats.nodes_visited,
                 "full_nodes": full_report.stats.nodes_visited,
+                "cast_text_ms": timed(lambda: cast_text(pair, text)),
+                "trusted_ms": timed(
+                    lambda: cast_text(pair, text, trusted=True)
+                ),
+                "validate_text_ms": timed(
+                    lambda: validate_text(pair.target, text)
+                ),
             }
         )
     return rows
 
 
-def report_experiment1(rows) -> str:
+def _report_figure3_text(title: str, rows) -> str:
     return render_table(
-        "Figure 3a — Experiment 1: billTo optional -> required",
+        f"{title}, on text",
+        ["items", "cast_text ms", "trusted ms", "validate_text ms",
+         "speedup", "trusted speedup"],
+        [
+            [
+                row["items"],
+                row["cast_text_ms"],
+                row["trusted_ms"],
+                row["validate_text_ms"],
+                row["validate_text_ms"] / max(row["cast_text_ms"], 1e-9),
+                row["validate_text_ms"] / max(row["trusted_ms"], 1e-9),
+            ]
+            for row in rows
+        ],
+        note=(
+            "speedups over validate_text; the product runs the default "
+            "cast_text, which drains subsumed subtrees with every "
+            "well-formedness check; trusted=True (API only) "
+            "byte-searches past them"
+        ),
+    )
+
+
+def run_experiment1(
+    item_counts: Sequence[int] = po.PAPER_ITEM_COUNTS, *, repeat: int = 5
+):
+    """Figure 3a: validation time vs item count, billTo optional→required."""
+    return _run_figure3(
+        SchemaPair(po.source_schema_experiment1(),
+                   po.target_schema_experiment1()),
+        item_counts, repeat,
+    )
+
+
+def report_experiment1(rows) -> str:
+    title = "Figure 3a — Experiment 1: billTo optional -> required"
+    dom = render_table(
+        title,
         ["items", "cast ms", "full ms", "speedup",
          "cast nodes", "full nodes"],
         [
@@ -95,43 +145,24 @@ def report_experiment1(rows) -> str:
             "linear (no absolute times reported in the text)"
         ),
     )
+    return dom + "\n\n" + _report_figure3_text(title, rows)
 
-
-# -- E2: Figure 3b ---------------------------------------------------------------
 
 def run_experiment2(
     item_counts: Sequence[int] = po.PAPER_ITEM_COUNTS, *, repeat: int = 5
 ):
     """Figure 3b: quantity maxExclusive 200 -> 100."""
-    pair = SchemaPair(
-        po.source_schema_experiment2(), po.target_schema_experiment2()
+    return _run_figure3(
+        SchemaPair(po.source_schema_experiment2(),
+                   po.target_schema_experiment2()),
+        item_counts, repeat,
     )
-    pair.warm()
-    cast = CastValidator(pair)
-    full = FullValidator(pair.target)
-    rows = []
-    for count in item_counts:
-        doc = po.make_purchase_order(count)
-        cast_report = cast.validate(doc)
-        full_report = full.validate(doc)
-        assert cast_report.valid and full_report.valid
-        rows.append(
-            {
-                "items": count,
-                "cast_ms": time_call(lambda: cast.validate(doc),
-                                     repeat=repeat) * 1e3,
-                "full_ms": time_call(lambda: full.validate(doc),
-                                     repeat=repeat) * 1e3,
-                "cast_nodes": cast_report.stats.nodes_visited,
-                "full_nodes": full_report.stats.nodes_visited,
-            }
-        )
-    return rows
 
 
 def report_experiment2(rows) -> str:
-    return render_table(
-        "Figure 3b — Experiment 2: quantity maxExclusive 200 -> 100",
+    title = "Figure 3b — Experiment 2: quantity maxExclusive 200 -> 100"
+    dom = render_table(
+        title,
         ["items", "cast ms", "full ms", "speedup"],
         [
             [
@@ -144,6 +175,7 @@ def report_experiment2(rows) -> str:
         ],
         note="paper: both linear; schema cast about 30% faster than Xerces",
     )
+    return dom + "\n\n" + _report_figure3_text(title, rows)
 
 
 # -- E3: Table 2 -----------------------------------------------------------------

@@ -33,12 +33,20 @@ step, a failing value — changes nothing and falls through, at the
 record's start tag, to the per-tag loop, so every failure report,
 syntax error and guard error still comes from it.
 
-A drain has a fast path of its own: an attribute-free leaf holding
-only entity- and bracket-free text is read by one C-level match
-(:data:`~repro.xmltree.lexer.LEAF_RE`), with nothing in it validated.
-A record hit or a drained leaf leaves the lexer's master sweep behind,
-so the tag after it is matched by its own arm of the master
-(:data:`~repro.xmltree.lexer.START_TAG_RE`,
+A drain has a fast path of its own, with the record path's shape: a
+whole flat element is read by one C-level match
+(:data:`~repro.xmltree.lexer.DRAIN_FLAT_RE`), and failing that an
+attribute-free leaf holding only entity- and bracket-free text
+(:data:`~repro.xmltree.lexer.LEAF_RE`), with nothing in either
+validated.  A drain checks well-formedness alone, so the match needs
+no type, and a hit is well-formed by construction.  The flat match
+keeps the record path's guards: it is tried only when its leaves fit
+under ``max_tree_depth``, the deadline ticks once per element it
+consumed, and a settle feeds its watched frame the outer element
+alone.  Anything else falls through to the leaf match and the per-tag
+branches.  A record hit or a drained element leaves the lexer's master
+sweep behind, so the tag after it is matched by its own arm of the
+master (:data:`~repro.xmltree.lexer.START_TAG_RE`,
 :data:`~repro.xmltree.lexer.END_TAG_RE`) instead of a reseeded sweep
 and goes on to the general start- or end-tag branch.  Markup the
 master declines is replayed by the tree parser's
@@ -103,6 +111,7 @@ from repro.schema.pairkernel import (
 )
 from repro.schema.simple import compiled_checker
 from repro.xmltree.lexer import (
+    DRAIN_FLAT_RE,
     END_TAG_RE,
     LEAF_RE,
     START_TAG_RE,
@@ -168,6 +177,7 @@ def run(kernel, limits, text, trusted):
     next_content_match = scanner.next_content_match
     start_tag_parts = scanner.start_tag_parts
     leaf_match = LEAF_RE.match
+    drain_flat_match = DRAIN_FLAT_RE.match
     ws_match = XML_WS_RE.match
     start_match = START_TAG_RE.match
     end_match = END_TAG_RE.match
@@ -328,7 +338,7 @@ def run(kernel, limits, text, trusted):
             pos = scanner.pos
             hit = None
 
-            # -- drained leaf, record path and one-arm tag matches -------
+            # -- drained element, record path and one-arm tag matches ----
             if (vstack or drain) and pos < n:
                 lpos = pos
                 if src[pos] != "<" and (
@@ -348,17 +358,26 @@ def run(kernel, limits, text, trusted):
                             lpos = wend
                 if src[lpos] == "<":
                     if drain:
-                        # -- drained leaf: one match, nothing validated
-                        if (leaf := leaf_match(src, lpos)) is not None:
+                        # -- drained flat element or leaf: one match,
+                        # nothing validated; the flat match only where
+                        # its leaves fit under the depth bound
+                        if (
+                            len(parse_stack) + 2 <= depth_limit
+                            and (dm := drain_flat_match(src, lpos))
+                            is not None
+                        ) or (dm := leaf_match(src, lpos)) is not None:
                             if len(parse_stack) >= depth_limit:
                                 check_depth(len(parse_stack) + 1, limits_)
                             if deadline is not None:
-                                deadline.tick()
+                                # One tick per element consumed.
+                                for _ in range(src.count("</", lpos,
+                                                         dm.end())):
+                                    deadline.tick()
                             if len(parse_stack) == len(vstack):  # settling
-                                failure = feed(leaf.group(1), failure)
+                                failure = feed(dm.group(1), failure)
                             else:
                                 del text_parts[:]
-                            scanner.pos = leaf.end()
+                            scanner.pos = dm.end()
                             continue
                     elif (
                         not text_parts
@@ -414,7 +433,7 @@ def run(kernel, limits, text, trusted):
                     if lpos != pos or scanner._finditer_pos != pos:
                         # One-arm tag matches, taken only when the master
                         # sweep is already stale (a record hit or a
-                        # drained leaf moved the cursor out of band) or
+                        # drained element moved the cursor out of band) or
                         # leading whitespace was swallowed — the cases
                         # where the sweep would have to reseed anyway.
                         # Either tag goes on to the general dispatch.

@@ -87,7 +87,7 @@ MASTER_RE = re.compile(
 
 #: The start- and end-tag arms of the master, byte-for-byte the same
 #: patterns (same group names, same acceptance).  Where the master
-#: sweep is stale anyway (a record hit or a drained leaf moved the
+#: sweep is stale anyway (a record hit or a drained element moved the
 #: cursor out of band), the fused validation kernel
 #: (:mod:`repro.core.castkernel`) branches on the character after
 #: ``<`` and matches only the one arm that can apply, instead of
@@ -104,12 +104,27 @@ END_TAG_RE = re.compile(r"</(?P<ename>" + NAME_PATTERN + r")[ \t\r\n]*>")
 #: consumes a whole leaf element.  The fused kernel matches it only
 #: inside a drain (a subsumed subtree, or the rest of a plain
 #: validation being settled), where a leaf is read for well-formedness
-#: alone; a validated leaf goes through the general branches, or whole
-#: with its record.  ``]`` is excluded from the text so the
-#: ``]]>``-in-character-data check stays on the general path; a
-#: declined match costs one failed anchor and falls through.
+#: alone, once :data:`DRAIN_FLAT_RE` declines; a validated leaf goes
+#: through the general branches, or whole with its record.  ``]`` is
+#: excluded from the text so the ``]]>``-in-character-data check stays
+#: on the general path; a declined match costs one failed anchor and
+#: falls through.
 LEAF_RE = re.compile(
     r"<(" + NAME_PATTERN + r")>([^<&\]]*)</\1[ \t\r\n]*>"
+)
+
+#: Drained flat element: an attribute-free start tag, one or more
+#: leaves of the :data:`LEAF_RE` shape with only whitespace between
+#: them, and the matching close tag — one C-level match consumes a
+#: whole element such as a purchase order's ``item``.  The fused kernel
+#: tries it inside a drain ahead of :data:`LEAF_RE`: a drain checks
+#: well-formedness alone, so the match needs no type, and a hit is
+#: well-formed by construction.  Each repetition starts at ``<`` and a
+#: leaf's text cannot cross a tag, so a declined match costs at most
+#: one scan of the element and falls through.
+DRAIN_FLAT_RE = re.compile(
+    r"<(" + NAME_PATTERN + r")>(?:[ \t\r\n]*<(" + NAME_PATTERN
+    + r")>[^<&\]]*</\2[ \t\r\n]*>)+[ \t\r\n]*</\1[ \t\r\n]*>"
 )
 
 #: An XML whitespace run.  The fused kernel lets indentation ride along

@@ -9,7 +9,11 @@ import pytest
 
 from repro.baselines.full import FullValidator
 from repro.bench.harness import (
+    report_experiment1,
+    report_experiment2,
     run_dtd_index,
+    run_experiment1,
+    run_experiment2,
     run_table2,
     run_table3,
     run_tree_modifications,
@@ -104,6 +108,14 @@ class TestHarnessRunners:
         assert all(
             row["pair_state"] < row["preproc_cells"] for row in rows
         )
+
+    def test_figure3_rows_time_the_text_routes(self):
+        for run, report in ((run_experiment1, report_experiment1),
+                            (run_experiment2, report_experiment2)):
+            rows = run(item_counts=(2,), repeat=1)
+            assert {"cast_ms", "full_ms", "cast_text_ms", "trusted_ms",
+                    "validate_text_ms"} <= set(rows[0])
+            assert "on text" in report(rows)
 
     def test_dtd_index_rows(self):
         rows = run_dtd_index(sizes=(5, 50), repeat=1)
