@@ -6,10 +6,14 @@ Expected shape: both linear in item count; cast strictly below full for
 every size; the per-item delta constant.  (The paper's absolute counts
 include DOM-navigation nodes Xerces touches; our counters count
 validation visits only, so our ratio is lower — see EXPERIMENTS.md.)
+The kernel's counts on the serialized order (``cast_text``,
+``validate_text``) must equal the DOM walks' at every size; CI checks
+that untimed, with ``--benchmark-disable``.
 """
 
 import pytest
 
+from repro.bench.harness import run_table3
 from repro.workloads.purchase_orders import (
     PAPER_ITEM_COUNTS,
     PAPER_TABLE3_NODES,
@@ -31,6 +35,14 @@ def test_node_counts(benchmark, exp2_cast, exp2_full, items):
     paper_cast, paper_full = PAPER_TABLE3_NODES[items]
     assert cast_nodes < full_nodes                  # same ordering
     assert paper_cast < paper_full
+
+
+@pytest.mark.parametrize("items", PAPER_ITEM_COUNTS)
+def test_kernel_counts_equal_the_dom_walks(items):
+    """Untimed: Table 3's text columns equal its DOM columns."""
+    (row,) = run_table3([items])
+    assert row["cast_text_nodes"] == row["cast_nodes"]
+    assert row["validate_text_nodes"] == row["full_nodes"]
 
 
 def test_per_item_costs_are_constant(exp2_cast, exp2_full):
@@ -55,6 +67,6 @@ def test_per_item_costs_are_constant(exp2_cast, exp2_full):
 
 
 if __name__ == "__main__":
-    from repro.bench.harness import report_table3, run_table3
+    from repro.bench.harness import report_table3
 
     print(report_table3(run_table3()))

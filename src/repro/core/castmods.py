@@ -3,16 +3,19 @@
 Validates the Δ-encoded tree ``T'`` of an :class:`UpdateSession` against
 the target schema, exploiting source-validity of the original tree ``T``
 wherever the ``modified`` predicate says a subtree is untouched.  Each
-node falls in one of the paper's four cases, and each case has one walk:
+node falls in one of the paper's four cases:
 
-1. unmodified subtree → the no-modifications cast,
-   :meth:`CastValidator._walk <repro.core.cast.CastValidator._walk>`
-   (Section 3.2);
+1. unmodified subtree → the no-modifications cast (Section 3.2): the
+   :class:`~repro.core.validator.TreeWalk` over the pair's kernel,
+   entered with the child's ``action[sid]`` in the marked parent's
+   :class:`~repro.schema.pairkernel.PairRecord`;
 2. ``Δ^a_ε`` (deleted) → nothing to validate;
 3. ``Δ^ε_b`` (inserted) → no source knowledge, so full target
-   validation of the subtree by the plain validator,
-   :func:`repro.core.validator._walk`, on the raw tree: an inserted
-   subtree holds only inserted nodes, so no tombstone lies below it;
+   validation of the subtree: the same walk over the target schema's
+   own kernel (:meth:`TreeWalk.validate_as
+   <repro.core.validator.TreeWalk.validate_as>`), on the raw tree: an
+   inserted subtree holds only inserted nodes, so no tombstone lies
+   below it;
 4. otherwise (a marked original node) → this module's :meth:`_walk
    <CastWithModificationsValidator._walk>` checks the node's content
    string under ``Proj_new`` against ``regexp_τ'`` — here the Section
@@ -23,29 +26,32 @@ node falls in one of the paper's four cases, and each case has one walk:
 A node the source assigns no type (a broken promise) has no source
 knowledge either: marked, it still goes to :meth:`_walk
 <CastWithModificationsValidator._walk>`, which then checks its content
-with a plain target scan; unmarked, it goes to the plain validator.
+with a plain target scan; unmarked, it gets full target validation as
+in case 3.
 
 The walk enters only marked nodes (a touched node or an ancestor of
 one).  At each of them a child costs one Δ lookup, which gives both
 projections, and one mark lookup; an unmarked child goes straight to
-the Section 3.2 cast, so it costs what it costs there.  Like those
-walks, this one returns ``None`` on success and allocates a report only
-on failure.
+the Section 3.2 cast, so it costs what it costs there.  Like the tree
+walk, this one returns ``None`` on success and allocates a report only
+on failure.  A rejection's Dewey path is reported in the edited
+document (:meth:`UpdateSession.live_path
+<repro.core.updates.UpdateSession.live_path>`), where full
+revalidation of :meth:`~repro.core.updates.UpdateSession
+.result_document` reports it.
 """
 
 from __future__ import annotations
 
-import sys
 from typing import Optional
 
 from repro.core.cast import CastValidator
 from repro.core.memo import ValidationMemo
 from repro.core.result import ValidationReport, ValidationStats
 from repro.core.updates import UpdateSession
-from repro.core.validator import _walk as _validate_subtree
-from repro.core.validator import attribute_violation
+from repro.core.validator import TreeWalk, attribute_violation
 from repro.errors import DocumentTooDeepError
-from repro.guards import Deadline, Limits, resolve_limits
+from repro.guards import Limits, resolve_limits
 from repro.schema.model import ComplexType, SimpleType
 from repro.schema.registry import SchemaPair
 from repro.schema.simple import value_checker
@@ -55,13 +61,13 @@ from repro.xmltree.dom import Element, Text
 class CastWithModificationsValidator:
     """Revalidates an edited, originally S-valid document against S'.
 
-    Three walks serve the four cases of Section 3.3: the embedded
-    no-modifications cast (case 1, untouched subtrees), the plain
-    validator (case 3, inserted subtrees) and :meth:`_walk` (case 4,
-    marked original nodes); a deleted node (case 2) is skipped.
-    ``collect_stats=False`` runs the same walks with the counters left
-    out.  All of them check content on the compiled dense tables, except
-    the Section 4.3 string cast with modifications
+    Two walks serve the four cases of Section 3.3: the tree walk over
+    kernel records (case 1, untouched subtrees, on the pair's kernel;
+    case 3, inserted subtrees, on the target's) and :meth:`_walk`
+    (case 4, marked original nodes); a deleted node (case 2) is
+    skipped.  ``collect_stats=False`` runs the same walks with the
+    counters left out.  All of them check content on the compiled dense
+    tables, except the Section 4.3 string cast with modifications
     (:meth:`~repro.automata.stringcast.StringCastValidator.validate_modified`).
     """
 
@@ -78,16 +84,10 @@ class CastWithModificationsValidator:
         self.use_string_cast = use_string_cast
         self.collect_stats = collect_stats
         self.limits = resolve_limits(limits)
-        self._max_depth = (
-            self.limits.max_tree_depth
-            if self.limits.max_tree_depth is not None
-            else sys.maxsize
-        )
-        self._deadline: Optional[Deadline] = None
-        # The memo only ever serves case 1 (untouched subtrees, handed to
-        # the embedded cast validator) — modified subtrees never reach
-        # it, and the update session invalidates structural hashes along
-        # every Δ's Dewey path, so stale fingerprints cannot survive.
+        # The memo only ever serves case 1 (untouched subtrees, walked
+        # by the embedded cast) — modified subtrees never reach it, and
+        # the update session invalidates structural hashes along every
+        # Δ's Dewey path, so stale fingerprints cannot survive.
         self._cast = CastValidator(
             pair,
             use_string_cast=use_string_cast,
@@ -102,16 +102,11 @@ class CastWithModificationsValidator:
         memo_base = memo.snapshot() if memo is not None else None
         report = self._validate_session(session)
         cast._fill_memo_stats(memo_base, report.stats)
+        if not report.valid:
+            report.path = session.live_path(report.path)
         return report
 
     def _validate_session(self, session: UpdateSession) -> ValidationReport:
-        # One deadline spans the whole walk, shared with the embedded
-        # cast validator (case 1 hands subtrees to it mid-recursion).
-        # Case-1 subtrees are never relabelled or inserted, so the cast
-        # may read their parsed-in ``sym`` ids.
-        cast = self._cast
-        self._deadline = cast._deadline = self.limits.deadline()
-        cast._interned = session.document.symbols is self.pair.symbols
         root = session.document.root
         if session.is_deleted(root):
             return ValidationReport.failure("the root element was deleted")
@@ -124,20 +119,27 @@ class CastWithModificationsValidator:
                 "target schema"
             )
         stats = ValidationStats() if self.collect_stats else None
+        # One deadline spans the whole walk, case-1 and case-3 subtrees
+        # included.  Case-1 subtrees are never relabelled or inserted,
+        # so the cast may read their parsed-in ``sym`` ids.
+        walk = self._cast.walk(
+            stats,
+            self.limits.deadline(),
+            session.document.symbols is self.pair.symbols,
+        )
         # The root is never inserted, so it has an old label; the source
         # assigns it no type only under a broken promise.
         source_type = self.pair.source.root_type(session.proj_old(root))
         if session.modified(root):
             failure = self._walk(
-                session, source_type, target_type, root, stats
+                session, walk, source_type, target_type, root, 0
             )
         elif source_type is not None:
-            failure = cast._walk(source_type, target_type, root, stats)
-        else:
-            failure = _validate_subtree(
-                self.pair.target, target_type, root, stats, 0,
-                self._max_depth, self._deadline, False,
+            failure = walk.visit(
+                self.pair.kernel().root_actions[new_label], root, 0
             )
+        else:
+            failure = walk.validate_as(target_type, root, 0)
         report = ValidationReport.success() if failure is None else failure
         if stats is not None:
             report.stats = stats
@@ -148,28 +150,30 @@ class CastWithModificationsValidator:
     def _walk(
         self,
         session: UpdateSession,
+        walk: TreeWalk,
         source_type: Optional[str],
         target_type: str,
         element: Element,
-        stats: Optional[ValidationStats],
-        depth: int = 0,
+        depth: int,
     ) -> Optional[ValidationReport]:
         """Case 4 at a marked original ``element``; ``None`` means valid.
 
         ``source_type`` is ``None`` when the source assigns the element
         no type (a broken promise); its content then gets the plain
         target scan, as under a simple source type.  Each live child is
-        routed by its Δ-label and its mark: an inserted child (case 3)
-        to the plain validator, a marked one back here, an unmarked one
-        to the Section 3.2 cast (case 1), or to the plain validator when
-        the source assigns it no type.  Tombstones (case 2) are skipped.
+        routed by its Δ-label and its mark: a marked one back here, an
+        unmarked one to the Section 3.2 cast (case 1) with its action
+        in this node's pair record, and an inserted one (case 3), or an
+        unmarked one the source assigns no type, to full target
+        validation.  Tombstones (case 2) are skipped.
         """
-        if depth > self._max_depth:
+        if depth > walk.max_depth:
             raise DocumentTooDeepError(
-                f"element tree deeper than {self._max_depth} levels"
+                f"element tree deeper than {walk.max_depth} levels"
             )
-        if self._deadline is not None:
-            self._deadline.tick()
+        if walk.deadline is not None:
+            walk.deadline.tick()
+        stats = walk.stats
         deltas = session._deltas
         if stats is not None:
             if id(element) in deltas:
@@ -220,8 +224,8 @@ class CastWithModificationsValidator:
                     # not know at all — cannot be valid, and content
                     # automata (which may early-accept) never see it.
                     return ValidationReport.failure(
-                        f"label {new!r} does not occur in the target "
-                        "schema",
+                        f"unexpected element {new!r} in content of "
+                        f"{target_type!r}",
                         path=str(child.dewey()),
                     )
                 new_labels.append(new)
@@ -248,7 +252,8 @@ class CastWithModificationsValidator:
 
         marks = session._marked()
         target_children = target_decl.child_types
-        cast_walk = self._cast._walk
+        ids = self.pair.symbols.ids
+        record = None  # this node's pair record, for its unmarked children
         for child, new in zip(live, new_labels):
             child_target = target_children.get(new)
             if child_target is None:
@@ -269,21 +274,24 @@ class CastWithModificationsValidator:
             )
             if marked and old is not None:  # case 4
                 failure = self._walk(
-                    session, child_source, child_target, child, stats,
+                    session, walk, child_source, child_target, child,
                     depth + 1,
                 )
             elif child_source is not None:  # case 1
-                failure = cast_walk(
-                    child_source, child_target, child, stats, depth + 1
+                if record is None:
+                    kernel = walk.kernel
+                    record = kernel.record(
+                        kernel.record_id(source_type, target_type)
+                    )
+                sid = ids[new]
+                failure = walk.visit(
+                    record.action[sid], child, depth + 1, record, sid
                 )
             else:
                 # Case 3 (inserted: only inserted nodes below, so the raw
                 # subtree is the live one) or an untouched subtree with
                 # no source knowledge: full target validation.
-                failure = _validate_subtree(
-                    target, child_target, child, stats, depth + 1,
-                    self._max_depth, self._deadline, False,
-                )
+                failure = walk.validate_as(child_target, child, depth + 1)
             if failure is not None:
                 return failure
         return None

@@ -235,6 +235,23 @@ class UpdateSession:
             raise UpdateError("the root element was deleted")
         return Document(self._copy_live(root))
 
+    def live_path(self, path: str) -> str:
+        """The Dewey path, in :meth:`result_document`, of the node at
+        ``path`` in the session's tree: each step counts only the live
+        siblings before it, since tombstones keep their places here."""
+        if not path:
+            return path
+        node = self.document.root
+        steps = []
+        for step in map(int, path.split(".")):
+            siblings = node.children
+            steps.append(sum(
+                1 for sibling in siblings[:step]
+                if not self.is_deleted(sibling)
+            ))
+            node = siblings[step]
+        return ".".join(map(str, steps))
+
     def _copy_live(self, element: Element) -> Element:
         clone = Element(element.label, dict(element.attributes))
         for child in element.children:

@@ -1,4 +1,5 @@
-"""Plain top-down validation against one abstract XML Schema.
+"""Plain top-down validation against one abstract XML Schema, and the
+one tree walk every tree semantics runs.
 
 This is the paper's baseline ``doValidate``/``validate`` pseudocode
 (Section 3): check the root label is a permitted root, then recursively
@@ -6,14 +7,18 @@ check each element's child-label string against its type's content
 model and descend into every child.  Simple types require exactly one
 χ (text) child whose value conforms.
 
-One tree walk, :func:`_walk`, validates documents that are already
-trees: the full-traversal baseline in :mod:`repro.baselines.full`
-(unmodified Xerces), repair, identity constraints and edited documents.
-It runs on the schema's compiled content tables and counts into a
+:class:`TreeWalk` validates documents that are already trees, reading
+each node's work from a :class:`~repro.schema.pairkernel.PairKernel`
+record: over :meth:`Schema.kernel
+<repro.schema.model.Schema.kernel>` it is this plain validation (the
+full-traversal baseline in :mod:`repro.baselines.full`, repair,
+identity constraints, edited documents), over a pair's kernel the
+Section 3.2 cast (:class:`~repro.core.cast.CastValidator`, and the
+untouched subtrees of the cast with modifications).  It counts into a
 :class:`ValidationStats` only when given one, so the counted and
 uncounted modes share every line.  Text is validated without a tree by
-:func:`validate_text`, which runs the fused cast kernel over the
-schema's own tables and answers exactly as ``validate_document(schema,
+:func:`validate_text`, which runs the fused cast kernel over the same
+tables and answers exactly as ``validate_document(schema,
 parse(text))`` does, in one pass: the kernel settles its own
 rejections (:mod:`repro.core.castkernel`).
 """
@@ -33,7 +38,17 @@ from repro.guards import (
     resolve_limits,
 )
 from repro.schema.model import ComplexType, Schema, SimpleType, TypeDef
-from repro.schema.simple import value_checker
+from repro.schema.pairkernel import (
+    A_DISJOINT,
+    A_NO_SOURCE,
+    A_NO_TARGET,
+    A_SUBSUME,
+    K_MACHINE,
+    K_PLAIN,
+    K_SIMPLE,
+    PairRecord,
+)
+from repro.schema.simple import compiled_checker
 from repro.xmltree.dom import Document, Element, Text
 
 #: Attribute names outside validation: namespace machinery and the
@@ -181,13 +196,14 @@ def validate_root(
     deadline: Optional[Deadline] = None,
     interned: bool = False,
 ) -> ValidationReport:
-    type_name = schema.root_type(root.label)
-    if type_name is None:
+    kernel = schema.kernel()
+    action = kernel.root_actions.get(root.label, A_NO_TARGET)
+    if action == A_NO_TARGET:
         return ValidationReport.failure(
             f"label {root.label!r} is not a permitted root", path=""
         )
     stats = ValidationStats() if collect_stats else None
-    return _report(schema, type_name, root, stats, limits, deadline, interned)
+    return _report(kernel, action, root, stats, limits, deadline, interned)
 
 
 def validate_element(
@@ -199,83 +215,179 @@ def validate_element(
 ) -> ValidationReport:
     """Validate one element (and its subtree) against a named type,
     counting into ``stats`` (a fresh one when ``None``)."""
+    kernel = schema.kernel()
     stats = stats if stats is not None else ValidationStats()
-    return _report(schema, type_name, element, stats, limits, deadline, False)
+    return _report(
+        kernel, kernel.record_id(None, type_name), element, stats,
+        limits, deadline, False,
+    )
 
 
 def _report(
-    schema: Schema,
-    type_name: str,
+    kernel,
+    action: int,
     element: Element,
     stats: Optional[ValidationStats],
     limits: Optional[Limits],
     deadline: Optional[Deadline],
     interned: bool,
 ) -> ValidationReport:
-    """:func:`_walk` under ``limits`` (ambient when ``None``) and
+    """The plain :class:`TreeWalk` from ``element``, entered with
+    ``action``, under ``limits`` (ambient when ``None``) and
     ``deadline`` (started from the limits when ``None``), as a report
     carrying ``stats`` when there is one."""
     limits = resolve_limits(limits)
-    max_depth = (
-        limits.max_tree_depth
-        if limits.max_tree_depth is not None
-        else sys.maxsize
-    )
     if deadline is None:
         deadline = limits.deadline()
-    failure = _walk(
-        schema, type_name, element, stats, 0, max_depth, deadline, interned
-    )
+    failure = TreeWalk(
+        kernel, stats, deadline, max_depth(limits), interned=interned
+    ).visit(action, element, 0)
     report = ValidationReport.success() if failure is None else failure
     if stats is not None:
         report.stats = stats
     return report
 
 
-def _walk(
-    schema: Schema,
-    type_name: str,
-    element: Element,
-    stats: Optional[ValidationStats],
-    depth: int,
-    max_depth: int,
-    deadline: Optional[Deadline],
-    interned: bool,
-) -> Optional[ValidationReport]:
-    """The paper's ``validate(τ, e)`` over the schema's compiled content
-    tables.  ``None`` means valid (nothing allocated); a report is the
-    first failure.  Counters go to ``stats`` unless it is ``None``.
+def max_depth(limits: Limits) -> int:
+    """The deepest element level ``limits`` admit."""
+    depth = limits.max_tree_depth
+    return depth if depth is not None else sys.maxsize
 
-    With ``interned=True`` (document lexed against ``schema.symbols``)
-    the content scan and the child-type descent both run on the
-    elements' dense ``sym`` ids — tuple indexing only.  A ``sym`` of
-    ``-1`` (node inserted after parse, or label outside the schema
-    alphabet) falls back to the string lookup, so mutated documents
-    stay correct, just slower on the touched nodes.
 
-    Definition 1's simple case wants one χ (text) child whose value
-    conforms; an empty element carries the empty string, since XML
-    offers no way to tell ``<e></e>`` from an ``<e>`` with a
-    zero-length text child.
+class TreeWalk:
+    """The paper's ``validate(τ, τ', e)`` on an element tree, each node's
+    work read from its :class:`~repro.schema.pairkernel.PairRecord` as
+    the text kernel reads it: the kind, the attribute gate, the content
+    table, the value checker, and per child one ``action[sid]`` — a
+    record to descend into, a subsumed subtree (skipped), a disjoint one
+    (failed), or no type on one side (a broken promise).  Over a
+    schema's kernel (no source side) this is plain validation, over a
+    pair's kernel the cast.
+
+    Counters go to ``stats`` unless it is ``None``.  ``interned=True``
+    reads child labels from ``Element.sym`` (a document lexed against
+    the kernel's symbol table; ``-1``, a node inserted after parse,
+    falls back to the string).  ``use_string_cast=False`` scans a cast's
+    content with the plain target DFA, as the paper's prototype did.  A
+    ``memo`` skips a subtree whose ``(source type, target type,
+    structural hash)`` already validated.
     """
-    if depth > max_depth:
-        raise DocumentTooDeepError(
-            f"element tree deeper than {max_depth} levels"
-        )
-    if deadline is not None:
-        deadline.tick()
-    if stats is not None:
-        stats.elements_visited += 1
-    declaration = schema.types[type_name]
-    if element._attributes or (
-        isinstance(declaration, ComplexType) and declaration.attributes
+
+    __slots__ = ("kernel", "records", "ids", "plain", "string_cast",
+                 "stats", "deadline", "max_depth", "interned", "memo",
+                 "_plain_walk")
+
+    def __init__(
+        self,
+        kernel,
+        stats: Optional[ValidationStats],
+        deadline: Optional[Deadline],
+        max_depth: int,
+        *,
+        interned: bool = False,
+        use_string_cast: bool = True,
+        memo=None,
     ):
-        violation = attribute_violation(schema, declaration, element)
-        if violation:
+        self.kernel = kernel
+        self.records = kernel.records
+        self.ids = kernel.symbols.ids
+        self.plain = kernel.pair is None
+        self.string_cast = use_string_cast
+        self.stats = stats
+        self.deadline = deadline
+        self.max_depth = max_depth
+        self.interned = interned
+        self.memo = memo
+        self._plain_walk: Optional[TreeWalk] = None
+
+    def visit(
+        self,
+        action: int,
+        element: Element,
+        depth: int,
+        parent: Optional[PairRecord] = None,
+        sid: int = -1,
+    ) -> Optional[ValidationReport]:
+        """Validate ``element``, reached with ``action`` from record
+        ``parent`` on label id ``sid`` (``parent`` is ``None`` at the
+        root): ``None`` when the subtree is valid (nothing allocated), a
+        report for the first failure.  A record, a subsumed and a
+        disjoint subtree each cost one depth check and one deadline
+        tick."""
+        if action < 0 and action != A_SUBSUME and action != A_DISJOINT:
+            # No source or no target type: a broken promise.  A simple
+            # source type promised text, so an element child below it
+            # gets full target validation; elsewhere the child was read
+            # past by an IA decision and has no type.
+            if action == A_NO_SOURCE and parent.kind == K_PLAIN:
+                return self.validate_as(
+                    parent.target_decl.child_types[element._label],
+                    element, depth,
+                )
             return ValidationReport.failure(
-                violation, path=str(element.dewey())
+                f"no type assigned to label {element.label!r}",
+                path=str(element.dewey()),
             )
-    if isinstance(declaration, SimpleType):
+        if depth > self.max_depth:
+            raise DocumentTooDeepError(
+                f"element tree deeper than {self.max_depth} levels"
+            )
+        if self.deadline is not None:
+            self.deadline.tick()
+        stats = self.stats
+        if action == A_SUBSUME:
+            if stats is not None:
+                stats.subtrees_skipped += 1
+            return None
+        if action == A_DISJOINT:
+            if stats is not None:
+                stats.disjoint_rejections += 1
+            kernel = self.kernel
+            if parent is None:
+                source_type = kernel.pair.source.root_type(element.label)
+                target_type = kernel.target.root_type(element.label)
+            else:
+                source_type, target_type = kernel.child_types(parent, sid)
+            return ValidationReport.failure(
+                f"source type {source_type!r} is disjoint from target "
+                f"type {target_type!r}",
+                path=str(element.dewey()),
+            )
+        rec = self.records[action]
+        if not rec.ready:
+            self.kernel.materialize(rec)
+        memo = self.memo
+        key = None
+        if memo is not None:
+            key = (rec.source_type, rec.target_type, element.structural_hash())
+            if memo.contains(key):
+                return None  # validated before: skip like a subsumed pair
+        if stats is not None:
+            stats.elements_visited += 1
+        if element._attributes or rec.has_attrs:
+            violation = attribute_violation(
+                self.kernel.target, rec.target_decl, element
+            )
+            if violation:
+                return ValidationReport.failure(
+                    violation, path=str(element.dewey())
+                )
+        if rec.kind == K_SIMPLE:
+            failure = self._simple(rec, element)
+        else:
+            failure = self._complex(rec, element, depth)
+        if key is not None and failure is None:
+            memo.add(key)
+        return failure
+
+    def _simple(
+        self, rec: PairRecord, element: Element
+    ) -> Optional[ValidationReport]:
+        """Definition 1's simple case: one χ (text) child whose value
+        conforms; an empty element carries the empty string, since XML
+        offers no way to tell ``<e></e>`` from an ``<e>`` with a
+        zero-length text child."""
+        declaration = rec.simple_decl
         for child in element.children:
             if isinstance(child, Element):
                 return ValidationReport.failure(
@@ -283,75 +395,133 @@ def _walk(
                     "child elements",
                     path=str(element.dewey()),
                 )
-        if stats is not None:
-            stats.text_nodes_visited += len(element.children)
-            stats.simple_values_checked += 1
+        if self.stats is not None:
+            self.stats.text_nodes_visited += len(element.children)
+            self.stats.simple_values_checked += 1
         text = element.text()
-        if not value_checker(declaration)(text):
+        check = rec.check
+        if check is None:  # record loaded from a pickled artifact
+            check = rec.check = compiled_checker(declaration)
+        if not check(text):
             return ValidationReport.failure(
                 f"value {text!r} does not conform to simple type "
                 f"{declaration.name!r}",
                 path=str(element.dewey()),
             )
         return None
-    compiled = schema.compiled_content_dfa(type_name)
-    ids = schema.symbols.ids
-    flat = compiled.flat
-    width = compiled.width
-    state = compiled.start
-    # Every symbol read so far is in ``syms``, so the scan count is
-    # settled once, wherever the scan stops.
-    syms: list[int] = []
-    for child in element.children:
-        if isinstance(child, Text):
-            if child.value.strip() == "":
-                continue  # ignorable whitespace in element content
-            if stats is not None:
-                stats.text_nodes_visited += 1
-                stats.content_symbols_scanned += len(syms)
-            return ValidationReport.failure(
-                f"complex type {type_name!r} does not allow character data",
-                path=str(child.dewey()),
-            )
-        sid = child.sym if interned else -1
-        if sid < 0:
-            sid = ids.get(child.label, -1)
-            if sid < 0:
+
+    def _complex(
+        self, rec: PairRecord, element: Element, depth: int
+    ) -> Optional[ValidationReport]:
+        """Intern the child-label string and check it, then visit each
+        child with its action.  Plain validation fails a label outside
+        the schema's alphabet at the child, counting the labels read
+        before it, as before a stray text; a cast leaves it (``-1``) to
+        the content scan."""
+        stats = self.stats
+        plain = self.plain
+        interned = self.interned
+        ids = self.ids
+        syms: list[int] = []
+        for child in element.children:
+            if isinstance(child, Text):
+                if child.value.strip() == "":
+                    continue  # ignorable whitespace in element content
                 if stats is not None:
-                    stats.content_symbols_scanned += len(syms)
+                    stats.text_nodes_visited += 1
+                    if plain:
+                        stats.content_symbols_scanned += len(syms)
                 return ValidationReport.failure(
-                    f"unexpected element {child.label!r} in content of "
-                    f"{type_name!r}",
+                    f"complex type {rec.target_type!r} does not allow "
+                    "character data",
                     path=str(child.dewey()),
                 )
-        syms.append(sid)
-        # Content rows are complete over the schema alphabet, so an
-        # interned symbol always has a successor.
-        state = flat[state * width + sid]
-    if stats is not None:
-        stats.content_symbols_scanned += len(syms)
-    if not (compiled.flags[state] & 1):
-        return ValidationReport.failure(
-            f"children of {element.label!r} do not match content model "
-            f"{declaration.content.to_source()} of type {type_name!r}",
-            path=str(element.dewey()),
+            sid = child.sym if interned else -1
+            if sid < 0:
+                sid = ids.get(child._label, -1)
+                if sid < 0 and plain:
+                    if stats is not None:
+                        stats.content_symbols_scanned += len(syms)
+                    return ValidationReport.failure(
+                        f"unexpected element {child.label!r} in content "
+                        f"of {rec.target_type!r}",
+                        path=str(child.dewey()),
+                    )
+            syms.append(sid)
+        if not self._content(rec, syms):
+            return ValidationReport.failure(
+                f"children of {element.label!r} do not match content "
+                f"model {rec.target_decl.content.to_source()} of type "
+                f"{rec.target_type!r}",
+                path=str(element.dewey()),
+            )
+        row = rec.action
+        position = 0
+        for child in element.children:
+            if isinstance(child, Text):
+                continue
+            sid = syms[position]
+            position += 1
+            failure = self.visit(
+                row[sid] if sid >= 0 else A_NO_TARGET,
+                child, depth + 1, rec, sid,
+            )
+            if failure is not None:
+                return failure
+        return None
+
+    def _content(self, rec: PairRecord, syms: list[int]) -> bool:
+        """Is the child-label string in the target content language?  A
+        pair automaton decides with no scan at an IA (the record's
+        ``always_accepts``) or IR start state, and early at an IA or IR
+        state before a symbol or at a symbol it cannot read; a plain DFA
+        runs to its end state.  Only the symbols consumed count."""
+        machine = rec.kind == K_MACHINE and self.string_cast
+        if machine:
+            table, flags, start = rec.table, rec.flags, rec.start
+            if rec.always_accepts or flags[start] & 4:  # IA or IR
+                if self.stats is not None:
+                    self.stats.early_content_decisions += 1
+                return rec.always_accepts
+        elif rec.kind == K_MACHINE:
+            content = self.kernel.pair.target_content(rec.target_type)
+            table, flags, start = content.flat, content.flags, content.start
+        else:
+            table, flags, start = rec.table, rec.flags, rec.start
+        width = rec.width
+        state = start
+        scanned = early = 0
+        for sid in syms:
+            bits = flags[state]
+            if bits & 6:  # IA or IR (pair automata only)
+                early = 1
+                accepted = bool(bits & 2)
+                break
+            state = table[state * width + sid] if sid >= 0 else -1
+            scanned += 1
+            if state < 0:
+                early = 1 if machine else 0
+                accepted = False
+                break
+        else:
+            accepted = bool(flags[state] & 1)
+        if self.stats is not None:
+            self.stats.content_symbols_scanned += scanned
+            self.stats.early_content_decisions += early
+        return accepted
+
+    def validate_as(
+        self, type_name: str, element: Element, depth: int
+    ) -> Optional[ValidationReport]:
+        """Full target validation of ``element`` as ``type_name``, where
+        the source knows nothing: the plain walk over the target
+        schema's kernel, with this walk's counters and guards."""
+        walk = self._plain_walk
+        if walk is None:
+            walk = self._plain_walk = TreeWalk(
+                self.kernel.target.kernel(), self.stats, self.deadline,
+                self.max_depth,
+            )
+        return walk.visit(
+            walk.kernel.record_id(None, type_name), element, depth
         )
-    child_row = schema.child_type_row(type_name)
-    position = 0
-    for child in element.children:
-        if isinstance(child, Text):
-            continue
-        failure = _walk(
-            schema,
-            child_row[syms[position]],
-            child,
-            stats,
-            depth + 1,
-            max_depth,
-            deadline,
-            interned,
-        )
-        position += 1
-        if failure is not None:
-            return failure
-    return None

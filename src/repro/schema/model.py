@@ -135,7 +135,6 @@ class Schema:
         }
         self._dfas: dict[str, DFA] = {}
         self._compiled: dict[str, CompiledDFA] = {}
-        self._child_rows: dict[str, tuple[Optional[str], ...]] = {}
         self._useful: dict[str, frozenset[str]] = {}
         self._reachable: Optional[frozenset[str]] = None
         self._kernel = None
@@ -235,39 +234,16 @@ class Schema:
             )
         return self._compiled[type_name]
 
-    def child_type_row(self, type_name: str) -> tuple[Optional[str], ...]:
-        """``types_τ`` as a dense row over this schema's symbol table
-        (cached): ``row[sym]`` is the child-type name for the label with
-        id ``sym``, or ``None`` where ``types_τ`` is undefined.
-
-        Companion to :meth:`compiled_content_dfa` for the interned fast
-        path — once a child label is a dense id, both the content-model
-        transition and the type assignment for the descent are tuple
-        indexing, no string hashing.
-        """
-        row = self._child_rows.get(type_name)
-        if row is None:
-            declaration = self.type(type_name)
-            if not isinstance(declaration, ComplexType):
-                raise SchemaError(
-                    f"type {type_name!r} is simple; it has no child types"
-                )
-            child_types = declaration.child_types
-            row = tuple(
-                child_types.get(label) for label in self.symbols.labels
-            )
-            self._child_rows[type_name] = row
-        return row
-
     def kernel(self):
         """The plain-validation
         :class:`~repro.schema.pairkernel.PairKernel` of this schema
         (built on first use, then cached): the fused cast's tables with
         no source side, every record ``K_PLAIN`` or ``K_SIMPLE`` over
-        :attr:`symbols`, :meth:`compiled_content_dfa` and
-        :meth:`child_type_row`.  :func:`repro.core.validator
-        .validate_text` runs it through :func:`repro.core.castkernel
-        .run`."""
+        :attr:`symbols` and :meth:`compiled_content_dfa`.
+        :func:`repro.core.validator.validate_text` runs it through
+        :func:`repro.core.castkernel.run`, and the tree walk behind
+        :func:`repro.core.validator.validate_document` reads the same
+        records."""
         if self._kernel is None:
             from repro.schema.pairkernel import PairKernel
 

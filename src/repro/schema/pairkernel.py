@@ -257,25 +257,19 @@ class PairKernel:
         record.ready = True
 
     def _action_row(self, record: PairRecord, source_decl) -> array:
-        pair = self.pair
-        target_row = (
-            pair.target_child_row(record.target_type)
-            if pair is not None
-            else self.target.child_type_row(record.target_type)
-        )
-        source_row = (
-            pair.source_child_row(record.source_type)
+        target_children = record.target_decl.child_types
+        source_children = (
+            source_decl.child_types
             if isinstance(source_decl, ComplexType)
-            else None
+            else {}
         )
         return array(
             "i",
             (
                 self._classify(
-                    source_row[sid] if source_row is not None else None,
-                    target_row[sid],
+                    source_children.get(label), target_children.get(label)
                 )
-                for sid in range(len(self.symbols))
+                for label in self.symbols.labels
             ),
         )
 
@@ -423,15 +417,14 @@ class PairKernel:
     def child_types(self, record: PairRecord, sid: int) -> tuple:
         """(source, target) child types under a record — cold-path
         helper for failure messages."""
-        pair = self.pair
-        target_type = pair.target_child_row(record.target_type)[sid]
-        source_decl = pair.source.type(record.source_type)
+        label = self.symbols.label(sid)
+        source_decl = self.pair.source.type(record.source_type)
         source_type = (
-            pair.source_child_row(record.source_type)[sid]
+            source_decl.child_types.get(label)
             if isinstance(source_decl, ComplexType)
             else None
         )
-        return source_type, target_type
+        return source_type, record.target_decl.child_types.get(label)
 
     def __repr__(self) -> str:
         ready = sum(1 for r in self.records if r.ready)

@@ -151,9 +151,9 @@ class SchemaPair:
     def source_child_row(self, source_type: str) -> tuple:
         """``types_τ`` of a source complex type as a dense row over the
         *pair* symbol table (cached): ``row[sym]`` is the child-type
-        name or ``None``.  With documents parsed against
-        ``pair.symbols``, the cast descent resolves child types by tuple
-        indexing instead of per-child dict lookups on label strings.
+        name or ``None``.  The reference event walk
+        (:mod:`repro.core.reference`) resolves child types with these
+        rows; the kernel's action rows read the declarations directly.
         """
         try:
             rows = self._source_child_rows

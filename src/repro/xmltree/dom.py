@@ -31,9 +31,8 @@ subtrees in O(1).  The invariants:
   layer does this for you).
 
 Hashes are computed lazily and cached, so an unmutated subtree is
-fingerprinted at most once no matter how often it is revalidated; the
-parser additionally seals hashes bottom-up at build time so parsed
-documents arrive fully fingerprinted.
+fingerprinted at most once no matter how often it is revalidated, and
+a tree nobody fingerprints (parsed ones included) never pays for one.
 """
 
 from __future__ import annotations

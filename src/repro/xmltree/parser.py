@@ -14,14 +14,13 @@ content.  Pass ``keep_whitespace=True`` to retain them.
 The implementation is a single iterative loop over the master content
 regex (:data:`repro.xmltree.lexer.MASTER_RE`) with an explicit
 open-element stack: one C-level match consumes a whole tag (attributes
-included) or text run, children are attached without going through the
-mutation-tracked DOM API (the tree under construction has no cached
-hashes to invalidate), and each element's structural hash is sealed
-inline at its close tag from the already-sealed child hashes.  Malformed
-markup makes the master regex decline, and the character-level scanner
-primitives replay the input for a diagnostic identical to the historical
-recursive-descent parser's (which survives as the oracle in
-:mod:`repro.xmltree.reference`).
+included) or text run, and children are attached without going through
+the mutation-tracked DOM API (the tree under construction has no cached
+hashes to invalidate; a structural hash is computed on first use).
+Malformed markup makes the master regex decline, and the
+character-level scanner primitives replay the input for a diagnostic
+identical to the historical recursive-descent parser's (which survives
+as the oracle in :mod:`repro.xmltree.reference`).
 
 Pass ``symbols=`` (a :class:`~repro.automata.compiled.SymbolTable`, e.g.
 ``pair.symbols``) to intern element labels at parse time: every
@@ -43,7 +42,7 @@ from repro.guards import (
     read_document,
     resolve_limits,
 )
-from repro.xmltree.dom import CHI, Document, Element, Text
+from repro.xmltree.dom import Document, Element, Text
 from repro.xmltree.lexer import (
     TOK_CDATA,
     TOK_COMMENT,
@@ -172,15 +171,6 @@ def _parse_tree(
             sym = ids.get(name, -1) if ids is not None else -1
             node = Element._sealed(name, attributes, sym)
             if self_closing:
-                node._shash = hash(
-                    (
-                        name,
-                        tuple(sorted(attributes.items()))
-                        if attributes
-                        else (),
-                        (),
-                    )
-                )
                 if not elements:
                     return node
                 _flush_text(elements[-1], text_buffers[-1], keep_whitespace)
@@ -200,14 +190,6 @@ def _parse_tree(
                 )
             scanner.pos = m.end()
             _flush_text(node, text_buffers[-1], keep_whitespace)
-            attrs = node._attributes
-            node._shash = hash(
-                (
-                    node._label,
-                    tuple(sorted(attrs.items())) if attrs else (),
-                    tuple(child._shash for child in node.children),
-                )
-            )
             elements.pop()
             open_positions.pop()
             text_buffers.pop()
@@ -246,6 +228,4 @@ def _flush_text(
     parts.clear()
     if not keep_whitespace and value.strip() == "":
         return
-    node = Text(value)
-    node._shash = hash((CHI, value))
-    _attach(parent, node)
+    _attach(parent, Text(value))

@@ -431,7 +431,7 @@ def reference_parse(
     deadline: Optional[Deadline] = None,
 ) -> Document:
     """The historical recursive-descent parser, producing the same
-    :class:`Document` (same tree, same sealed hashes) as the production
+    :class:`Document` (the same tree) as the production
     :func:`repro.xmltree.parser.parse`."""
     limits = resolve_limits(limits)
     check_document_size(len(text), limits)
@@ -485,13 +485,10 @@ class _ReferenceParser:
         name = scanner.read_name()
         attributes = dict(_read_attributes(scanner, name))
         if scanner.match("/>"):
-            node = Element(name, attributes)
-            node.structural_hash()
-            return node
+            return Element(name, attributes)
         scanner.expect(">")
         node = Element(name, attributes)
         self._parse_content(node, open_pos, depth)
-        node.structural_hash()
         return node
 
     def _parse_content(self, node: Element, open_pos: int, depth: int) -> None:

@@ -342,6 +342,57 @@ class TestInsertedSubtreesAnswerAsFullValidation:
         assert full.path == "2.1"
 
 
+def delete_subtree(session, node):
+    """Delete ``node`` leaf by leaf, deepest first."""
+    for child in list(getattr(node, "children", ())):
+        delete_subtree(session, child)
+    session.delete(node)
+
+
+def set_quantity(session, item, value):
+    session.replace_text(item.find("quantity").children[0], value)
+
+
+class TestPositionsInTheEditedDocument:
+    """A rejection's Dewey path counts live siblings only, as full
+    validation of the edited document counts them; tombstones keep
+    their places in the session's tree."""
+
+    def test_deleted_item_before_the_fault(self, exp2_pair):
+        session = UpdateSession(make_purchase_order(4))
+        items = session.document.root.find("items").children
+        delete_subtree(session, items[0])
+        set_quantity(session, items[2], "150")
+        full = assert_answers_as_full(exp2_pair, session)
+        assert not full.valid
+        assert full.path == "2.1.1"
+
+    def test_deletion_inside_an_item(self, exp2_pair):
+        # The item keeps a valid child string: its productName is
+        # deleted and a fresh one inserted after the tombstone.
+        session = UpdateSession(make_purchase_order(4))
+        item = session.document.root.find("items").children[1]
+        delete_subtree(session, item.children[0])
+        name = session.insert_element(item, 1, "productName")
+        session.insert_text(name, 0, "replacement")
+        set_quantity(session, item, "150")
+        full = assert_answers_as_full(exp2_pair, session)
+        assert not full.valid
+        assert full.path == "2.1.1"
+
+
+class TestUndeclaredLabelBelowAMarkedNode:
+    def test_renamed_to_a_label_the_target_never_declares(self, exp2_pair):
+        session = UpdateSession(make_purchase_order(4))
+        item = session.document.root.find("items").children[1]
+        session.rename(item.find("shipDate"), "shipDay")
+        full = assert_answers_as_full(exp2_pair, session)
+        assert full.reason == (
+            "unexpected element 'shipDay' in content of 'Item'"
+        )
+        assert full.path == "2.1.3"
+
+
 @pytest.fixture()
 def group_pair():
     """Source and target ``t: (a*, g*)`` with ``g: (a, b)``; the target

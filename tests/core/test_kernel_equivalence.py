@@ -21,9 +21,9 @@ verdict, reason, path and (on a valid document) counters — with no
 tolerance for the tree walk's content-first order, which the kernel's
 drain after a rejection reproduces.
 
-The DOM cast (:class:`~repro.core.cast.CastValidator`) shares no walk
-code with the kernel, so it is the kernel's oracle for the Table-3
-counters: on every document both accept, they count the same work.
+The DOM cast (:class:`~repro.core.cast.CastValidator`) shares the
+kernel's tables but no walk code: on every document both accept, they
+count the same Table-3 work.
 
 The per-value specialization (:func:`repro.schema.simple
 .compiled_checker`) carries the same contract against
@@ -443,8 +443,12 @@ def counts_alike(pair, text):
 
 
 class TestCounterOracle:
-    """The DOM cast and the fused kernel share no walk code, so each is
-    the other's oracle for the Table-3 counters."""
+    """The DOM cast and the fused kernel share the kernel's tables, not
+    walk code: the tree walk reads the same ``PairRecord``s, so these
+    tests pin two walks over one set of tables to the same Table-3
+    counters.  The kernel's independent oracle stays
+    ``reference_cast``, and ``tests/core/test_tree_oracle.py`` checks
+    the tree walk against a validator that reads no table."""
 
     def test_ia_reached_after_the_last_child(self):
         """After ``<a2/>`` the pair automaton of ``(a2|a3)`` against

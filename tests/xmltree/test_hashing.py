@@ -74,8 +74,14 @@ class TestHashEquality:
 
 
 class TestCaching:
-    def test_parser_seals_every_node(self):
+    def test_parsed_tree_hashes_on_first_use(self):
+        """The parser leaves fingerprints to the first caller that asks
+        (only the memo does), and then they equal the built tree's."""
         document = parse("<a><b>x</b><c><d/></c></a>")
+        for node in document.root.iter_nodes():
+            assert node.cached_structural_hash is None
+        built = element("a", element("b", "x"), element("c", element("d")))
+        assert document.root.structural_hash() == built.structural_hash()
         assert_all_cached(document.root)
 
     def test_compute_caches_whole_subtree(self):
