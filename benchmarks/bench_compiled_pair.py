@@ -36,6 +36,8 @@ import tempfile
 import time
 from typing import Callable
 
+from repro.automata.compiled import CompiledImmediate
+from repro.automata.immediate import ImmediateDecisionAutomaton
 from repro.bench.reporting import update_bench_json
 from repro.schema import artifacts
 from repro.schema.registry import SchemaPair
@@ -58,10 +60,14 @@ def best_of(fn: Callable[[], object], reps: int, rounds: int = 3) -> float:
 
 
 def bench_micro(pair: SchemaPair, reps: int) -> tuple[float, float]:
-    """Dict-row ``scan`` vs compiled ``decide`` on Items content."""
+    """Dict-row ``scan`` vs compiled ``decide`` on Items content: the
+    Definition 6 automaton of the target's ``Items`` model and its
+    dense-table compilation over the pair's symbols."""
     word = ["item"] * 200
-    immed = pair.target_immed("Items")
-    compiled = pair.target_immed_compiled("Items")
+    immed = ImmediateDecisionAutomaton.from_dfa(
+        pair.target.content_dfa("Items")
+    )
+    compiled = CompiledImmediate.from_immediate(immed, pair.symbols)
     ids = pair.symbols.encode(word)
     assert immed.scan(word).accepted == compiled.decide(ids)
     dict_time = best_of(lambda: immed.scan(word), reps)

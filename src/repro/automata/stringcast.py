@@ -94,18 +94,14 @@ class StringCastValidator:
         #: True when the initial pair state is already dead — no
         #: source-valid string can be target-valid.
         self.never_accepts = self.c_immed.dfa.start in self.c_immed.ir
-        #: Shared interning table and dense-table compilations of both
-        #: immediate automata; ``None`` when no table was supplied (the
-        #: standalone construction — callers then scan the dict rows).
-        self.symbols = symbols
+        #: The dense-table compilation of ``c_immed`` over the shared
+        #: interning table (the kernel's records read it); ``None`` when
+        #: no table was supplied (the standalone construction — callers
+        #: then scan the dict rows).
         self.c_immed_compiled: Optional[CompiledImmediate] = None
-        self.b_immed_compiled: Optional[CompiledImmediate] = None
         if symbols is not None:
             self.c_immed_compiled = CompiledImmediate.from_immediate(
                 self.c_immed, symbols
-            )
-            self.b_immed_compiled = CompiledImmediate.from_immediate(
-                self.b_immed, symbols
             )
         self._reverse: Optional[_ReverseMachinery] = None
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.baselines.full import FullValidator
@@ -25,8 +24,7 @@ from repro.core.cast import CastValidator, cast_text
 from repro.core.castmods import CastWithModificationsValidator
 from repro.core.dtdcast import DTDCastValidator
 from repro.core.updates import UpdateSession
-from repro.core.validator import validate_document, validate_text
-from repro.schema.dtd import parse_dtd
+from repro.core.validator import validate_text
 from repro.schema.registry import SchemaPair
 from repro.workloads import purchase_orders as po
 from repro.xmltree.serializer import serialize

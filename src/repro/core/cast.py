@@ -131,15 +131,20 @@ class CastValidator:
                 self.pair.target, self.pair.target.root_type(root.label),
                 root, limits=self.limits, deadline=deadline,
             )
-        memo_base = (
-            self._memo.snapshot() if self._memo is not None else None
-        )
+        memo = self._memo
+        memo_base = memo.snapshot() if memo is not None else None
         stats = ValidationStats() if self.collect_stats else None
         failure = self.walk(stats, deadline, interned).visit(action, root, 0)
         report = ValidationReport.success() if failure is None else failure
         if stats is not None:
             report.stats = stats
-        self._fill_memo_stats(memo_base, report.stats)
+        if memo_base is not None:
+            # The memo's counters span its lifetime (possibly many
+            # documents): report this document's deltas.
+            hits, misses, evictions = memo.snapshot()
+            report.stats.memo_hits += hits - memo_base[0]
+            report.stats.memo_misses += misses - memo_base[1]
+            report.stats.memo_evictions += evictions - memo_base[2]
         return report
 
     def walk(
@@ -156,21 +161,6 @@ class CastValidator:
             interned=interned, use_string_cast=self.use_string_cast,
             memo=self._memo,
         )
-
-    def _fill_memo_stats(
-        self,
-        base: Optional[tuple[int, int, int]],
-        stats: ValidationStats,
-    ) -> None:
-        """Report this run's memo activity as per-document deltas (the
-        memo's own counters span its lifetime, possibly many documents)."""
-        if base is None:
-            return
-        assert self._memo is not None
-        hits, misses, evictions = self._memo.snapshot()
-        stats.memo_hits += hits - base[0]
-        stats.memo_misses += misses - base[1]
-        stats.memo_evictions += evictions - base[2]
 
 
 def cast_text(

@@ -109,7 +109,6 @@ from repro.schema.pairkernel import (
     A_SUBSUME,
     K_SIMPLE,
 )
-from repro.schema.simple import compiled_checker
 from repro.xmltree.lexer import (
     DRAIN_FLAT_RE,
     END_TAG_RE,
@@ -298,10 +297,7 @@ def run(kernel, limits, text, trusted):
             value = "".join(parts)
             if not value.strip():
                 value = ""
-            check = rec.check
-            if check is None:  # record loaded from a pickled artifact
-                check = rec.check = compiled_checker(rec.simple_decl)
-            if not check(value):
+            if not rec.check(value):
                 return ValidationReport.failure(
                     f"value {value!r} does not conform to simple type "
                     f"{rec.simple_decl.name!r}",

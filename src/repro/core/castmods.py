@@ -17,28 +17,30 @@ node falls in one of the paper's four cases:
    inserted subtree holds only inserted nodes, so no tombstone lies
    below it;
 4. otherwise (a marked original node) → this module's :meth:`_walk
-   <CastWithModificationsValidator._walk>` checks the node's content
-   string under ``Proj_new`` against ``regexp_τ'`` — here the Section
-   4.3 *string cast with modifications* applies, since the ``Proj_old``
-   string is known to be in ``L(regexp_τ)`` — then routes each child by
-   its Δ-label and its mark.
+   <CastWithModificationsValidator._walk>` checks the node against its
+   pair record, as the tree walk checks an untouched one — attribute
+   gate, value checker, content table — except that a complex/complex
+   pair's content string under ``Proj_new`` gets the Section 4.3
+   *string cast with modifications* against ``regexp_τ'``, since the
+   ``Proj_old`` string is known to be in ``L(regexp_τ)``; then it
+   routes each child by its Δ-label and its mark.
 
 A node the source assigns no type (a broken promise) has no source
 knowledge either: marked, it still goes to :meth:`_walk
-<CastWithModificationsValidator._walk>`, which then checks its content
-with a plain target scan; unmarked, it gets full target validation as
-in case 3.
+<CastWithModificationsValidator._walk>`, on a record with no source
+type, whose content table is the plain target DFA; unmarked, it gets
+full target validation as in case 3.
 
 The walk enters only marked nodes (a touched node or an ancestor of
 one).  At each of them a child costs one Δ lookup, which gives both
 projections, and one mark lookup; an unmarked child goes straight to
 the Section 3.2 cast, so it costs what it costs there.  Like the tree
 walk, this one returns ``None`` on success and allocates a report only
-on failure.  A rejection's Dewey path is reported in the edited
-document (:meth:`UpdateSession.live_path
-<repro.core.updates.UpdateSession.live_path>`), where full
-revalidation of :meth:`~repro.core.updates.UpdateSession
-.result_document` reports it.
+on failure.  A rejection reads as full revalidation of
+:meth:`~repro.core.updates.UpdateSession.result_document` reads it:
+the same reason, and the Dewey path in the edited document
+(:meth:`UpdateSession.live_path
+<repro.core.updates.UpdateSession.live_path>`).
 """
 
 from __future__ import annotations
@@ -46,15 +48,13 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.cast import CastValidator
-from repro.core.memo import ValidationMemo
 from repro.core.result import ValidationReport, ValidationStats
 from repro.core.updates import UpdateSession
 from repro.core.validator import TreeWalk, attribute_violation
 from repro.errors import DocumentTooDeepError
 from repro.guards import Limits, resolve_limits
-from repro.schema.model import ComplexType, SimpleType
+from repro.schema.pairkernel import K_MACHINE, K_SIMPLE, PairRecord
 from repro.schema.registry import SchemaPair
-from repro.schema.simple import value_checker
 from repro.xmltree.dom import Element, Text
 
 
@@ -66,8 +66,10 @@ class CastWithModificationsValidator:
     case 3, inserted subtrees, on the target's) and :meth:`_walk`
     (case 4, marked original nodes); a deleted node (case 2) is
     skipped.  ``collect_stats=False`` runs the same walks with the
-    counters left out.  All of them check content on the compiled dense
-    tables, except the Section 4.3 string cast with modifications
+    counters left out.  Every node's checks come from its
+    :class:`~repro.schema.pairkernel.PairRecord`, and all content checks
+    run on the records' compiled tables, except the Section 4.3 string
+    cast with modifications at a marked complex/complex pair
     (:meth:`~repro.automata.stringcast.StringCastValidator.validate_modified`).
     """
 
@@ -78,30 +80,20 @@ class CastWithModificationsValidator:
         use_string_cast: bool = True,
         collect_stats: bool = True,
         limits: Optional[Limits] = None,
-        memo: Optional[ValidationMemo] = None,
     ):
         self.pair = pair
         self.use_string_cast = use_string_cast
         self.collect_stats = collect_stats
         self.limits = resolve_limits(limits)
-        # The memo only ever serves case 1 (untouched subtrees, walked
-        # by the embedded cast) — modified subtrees never reach it, and
-        # the update session invalidates structural hashes along every
-        # Δ's Dewey path, so stale fingerprints cannot survive.
         self._cast = CastValidator(
             pair,
             use_string_cast=use_string_cast,
             collect_stats=collect_stats,
             limits=self.limits,
-            memo=memo,
         )
 
     def validate(self, session: UpdateSession) -> ValidationReport:
-        cast = self._cast
-        memo = cast._memo
-        memo_base = memo.snapshot() if memo is not None else None
         report = self._validate_session(session)
-        cast._fill_memo_stats(memo_base, report.stats)
         if not report.valid:
             report.path = session.live_path(report.path)
         return report
@@ -115,8 +107,7 @@ class CastWithModificationsValidator:
         target_type = self.pair.target.root_type(new_label)
         if target_type is None:
             return ValidationReport.failure(
-                f"label {new_label!r} is not a permitted root of the "
-                "target schema"
+                f"label {new_label!r} is not a permitted root"
             )
         stats = ValidationStats() if self.collect_stats else None
         # One deadline spans the whole walk, case-1 and case-3 subtrees
@@ -158,14 +149,15 @@ class CastWithModificationsValidator:
     ) -> Optional[ValidationReport]:
         """Case 4 at a marked original ``element``; ``None`` means valid.
 
-        ``source_type`` is ``None`` when the source assigns the element
-        no type (a broken promise); its content then gets the plain
-        target scan, as under a simple source type.  Each live child is
-        routed by its Δ-label and its mark: a marked one back here, an
-        unmarked one to the Section 3.2 cast (case 1) with its action
-        in this node's pair record, and an inserted one (case 3), or an
-        unmarked one the source assigns no type, to full target
-        validation.  Tombstones (case 2) are skipped.
+        The node's checks are read from its record in the pair's kernel,
+        as for an untouched node; ``source_type`` is ``None`` when the
+        source assigns the element no type (a broken promise), whose
+        record has no source knowledge.  Each live child is routed by
+        its Δ-label and its mark: a marked one back here, an unmarked
+        one to the Section 3.2 cast (case 1) with its action in this
+        node's record, and an inserted one (case 3), or an unmarked one
+        the source assigns no type, to full target validation.
+        Tombstones (case 2) are skipped.
         """
         if depth > walk.max_depth:
             raise DocumentTooDeepError(
@@ -181,18 +173,20 @@ class CastWithModificationsValidator:
             # Unlike the untouched case, subsumption of τ by τ' says
             # nothing about a modified subtree, so no skip here.
             stats.elements_visited += 1
-        target = self.pair.target
-        target_decl = target.type(target_type)
-        violation = attribute_violation(target, target_decl, element)
-        if violation:
-            return ValidationReport.failure(
-                violation, path=str(element.dewey())
+        kernel = walk.kernel
+        record = kernel.record(kernel.record_id(source_type, target_type))
+        if element._attributes or record.has_attrs:
+            violation = attribute_violation(
+                kernel.target, record.target_decl, element
             )
-        if isinstance(target_decl, SimpleType):
-            return self._simple_value(session, target_decl, element, stats)
-        assert isinstance(target_decl, ComplexType)
+            if violation:
+                return ValidationReport.failure(
+                    violation, path=str(element.dewey())
+                )
+        if record.kind == K_SIMPLE:
+            return self._simple_value(session, record, element, stats)
 
-        alphabet = target.alphabet
+        alphabet = kernel.target.alphabet
         old_labels: list[str] = []
         new_labels: list[str] = []
         live: list[Element] = []
@@ -231,29 +225,33 @@ class CastWithModificationsValidator:
                 new_labels.append(new)
                 live.append(child)
 
-        source_children = None
-        if source_type is not None:
-            source_decl = self.pair.source.type(source_type)
-            if isinstance(source_decl, ComplexType):
-                source_children = source_decl.child_types
-        if not self._content_accepts(
-            source_type,
-            target_type,
-            old_labels if source_children is not None else None,
-            new_labels,
-            stats,
-        ):
+        ids = self.pair.symbols.ids
+        if record.kind == K_MACHINE and self.use_string_cast:
+            # Section 4.3: the old string is known to be in L(regexp_τ).
+            result = self.pair.string_cast(
+                source_type, target_type
+            ).validate_modified(old_labels, new_labels)
+            if stats is not None:
+                stats.content_symbols_scanned += result.symbols_scanned
+                if result.decision.value.startswith("immediate"):
+                    stats.early_content_decisions += 1
+            accepted = result.accepted
+        else:
+            accepted = walk._content(record, [ids[new] for new in new_labels])
+        if not accepted:
             return ValidationReport.failure(
-                f"updated children of {element.label!r} do not match "
-                f"content model {target_decl.content.to_source()} of "
+                f"children of {element.label!r} do not match content "
+                f"model {record.target_decl.content.to_source()} of "
                 f"type {target_type!r}",
                 path=str(element.dewey()),
             )
 
         marks = session._marked()
-        target_children = target_decl.child_types
-        ids = self.pair.symbols.ids
-        record = None  # this node's pair record, for its unmarked children
+        target_children = record.target_decl.child_types
+        source_children = None
+        if record.kind == K_MACHINE:
+            source_children = self.pair.source.type(source_type).child_types
+        row = record.action
         for child, new in zip(live, new_labels):
             child_target = target_children.get(new)
             if child_target is None:
@@ -278,15 +276,8 @@ class CastWithModificationsValidator:
                     depth + 1,
                 )
             elif child_source is not None:  # case 1
-                if record is None:
-                    kernel = walk.kernel
-                    record = kernel.record(
-                        kernel.record_id(source_type, target_type)
-                    )
                 sid = ids[new]
-                failure = walk.visit(
-                    record.action[sid], child, depth + 1, record, sid
-                )
+                failure = walk.visit(row[sid], child, depth + 1, record, sid)
             else:
                 # Case 3 (inserted: only inserted nodes below, so the raw
                 # subtree is the live one) or an untouched subtree with
@@ -296,47 +287,16 @@ class CastWithModificationsValidator:
                 return failure
         return None
 
-    # -- content and simple-value checks ----------------------------------------
-
-    def _content_accepts(
-        self,
-        source_type: Optional[str],
-        target_type: str,
-        old_labels: Optional[list[str]],
-        new_labels: list[str],
-        stats: Optional[ValidationStats],
-    ) -> bool:
-        """Check the updated child-label string against ``regexp_τ'``.
-
-        When the original string is available (complex source type) the
-        Section 4.3 with-modifications string cast is used; otherwise a
-        plain target scan.
-        """
-        if self.use_string_cast and old_labels is not None:
-            machine = self.pair.string_cast(source_type, target_type)
-            result = machine.validate_modified(old_labels, new_labels)
-            if stats is not None:
-                stats.content_symbols_scanned += result.symbols_scanned
-                if result.decision.value.startswith("immediate"):
-                    stats.early_content_decisions += 1
-            return result.accepted
-        immed = self.pair.target_immed_compiled(target_type)
-        syms = self.pair.symbols.encode(new_labels)
-        if stats is None:
-            return immed.decide(syms)
-        accepted, scanned, early, _ = immed.scan(syms)
-        stats.content_symbols_scanned += scanned
-        stats.early_content_decisions += early
-        return accepted
-
     def _simple_value(
         self,
         session: UpdateSession,
-        declaration: SimpleType,
+        record: PairRecord,
         element: Element,
         stats: Optional[ValidationStats],
     ) -> Optional[ValidationReport]:
+        """A simple target's value over the live children."""
         deltas = session._deltas
+        declaration = record.simple_decl
         parts: list[str] = []
         for child in element.children:
             delta = deltas.get(id(child))
@@ -353,7 +313,7 @@ class CastWithModificationsValidator:
             stats.text_nodes_visited += len(parts)
             stats.simple_values_checked += 1
         text = "".join(parts)
-        if not value_checker(declaration)(text):
+        if not record.check(text):
             return ValidationReport.failure(
                 f"value {text!r} does not conform to simple type "
                 f"{declaration.name!r}",

@@ -48,7 +48,6 @@ from repro.schema.pairkernel import (
     K_SIMPLE,
     PairRecord,
 )
-from repro.schema.simple import compiled_checker
 from repro.xmltree.dom import Document, Element, Text
 
 #: Attribute names outside validation: namespace machinery and the
@@ -262,7 +261,9 @@ class TreeWalk:
     record to descend into, a subsumed subtree (skipped), a disjoint one
     (failed), or no type on one side (a broken promise).  Over a
     schema's kernel (no source side) this is plain validation, over a
-    pair's kernel the cast.
+    pair's kernel the cast.  :meth:`check` is one node's own work with
+    no descent: the DTD cast's label index runs it on each instance of
+    a checked label.
 
     Counters go to ``stats`` unless it is ``None``.  ``interned=True``
     reads child labels from ``Element.sym`` (a document lexed against
@@ -362,6 +363,37 @@ class TreeWalk:
             key = (rec.source_type, rec.target_type, element.structural_hash())
             if memo.contains(key):
                 return None  # validated before: skip like a subsumed pair
+        syms: list[int] = []
+        failure = self.check(rec, element, syms)
+        if failure is None and syms:
+            row = rec.action
+            position = 0
+            for child in element.children:
+                if isinstance(child, Text):
+                    continue
+                child_sid = syms[position]
+                position += 1
+                failure = self.visit(
+                    row[child_sid] if child_sid >= 0 else A_NO_TARGET,
+                    child, depth + 1, rec, child_sid,
+                )
+                if failure is not None:
+                    break
+        if key is not None and failure is None:
+            memo.add(key)
+        return failure
+
+    def check(
+        self, rec: PairRecord, element: Element, syms: list[int]
+    ) -> Optional[ValidationReport]:
+        """``element``'s own checks against ``rec``, its children left
+        unvisited: the visit count, the attribute gate, then the simple
+        value, or the child-label string (appended to ``syms``) and its
+        content check.  ``None`` when they pass, else the failure.
+        Plain validation fails a label outside the schema's alphabet at
+        the child, counting the labels read before it, as before a stray
+        text; a cast leaves it (``-1``) to the content scan."""
+        stats = self.stats
         if stats is not None:
             stats.elements_visited += 1
         if element._attributes or rec.has_attrs:
@@ -373,56 +405,32 @@ class TreeWalk:
                     violation, path=str(element.dewey())
                 )
         if rec.kind == K_SIMPLE:
-            failure = self._simple(rec, element)
-        else:
-            failure = self._complex(rec, element, depth)
-        if key is not None and failure is None:
-            memo.add(key)
-        return failure
-
-    def _simple(
-        self, rec: PairRecord, element: Element
-    ) -> Optional[ValidationReport]:
-        """Definition 1's simple case: one χ (text) child whose value
-        conforms; an empty element carries the empty string, since XML
-        offers no way to tell ``<e></e>`` from an ``<e>`` with a
-        zero-length text child."""
-        declaration = rec.simple_decl
-        for child in element.children:
-            if isinstance(child, Element):
+            # Definition 1's simple case: one χ (text) child whose value
+            # conforms; an empty element carries the empty string, since
+            # XML offers no way to tell ``<e></e>`` from an ``<e>`` with
+            # a zero-length text child.
+            declaration = rec.simple_decl
+            for child in element.children:
+                if isinstance(child, Element):
+                    return ValidationReport.failure(
+                        f"simple type {declaration.name!r} does not allow "
+                        "child elements",
+                        path=str(element.dewey()),
+                    )
+            if stats is not None:
+                stats.text_nodes_visited += len(element.children)
+                stats.simple_values_checked += 1
+            text = element.text()
+            if not rec.check(text):
                 return ValidationReport.failure(
-                    f"simple type {declaration.name!r} does not allow "
-                    "child elements",
+                    f"value {text!r} does not conform to simple type "
+                    f"{declaration.name!r}",
                     path=str(element.dewey()),
                 )
-        if self.stats is not None:
-            self.stats.text_nodes_visited += len(element.children)
-            self.stats.simple_values_checked += 1
-        text = element.text()
-        check = rec.check
-        if check is None:  # record loaded from a pickled artifact
-            check = rec.check = compiled_checker(declaration)
-        if not check(text):
-            return ValidationReport.failure(
-                f"value {text!r} does not conform to simple type "
-                f"{declaration.name!r}",
-                path=str(element.dewey()),
-            )
-        return None
-
-    def _complex(
-        self, rec: PairRecord, element: Element, depth: int
-    ) -> Optional[ValidationReport]:
-        """Intern the child-label string and check it, then visit each
-        child with its action.  Plain validation fails a label outside
-        the schema's alphabet at the child, counting the labels read
-        before it, as before a stray text; a cast leaves it (``-1``) to
-        the content scan."""
-        stats = self.stats
+            return None
         plain = self.plain
         interned = self.interned
         ids = self.ids
-        syms: list[int] = []
         for child in element.children:
             if isinstance(child, Text):
                 if child.value.strip() == "":
@@ -455,19 +463,6 @@ class TreeWalk:
                 f"{rec.target_type!r}",
                 path=str(element.dewey()),
             )
-        row = rec.action
-        position = 0
-        for child in element.children:
-            if isinstance(child, Text):
-                continue
-            sid = syms[position]
-            position += 1
-            failure = self.visit(
-                row[sid] if sid >= 0 else A_NO_TARGET,
-                child, depth + 1, rec, sid,
-            )
-            if failure is not None:
-                return failure
         return None
 
     def _content(self, rec: PairRecord, syms: list[int]) -> bool:

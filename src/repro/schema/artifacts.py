@@ -44,7 +44,10 @@ from repro.schema.registry import SchemaPair
 #: v5: ``_string_casts`` is a plain dict again (the promotion table is gone).
 #: v6: every :class:`~repro.schema.model.Schema` carries a ``_kernel`` slot
 #: (its plain-validation kernel, ``None`` until built).
-ARTIFACT_VERSION = 6
+#: v7: pairs drop the target immediate automata (``_target_immed``,
+#: ``_target_immed_compiled``) and string-cast machines their
+#: ``b_immed_compiled`` and ``symbols``.
+ARTIFACT_VERSION = 7
 
 
 class ArtifactError(ReproError):

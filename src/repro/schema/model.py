@@ -16,7 +16,7 @@ the plain-validation kernel tables built from them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
 from repro.automata.compiled import CompiledDFA, SymbolTable
 from repro.automata.dfa import DFA

@@ -16,9 +16,9 @@ then resolves a child with one table load instead of four method calls.
 
 Each record also carries the flat content tables of its pair machine
 (the Section 4 immediate decision automaton for complex/complex pairs,
-the plain target content DFA for simple-source parents, nothing for
-simple targets), so the per-child feed is one more indexed load against
-the same record.
+the plain target content DFA where the source type is simple or
+absent, nothing for simple targets), so the per-child feed is one more
+indexed load against the same record.
 
 Plain validation against one schema is the cast with no source
 knowledge (``R_sub`` and ``R_dis`` empty), so the same tables serve
@@ -51,7 +51,7 @@ from array import array
 from typing import Optional
 
 from repro.schema.model import ComplexType, SimpleType
-from repro.schema.simple import compiled_checker
+from repro.schema.simple import value_checker
 
 #: ``action[sid]`` sentinels (child record ids are ``>= 0``).
 A_NO_TARGET = -1   #: no target child type — parent content fails
@@ -61,7 +61,7 @@ A_DISJOINT = -4    #: disjoint pair — fail immediately
 
 #: Record kinds.
 K_MACHINE = 0      #: complex source → complex target: pair automaton
-K_PLAIN = 1        #: simple source → complex target: target content DFA
+K_PLAIN = 1        #: simple or no source → complex target: target DFA
 K_SIMPLE = 2       #: simple target: value check only, children illegal
 
 #: Most words a flat child's content language may have.
@@ -70,8 +70,8 @@ FLAT_WORDS = 32
 #: XML whitespace between the tags of a flat record.
 _WS = r"[ \t\r\n]*"
 
-#: Record fields that never pickle: closures and compiled tables,
-#: rebuilt lazily after an artifact load.
+#: Record fields that never pickle: closures and compiled tables.  A
+#: load binds ``check`` again; the flat tables are rebuilt lazily.
 _TRANSIENT = frozenset({"check", "flat", "plans"})
 
 #: Serializes every kernel's lazy builds (record ids, records, flat
@@ -104,7 +104,9 @@ class PairRecord:
         "check", "flat", "plans",
     )
 
-    def __init__(self, rid: int, source_type: str, target_type: str):
+    def __init__(
+        self, rid: int, source_type: Optional[str], target_type: str
+    ):
         self.rid = rid
         self.source_type = source_type
         self.target_type = target_type
@@ -119,9 +121,10 @@ class PairRecord:
         self.simple_decl: Optional[SimpleType] = None
         self.has_attrs = False
         self.ready = False
-        #: Specialized value checker for simple targets
-        #: (:func:`repro.schema.simple.compiled_checker`) — a closure,
-        #: so it never pickles; rebuilt lazily after artifact loads.
+        #: The value checker of a simple target
+        #: (:func:`repro.schema.simple.value_checker`, the closure its
+        #: declaration caches), bound whenever ``simple_decl`` is: by
+        #: :meth:`PairKernel.materialize` and by an artifact load.
         self.check = None
         #: The flat-record table (:meth:`PairKernel.flatten`): the
         #: ``match`` of its regex (``None`` when no child is flat) and
@@ -137,9 +140,10 @@ class PairRecord:
         )
 
     def __setstate__(self, state):
-        self.check = self.flat = self.plans = None
         for name, value in zip(self.__slots__, state):
             setattr(self, name, value)
+        if self.simple_decl is not None:
+            self.check = value_checker(self.simple_decl)
 
     def __repr__(self) -> str:
         return (
@@ -189,9 +193,14 @@ class PairKernel:
             return A_DISJOINT
         return self.record_id(source_type, target_type)
 
-    def record_id(self, source_type: str, target_type: str) -> int:
+    def record_id(
+        self, source_type: Optional[str], target_type: str
+    ) -> int:
         """The record id for a type pair, allocating a stub on first
-        request (cycle-safe: the stub exists before its row is built)."""
+        request (cycle-safe: the stub exists before its row is built).
+        A ``None`` source type has no source knowledge: a
+        :data:`K_PLAIN` or :data:`K_SIMPLE` record whose children are
+        all :data:`A_NO_SOURCE` in a pair's kernel."""
         key = (source_type, target_type)
         with _BUILD_LOCK:
             rid = self._ids.get(key)
@@ -220,13 +229,13 @@ class PairKernel:
         if isinstance(target_decl, SimpleType):
             record.kind = K_SIMPLE
             record.simple_decl = target_decl
-            record.check = compiled_checker(target_decl)
+            record.check = value_checker(target_decl)
             record.has_attrs = False
         else:
             record.has_attrs = bool(target_decl.attributes)
             source_decl = (
                 pair.source.type(record.source_type)
-                if pair is not None
+                if record.source_type is not None
                 else None
             )
             if isinstance(source_decl, ComplexType):
@@ -389,10 +398,7 @@ class PairKernel:
             leaf = self.record(action)
             if leaf.kind != K_SIMPLE:
                 return None
-            check = leaf.check
-            if check is None:  # record loaded from a pickled artifact
-                check = leaf.check = compiled_checker(leaf.simple_decl)
-            checks.append((index, check))
+            checks.append((index, leaf.check))
         if not decided and not child.flags[state] & 3:  # not IA, not final
             return None
         return (sid, checks, skips, 1 + len(checks), scanned, early,

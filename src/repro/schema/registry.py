@@ -8,10 +8,11 @@ preprocessing, bundling
 * ``R_dis`` — disjoint type pairs (fail immediately), stored via the
   complement ``R_nondis`` exactly as computed,
 * per-type-pair :class:`StringCastValidator` machines (the Section 4
-  immediate decision automata for content-model checks), built lazily
-  and cached, and
-* per-target-type :class:`ImmediateDecisionAutomaton` for validating
-  freshly inserted content.
+  immediate decision automata for content-model checks) and target
+  content DFAs compiled over the pair's symbols, built lazily and
+  cached, and
+* the fused :class:`~repro.schema.pairkernel.PairKernel` whose records
+  every walk reads.
 
 Everything here depends only on the two schemas — memory is independent
 of any document, which is the paper's headline contrast with
@@ -22,12 +23,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.automata.compiled import (
-    CompiledDFA,
-    CompiledImmediate,
-    SymbolTable,
-)
-from repro.automata.immediate import ImmediateDecisionAutomaton
+from repro.automata.compiled import CompiledDFA, SymbolTable
 from repro.automata.stringcast import StringCastValidator
 from repro.schema.disjoint import compute_nondisjoint
 from repro.schema.model import ComplexType, Schema
@@ -79,8 +75,6 @@ class SchemaPair:
         self._string_casts: dict[
             tuple[str, str], StringCastValidator
         ] = {}
-        self._target_immed: dict[str, ImmediateDecisionAutomaton] = {}
-        self._target_immed_compiled: dict[str, CompiledImmediate] = {}
         self._target_content: dict[str, CompiledDFA] = {}
         self._source_child_rows: dict[str, tuple] = {}
         self._target_child_rows: dict[str, tuple] = {}
@@ -114,30 +108,6 @@ class SchemaPair:
                 symbols=self.symbols,
             )
         return machine
-
-    def target_immed(self, target_type: str) -> ImmediateDecisionAutomaton:
-        """Definition 6 automaton for a target content model (cached),
-        for content without source knowledge (inserted subtrees); the
-        walks scan its :meth:`target_immed_compiled` form."""
-        if target_type not in self._target_immed:
-            self._target_immed[target_type] = (
-                ImmediateDecisionAutomaton.from_dfa(
-                    self.target.content_dfa(target_type)
-                )
-            )
-        return self._target_immed[target_type]
-
-    def target_immed_compiled(self, target_type: str) -> CompiledImmediate:
-        """Dense-table compilation of :meth:`target_immed` over the pair
-        symbol table (cached): ``decide`` for uncounted scans, ``scan``
-        for counted ones."""
-        if target_type not in self._target_immed_compiled:
-            self._target_immed_compiled[target_type] = (
-                CompiledImmediate.from_immediate(
-                    self.target_immed(target_type), self.symbols
-                )
-            )
-        return self._target_immed_compiled[target_type]
 
     def target_content(self, target_type: str) -> CompiledDFA:
         """A target content DFA compiled over the *pair* symbol table
@@ -207,17 +177,21 @@ class SchemaPair:
 
         Coverage rule: string-cast machines are built for every complex
         (τ, τ') with τ reachable in the source schema and τ' reachable
-        in the target schema (pairs that are subsumed or disjoint never
-        scan, so they get no machine); target immediate automata are
-        built for complex target types *reachable from the target root
-        map* — a type unreachable from every root can never be assigned
-        to a node by the tree validators, whose type assignment starts
-        at ``R`` and descends through ``types_τ``.  This includes types
-        that sit below subsumed pairs: the with-modifications validator
-        reaches them through inserted subtrees, so they must stay
-        warmed.  The one exception is the DTD label-indexed mode, where
-        an exotic schema can assign a root-unreachable type to a label;
-        such types fall back to lazy construction on first use.
+        in the target schema (pairs that are subsumed or disjoint are
+        skipped or failed without a scan, so they get no machine), and
+        :meth:`target_content` tables for every complex target type
+        *reachable from the target root map*, which records with a
+        simple or no source type and the plain content mode scan — a
+        type unreachable from every root can never be assigned to a
+        node by the tree validators, whose type assignment starts at
+        ``R`` and descends through ``types_τ``.  The kernel's records
+        reachable from its root actions follow.  Anything else a walk
+        asks for is built on first use: records and machines for the
+        marked nodes of the cast with modifications (subsumed pairs
+        and nodes without a source type among them), types the DTD
+        label-indexed mode assigns to a label outside every root's
+        reach, and the target schema's own kernel, which validates
+        inserted subtrees.
         """
         source_reachable = self.source.reachable_types()
         target_reachable = self.target.reachable_types()
@@ -234,8 +208,6 @@ class SchemaPair:
                 self.string_cast(tau, tau_p)
         for tau_p in target_reachable:
             if isinstance(self.target.types[tau_p], ComplexType):
-                self.target_immed(tau_p)
-                self.target_immed_compiled(tau_p)
                 self.target_content(tau_p)
         # The fused kernel's reachable records ride along (linear in
         # the pairs a document can actually touch from the root map).

@@ -489,22 +489,29 @@ class TestMarkedNodeWithoutSourceType:
             assert full.path == "1.0.0"
 
     def test_rename_below_simple_source_type(self, promise_pair):
-        # The content check of a marked node words its reason as the
-        # updated children; verdict and path are full validation's.
         session = UpdateSession(parse(BROKEN_PROMISE))
         session.rename(session.document.root.find("b").find("c").find("e"),
                        "d")
-        full = validate_document(
-            promise_pair.target, session.result_document()
-        )
-        counted, uncounted = (
-            CastWithModificationsValidator(
-                promise_pair, collect_stats=collect_stats
-            ).validate(session)
-            for collect_stats in (True, False)
-        )
-        outcome = (counted.valid, counted.reason, counted.path)
-        assert (uncounted.valid, uncounted.reason, uncounted.path) == outcome
-        assert (counted.valid, counted.path) == (full.valid, full.path)
+        full = assert_answers_as_full(promise_pair, session)
+        assert not full.valid
         assert full.path == "1.0"
-        assert counted.reason == "updated " + full.reason
+
+
+class TestRejectionsWordedAsFullValidation:
+    """A marked node's rejections read as full validation of the result
+    document reads them, not only its verdict and path."""
+
+    def test_deleted_required_leaf(self, exp2_pair):
+        session = UpdateSession(make_purchase_order(4))
+        item = session.document.root.find("items").children[0]
+        delete_subtree(session, item.find("productName"))
+        full = assert_answers_as_full(exp2_pair, session)
+        assert full.reason.startswith("children of 'item' do not match")
+        assert full.path == "2.0"
+
+    def test_renamed_root(self, exp2_pair):
+        session = UpdateSession(make_purchase_order(2))
+        session.rename(session.document.root, "zzz")
+        full = assert_answers_as_full(exp2_pair, session)
+        assert full.reason == "label 'zzz' is not a permitted root"
+        assert full.path == ""

@@ -1,16 +1,24 @@
 """Tests for the DTD label-index cast validator (Section 3.4)."""
 
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core.cast import CastValidator
 from repro.core.dtdcast import DTDCastValidator
 from repro.core.validator import validate_document
 from repro.errors import SchemaError
-from repro.schema.dtd import parse_dtd
+from repro.schema.dtd import is_dtd_schema, parse_dtd
 from repro.schema.model import Schema, complex_type
 from repro.schema.registry import SchemaPair
 from repro.schema.simple import builtin
+from repro.workloads.generators import sample_document
 from repro.xmltree.parser import parse
+from tests.core.test_kernel_equivalence import random_pairs
 
 SOURCE_DTD = """
 <!ELEMENT po (shipTo, billTo?, items)>
@@ -173,3 +181,82 @@ class TestRequiresDtdSchemas:
         report = validator.validate(parse("<list><v>1</v><v>-2</v></list>"))
         assert not report.valid
         assert report.stats.simple_values_checked >= 1
+
+
+#: Six labels whose pairs are all disjoint (one ``x`` in the source, two
+#: in the target), each present once in the document.
+_DISJOINT_SCRIPT = """
+from repro.core.dtdcast import DTDCastValidator
+from repro.schema.dtd import parse_dtd
+from repro.schema.registry import SchemaPair
+from repro.xmltree.parser import parse
+
+labels = ["a%d" % index for index in range(6)]
+def dtd(content):
+    return parse_dtd(
+        "<!ELEMENT r (%s)><!ELEMENT x EMPTY>" % ",".join(labels)
+        + "".join("<!ELEMENT %s (%s)>" % (label, content) for label in labels),
+        roots=["r"],
+    )
+pair = SchemaPair(dtd("x"), dtd("x,x"))
+document = parse(
+    "<r>" + "".join("<%s><x/></%s>" % (label, label) for label in labels)
+    + "</r>"
+)
+report = DTDCastValidator(pair).validate(document)
+print(report.valid, report.reason, repr(report.path))
+"""
+
+
+def _disjoint_answer_under_hash_seed(hash_seed: str) -> str:
+    root = Path(__file__).resolve().parents[2]
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+               PYTHONPATH=str(root / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", _DISJOINT_SCRIPT], env=env, cwd=root,
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    return result.stdout
+
+
+class TestHashSeedIndependence:
+    def test_disjoint_label_answer_under_two_hash_seeds(self):
+        """The first disjoint label is reported in sorted order, so the
+        answer does not move with ``PYTHONHASHSEED``."""
+        first = _disjoint_answer_under_hash_seed("0")
+        assert _disjoint_answer_under_hash_seed("1") == first
+        assert first == (
+            "False label 'a0' has disjoint source/target types '0'\n"
+        )
+
+
+class TestRandomDTDPairs:
+    def test_verdicts_agree_with_full_validation_and_the_cast(self):
+        """On random DTD-style pairs, every mode of the label-index cast
+        answers a source-valid document as full validation and every
+        mode of the tree cast do."""
+        rng = random.Random(7)
+        modes = [
+            {"use_string_cast": string_cast, "collect_stats": counted}
+            for string_cast in (True, False)
+            for counted in (True, False)
+        ]
+        documents = 0
+        for pair in random_pairs(rng, 400):
+            if not (is_dtd_schema(pair.source)
+                    and is_dtd_schema(pair.target)):
+                continue
+            for _ in range(3):
+                document = sample_document(rng, pair.source)
+                if document is None:
+                    break
+                expected = validate_document(pair.target, document).valid
+                for mode in modes:
+                    assert CastValidator(pair, **mode).validate(
+                        document
+                    ).valid == expected
+                    assert DTDCastValidator(pair, **mode).validate(
+                        document
+                    ).valid == expected
+                documents += 1
+        assert documents >= 300

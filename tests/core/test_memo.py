@@ -1,10 +1,10 @@
 """Memoized pair-validation: correctness of the verdict cache.
 
 The load-bearing claim is equivalence: with or without a
-:class:`~repro.core.memo.ValidationMemo`, every validator must return
-the same verdict on every document — including documents edited through
-an :class:`~repro.core.updates.UpdateSession`, where stale structural
-hashes would silently poison the cache if Δ-invalidation missed a node.
+:class:`~repro.core.memo.ValidationMemo`, the cast must return the same
+verdict on every document.  That edits invalidate the structural hashes
+the memo keys on is tested with the update session
+(``tests/core/test_updates.py``).
 """
 
 import random
@@ -13,14 +13,10 @@ import pytest
 
 from repro.core.batch import validate_batch
 from repro.core.cast import CastValidator
-from repro.core.castmods import CastWithModificationsValidator
-from repro.core.dtdcast import DTDCastValidator
 from repro.core.memo import DEFAULT_MEMO_SIZE, ValidationMemo
-from repro.core.updates import UpdateSession
 from repro.errors import SchemaError
 from repro.guards import Limits
 from repro.schema import artifacts
-from repro.schema.dtd import parse_dtd
 from repro.schema.registry import SchemaPair
 from repro.workloads.generators import random_schema, sample_document
 from repro.workloads.purchase_orders import (
@@ -29,7 +25,6 @@ from repro.workloads.purchase_orders import (
     source_schema_experiment2,
     target_schema_experiment2,
 )
-from repro.xmltree.parser import parse
 from repro.xmltree.serializer import write_file
 
 
@@ -234,140 +229,6 @@ class TestPropertyEquivalence:
                 assert report.valid == expected.valid
                 if not expected.valid:
                     assert report.path == expected.path
-
-    @pytest.mark.parametrize("seed", [101, 211])
-    def test_verdicts_identical_after_edits(self, seed):
-        """Edited documents agree too — Δ-invalidation is exact."""
-        pair, corpus = self.sample_corpus(seed, documents=4)
-        memo = ValidationMemo()
-        memoized = CastWithModificationsValidator(pair, memo=memo)
-        plain = CastValidator(pair, collect_stats=True)
-        rng = random.Random(seed)
-        for document in corpus:
-            # Warm the memo on the pristine document first, so a stale
-            # hash surviving the edit would be served from cache.
-            CastValidator(pair, collect_stats=True, memo=memo).validate(
-                document
-            )
-            session = UpdateSession(document)
-            elements = list(document.root.iter())
-            victim = elements[rng.randrange(len(elements))]
-            session.rename(victim, victim.label + "X")
-            expected = plain.validate(session.result_document())
-            report = memoized.validate(session)
-            assert report.valid == expected.valid
-
-
-class TestCastModsMemo:
-    def test_untouched_subtrees_hit_and_agree(self, exp2_pair):
-        document = repetitive_po()
-        memo = ValidationMemo()
-        # Seal hashes and populate the memo from the pristine document.
-        CastValidator(
-            exp2_pair, collect_stats=True, memo=memo
-        ).validate(document)
-        session = UpdateSession(document)
-        items = document.root.find("items")
-        first_item = items.child_elements()[0]
-        quantity = first_item.find("quantity")
-        session.replace_text(quantity.children[0], "7")
-        validator = CastWithModificationsValidator(exp2_pair, memo=memo)
-        report = validator.validate(session)
-        expected = CastValidator(exp2_pair, collect_stats=True).validate(
-            session.result_document()
-        )
-        assert report.valid == expected.valid
-        # Untouched sibling items are duplicates of memoized shapes.
-        assert report.stats.memo_hits > 0
-
-    def test_edited_subtree_not_served_stale(self, exp2_pair):
-        document = repetitive_po()
-        memo = ValidationMemo()
-        CastValidator(
-            exp2_pair, collect_stats=True, memo=memo
-        ).validate(document)
-        session = UpdateSession(document)
-        items = document.root.find("items")
-        # Break one item: rename its quantity element.  The memo knows
-        # the *old* shape; the edit must invalidate the hash chain so
-        # the broken subtree is re-examined and rejected.
-        victim = items.child_elements()[0].find("quantity")
-        session.rename(victim, "quantityX")
-        report = CastWithModificationsValidator(
-            exp2_pair, memo=memo
-        ).validate(session)
-        assert not report.valid
-
-
-SOURCE_DTD = """
-<!ELEMENT po (shipTo, billTo?, items)>
-<!ELEMENT shipTo (name)>
-<!ELEMENT billTo (name)>
-<!ELEMENT items (item*)>
-<!ELEMENT item (#PCDATA)>
-<!ELEMENT name (#PCDATA)>
-"""
-
-TARGET_DTD = """
-<!ELEMENT po (shipTo, billTo, items)>
-<!ELEMENT shipTo (name)>
-<!ELEMENT billTo (name)>
-<!ELEMENT items (item+)>
-<!ELEMENT item (#PCDATA)>
-<!ELEMENT name (#PCDATA)>
-"""
-
-
-class TestDTDCastMemo:
-    @pytest.fixture()
-    def dtd_pair(self):
-        return SchemaPair(
-            parse_dtd(SOURCE_DTD, roots=["po"]),
-            parse_dtd(TARGET_DTD, roots=["po"]),
-        )
-
-    def po_doc(self, items: int):
-        body = "".join(f"<item>{i % 3}</item>" for i in range(items))
-        return parse(
-            "<po><shipTo><name>a</name></shipTo>"
-            "<billTo><name>b</name></billTo>"
-            f"<items>{body}</items></po>"
-        )
-
-    def test_memoized_verdicts_agree(self, dtd_pair):
-        memo = ValidationMemo()
-        plain = DTDCastValidator(dtd_pair)
-        memoized = DTDCastValidator(dtd_pair, memo=memo)
-        for items in (0, 1, 5):
-            document = self.po_doc(items)
-            assert (
-                memoized.validate(document).valid
-                == plain.validate(document).valid
-            )
-
-    def test_repeat_document_hits(self, dtd_pair):
-        memo = ValidationMemo()
-        memoized = DTDCastValidator(dtd_pair, memo=memo)
-        first = memoized.validate(self.po_doc(4))
-        second = memoized.validate(self.po_doc(4))
-        assert first.valid and second.valid
-        assert second.stats.memo_hits > 0
-        assert second.stats.elements_visited < first.stats.elements_visited
-
-    def test_shared_memo_with_cast_does_not_collide(self, dtd_pair):
-        """"imm" keys keep immediate-content verdicts separate."""
-        memo = ValidationMemo()
-        document = self.po_doc(3)
-        dtd_report = DTDCastValidator(dtd_pair, memo=memo).validate(
-            document
-        )
-        cast_report = CastValidator(
-            dtd_pair, collect_stats=True, memo=memo
-        ).validate(document)
-        assert dtd_report.valid and cast_report.valid
-        # The full-subtree walk may reuse nothing from the
-        # immediate-content entries: all its root-level lookups miss.
-        assert cast_report.stats.memo_misses > 0
 
 
 class TestBatchMemo:

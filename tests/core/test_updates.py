@@ -10,7 +10,7 @@ from repro.errors import UpdateError
 from repro.workloads.generators import random_schema, sample_document
 from repro.workloads.mutations import random_edits
 from repro.workloads.purchase_orders import make_purchase_order
-from repro.xmltree.dom import CHI, Document, Text, element
+from repro.xmltree.dom import CHI, Document, Element, Text, element
 from repro.xmltree.parser import parse
 
 
@@ -264,3 +264,74 @@ class TestResultDocument:
         )(old="solo", new=None)
         with pytest.raises(UpdateError, match="root"):
             session.result_document()
+
+
+def _fresh_copy(node):
+    """An independently built copy of ``node``'s raw subtree, tombstones
+    included, as the structural hash sees it."""
+    if isinstance(node, Text):
+        return Text(node.value)
+    copy = Element(node.label, dict(node.attributes))
+    for child in node.children:
+        copy.append(_fresh_copy(child))
+    return copy
+
+
+EDIT_KINDS = ["rename", "replace-text", "insert-element", "insert-text",
+              "delete", "set-attribute", "remove-attribute"]
+
+
+def _edit(kind, session, quantity):
+    """One edit of ``kind`` at ``quantity`` or its item; returns the
+    touched node, whose Dewey path must go stale."""
+    item = quantity.parent
+    text = quantity.children[0]
+    if kind == "rename":
+        session.rename(quantity, "amount")
+        return quantity
+    if kind == "replace-text":
+        session.replace_text(text, "7")
+        return text
+    if kind == "insert-element":
+        session.insert_after(quantity, "comment")
+        return item
+    if kind == "insert-text":
+        session.insert_text(quantity, 1, "0")
+        return quantity
+    if kind == "delete":
+        session.delete(text)  # a tombstone: the raw tree keeps it
+        return text
+    if kind == "set-attribute":
+        session.set_attribute(item, "partNum", "926-AA")
+        return item
+    assert kind == "remove-attribute"
+    session.remove_attribute(item, "id")
+    return item
+
+
+class TestStructuralHashInvalidation:
+    """Every edit kind drops the cached structural hashes of exactly the
+    touched node's Dewey path, so a recomputed hash is the edited
+    tree's."""
+
+    @pytest.mark.parametrize("kind", EDIT_KINDS)
+    def test_edit_invalidates_its_dewey_path(self, kind):
+        document = make_purchase_order(3)
+        items = document.root.find("items").children
+        items[1].attributes["id"] = "i1"
+        document.root.structural_hash()  # seal every subtree
+        session = UpdateSession(document)
+        touched = _edit(kind, session, items[1].find("quantity"))
+        path = []
+        node = touched
+        while node is not None:
+            path.append(node)
+            node = node.parent
+        assert path[-1] is document.root
+        assert all(node.cached_structural_hash is None for node in path)
+        # Off the path nothing goes stale.
+        for sibling in (items[0], items[2], document.root.find("shipTo")):
+            assert sibling.cached_structural_hash is not None
+        assert document.root.structural_hash() == (
+            _fresh_copy(document.root).structural_hash()
+        )

@@ -254,5 +254,16 @@ class TestCachedCheckers:
         save(chain_pair, chain_path, key=chain_cache_key(schemas))
         loaded = load(pair_path)
         loaded_chain = load(chain_path, expected_key=chain_cache_key(schemas))
+        # The closures stay out of the pickle; a load binds each simple
+        # record's checker again, its declaration's cached one.
+        for loaded_pair in (loaded, loaded_chain):
+            simple = [
+                record for record in loaded_pair.kernel().records
+                if record.simple_decl is not None
+            ]
+            assert simple
+            for record in simple:
+                assert record.check is not None
+                assert record.check is record.simple_decl._check
         assert verdicts(loaded, pair_texts) == before
         assert verdicts(loaded_chain, chain_texts) == chain_before

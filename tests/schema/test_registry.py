@@ -5,7 +5,7 @@ from repro.schema.registry import SchemaPair
 from repro.schema.simple import builtin
 
 
-def make_pair():
+def make_pair(target_model="(a,b?)"):
     source = Schema(
         {
             "T": complex_type("T", "(a,b?)", {"a": "Int", "b": "Str"}),
@@ -17,7 +17,7 @@ def make_pair():
     )
     target = Schema(
         {
-            "T": complex_type("T", "(a,b?)", {"a": "Str", "b": "Str"}),
+            "T": complex_type("T", target_model, {"a": "Str", "b": "Str"}),
             "Str": builtin("string"),
             "Date": builtin("date"),
         },
@@ -54,35 +54,41 @@ class TestCaches:
         pair = make_pair()
         assert pair.string_cast("T", "T") is pair.string_cast("T", "T")
 
-    def test_target_immed_cached(self):
-        pair = make_pair()
-        assert pair.target_immed("T") is pair.target_immed("T")
-
     def test_warm_builds_needed_machines(self):
-        pair = make_pair()
+        # b turns required, so T -> T is neither subsumed nor disjoint:
+        # it scans, on its string-cast machine through its kernel record.
+        pair = make_pair("(a,b)")
         pair.warm()
-        assert "T" in pair._target_immed  # built for complex targets
+        assert set(pair._string_casts) == {("T", "T")}
+        assert "T" in pair._target_content  # built for complex targets
+        records = pair.kernel().records
+        assert [(r.source_type, r.target_type) for r in records] == [
+            ("T", "T")
+        ]
+        assert records[0].ready
 
     def test_memory_depends_only_on_schemas(self):
         """The paper's headline: state size is document-independent."""
-        pair = make_pair()
+        pair = make_pair("(a,b)")
         pair.warm()
-        machines_before = (
-            len(pair._string_casts),
-            len(pair._target_immed),
-        )
+
+        def sizes():
+            return (
+                len(pair._string_casts),
+                len(pair._target_content),
+                len(pair.kernel().records),
+            )
+
+        machines_before = sizes()
         # "Process" many documents.
         from repro.core.cast import CastValidator
         from repro.xmltree.parser import parse
 
         validator = CastValidator(pair)
         for n in (1, 10, 100):
-            doc = parse("<t>" + "<a>1</a>" * 1 + "</t>")
-            validator.validate(doc)
-        assert (
-            len(pair._string_casts),
-            len(pair._target_immed),
-        ) == machines_before
+            doc = parse("<t><a>1</a><b>" + "x" * n + "</b></t>")
+            assert validator.validate(doc).valid
+        assert sizes() == machines_before
 
 
 class TestRootPair:
